@@ -2,9 +2,10 @@
 //  (a) RMSE of fixed-size sampling against a high-accuracy reference, versus
 //      the number of worlds — the empirical counterpart of the Hoeffding
 //      bound the paper cites [29].
-//  (b) Worlds consumed by the sequential threshold decision (Wilson
-//      intervals) versus the a-priori Hoeffding count — adaptive stopping
-//      decides clear cases orders of magnitude earlier.
+//  (b) Worlds consumed by the adaptive threshold decision (Wilson
+//      intervals, EstimatePnnAdaptive in kThreshold mode) versus the
+//      a-priori Hoeffding count — adaptive stopping decides clear cases
+//      orders of magnitude earlier.
 #include "bench_common.h"
 #include "query/adaptive.h"
 #include "util/stats.h"
@@ -89,12 +90,15 @@ int main(int argc, char** argv) {
   // (b) Sequential decision cost vs the fixed Hoeffding sizing.
   CsvTable seq_table({"tau", "sequential_worlds", "hoeffding_worlds"});
   for (double tau : {0.1, 0.3, 0.5, 0.9}) {
-    SequentialOptions opts;
-    opts.delta = 0.05;
-    opts.max_worlds = 1 << 20;
-    opts.seed = 77;
-    auto decision = DecideThresholdSequential(db, ids, ids, q, T, tau,
-                                              PnnSemantics::kForall, opts);
+    MonteCarloOptions mc;
+    mc.num_worlds = 1 << 20;  // cap only: the decision stops far earlier
+    mc.seed = 77;
+    PrecisionTarget precision;
+    precision.mode = PrecisionMode::kThreshold;
+    precision.delta = 0.05;
+    auto decision = EstimatePnnAdaptive(
+        db, ids, ids, q, T, PnnSemantics::kForall, tau, mc, precision,
+        /*pool=*/nullptr, /*scratch=*/nullptr, /*rows=*/nullptr);
     UST_CHECK(decision.ok());
     seq_table.AddRow({tau,
                       static_cast<double>(decision.value().worlds_used),

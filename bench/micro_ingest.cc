@@ -8,9 +8,9 @@
 //
 //   reference : index-free session (alive-filter fallback) — ground truth;
 //   delta     : stale base tree + per-epoch delta patch (the PR 9 path);
-//   fallback  : delta patching disabled, so the session *drops* the stale
-//               tree and degrades to the alive filter — the pre-PR-9
-//               behavior of every post-write epoch.
+//   fallback  : an index-free session timed like the delta mode — exactly
+//               what a session that drops its stale tree degenerates to
+//               (every post-write epoch's behavior before the delta layer).
 //
 // Both timed modes must reproduce the reference bit for bit (probability
 // bytes; candidate/influencer *counts* legitimately differ between the
@@ -243,18 +243,16 @@ int main(int argc, char** argv) {
   }
 
   size_t delta_depth_a = 0;
-  const auto timed_run = [&](bool delta_enabled, bool expect_drop) {
-    SessionOptions options = session_options;
-    options.delta_index = delta_enabled;
+  const auto timed_run = [&](const UstTree* index) {
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
       Timer t;
-      QuerySession session(snapshot, &tree.value(), options);
+      QuerySession session(snapshot, index, session_options);
       UST_CHECK(session.Prepare().ok());
       const std::vector<QueryOutcome> results = session.RunAll(specs);
       const double seconds = t.Seconds();
-      UST_CHECK(session.dropped_stale_index() == expect_drop);
-      if (delta_enabled) {
+      UST_CHECK(!session.dropped_stale_index());
+      if (index != nullptr) {
         UST_CHECK(session.delta_depth() > 0);
         delta_depth_a = session.delta_depth();
       }
@@ -265,8 +263,8 @@ int main(int argc, char** argv) {
     }
     return best;
   };
-  const double delta_seconds = timed_run(true, false);
-  const double fallback_seconds = timed_run(false, true);
+  const double delta_seconds = timed_run(&tree.value());
+  const double fallback_seconds = timed_run(nullptr);
   const double n = static_cast<double>(num_queries);
   const double qps_delta = n / delta_seconds;
   const double qps_fallback = n / fallback_seconds;
@@ -280,7 +278,6 @@ int main(int argc, char** argv) {
   server_options.threads = threads;
   server_options.max_batch_size = max_batch;
   server_options.max_batch_delay_ms = delay_ms;
-  server_options.delta_index = true;
   server_options.compaction = true;
   server_options.compaction_interval_ms = compact_ms;
   server_options.compaction_min_depth = 1;

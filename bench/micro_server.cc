@@ -23,12 +23,13 @@
 // The *skewed* phase (PR 5) measures the morsel scheduler: interval
 // popularity follows a Zipf-ish law (weight of interval k ∝ (k+1)^-skew),
 // so one hot (epoch, interval) group dominates every batch. The stream runs
-// at --lanes lanes twice — group-granularity scheduling (steal=off: the hot
-// group serializes on one lane while the others idle) vs morsel scheduling
-// with work stealing (steal=on: idle lanes steal half-ranges of the hot
-// group) — and reports p99_skew_nosteal vs p99_skew_steal plus their ratio
-// `steal_speedup` (the tentpole metric of PR 5: ≈1 on a single hardware
-// core, ≥1.3 expected on multi-core).
+// at --lanes lanes twice — one morsel per group (morsel_specs = --batch:
+// the adopting lane runs the whole hot group while the others idle, since
+// thieves find nothing to take) vs --morsel spec morsels (idle lanes steal
+// half-ranges of the hot group) — and reports p99_skew_nosteal vs
+// p99_skew_steal plus their ratio `steal_speedup` (the morsel scheduler's
+// headline metric: ≈1 on a single hardware core, ≥1.3 expected on
+// multi-core).
 //
 // The *adaptive* phase (PR 7, --adaptive {on,off}) serves the mixed stream
 // re-cast as tau = 0.5 threshold decisions under an oversized
@@ -225,7 +226,7 @@ int main(int argc, char** argv) {
   // qps_cold_session).
   const auto run_server = [&](const std::vector<QuerySpec>& stream,
                               const std::vector<QueryOutcome>& reference,
-                              int lane_count, bool steal,
+                              int lane_count, size_t morsel,
                               int arena_min_uses, bool trace = false) {
     ServerRun run;
     ServerOptions options;
@@ -233,8 +234,7 @@ int main(int argc, char** argv) {
     options.threads = threads;
     options.max_batch_size = max_batch;
     options.max_batch_delay_ms = delay_ms;
-    options.steal = steal;
-    options.morsel_specs = morsel_specs;
+    options.morsel_specs = morsel;
     options.arena_min_uses = arena_min_uses;
     options.trace = trace;
     // Smoke-scale rings (4096 slots ≈ 230 KB/thread vs 3.7 MB at the 1<<16
@@ -263,8 +263,8 @@ int main(int argc, char** argv) {
     run.stats = server.Stats();
 
     // The serving tier is the batch pipeline behind a queue, a lane pool
-    // and (steal mode) any morsel schedule: outcomes must agree bit for
-    // bit with the direct RunAll reference.
+    // and any morsel schedule: outcomes must agree bit for bit with the
+    // direct RunAll reference.
     for (size_t i = 0; i < n_stream; ++i) {
       CheckSameOutcome(results[i], reference[i]);
     }
@@ -276,9 +276,11 @@ int main(int argc, char** argv) {
   // The mixed and skewed phases use unique per-spec seeds, so no arena
   // group ever repeats: arena_min_uses=2 (the serving default) makes them
   // measure exactly what they measured pre-arena.
-  const ServerRun lane1 = run_server(specs, runall_results, 1, true, 2);
+  const ServerRun lane1 =
+      run_server(specs, runall_results, 1, morsel_specs, 2);
   const ServerRun laneN =
-      lanes > 1 ? run_server(specs, runall_results, lanes, true, 2) : lane1;
+      lanes > 1 ? run_server(specs, runall_results, lanes, morsel_specs, 2)
+                : lane1;
   // ---- The trace_overhead pair: tracing on vs off, identical config. ----
   // Outcomes must still match bit for bit (probes observe, never steer),
   // and the qps ratio is gated at 10% (tools/check_bench.py). A 10% band
@@ -299,13 +301,15 @@ int main(int argc, char** argv) {
     }
   }
   const ServerRun traced_a =
-      run_server(overhead_specs, overhead_reference, lanes, true, 2, true);
+      run_server(overhead_specs, overhead_reference, lanes, morsel_specs, 2,
+                 true);
   const ServerRun plain_a =
-      run_server(overhead_specs, overhead_reference, lanes, true, 2);
+      run_server(overhead_specs, overhead_reference, lanes, morsel_specs, 2);
   const ServerRun traced_b =
-      run_server(overhead_specs, overhead_reference, lanes, true, 2, true);
+      run_server(overhead_specs, overhead_reference, lanes, morsel_specs, 2,
+                 true);
   const ServerRun plain_b =
-      run_server(overhead_specs, overhead_reference, lanes, true, 2);
+      run_server(overhead_specs, overhead_reference, lanes, morsel_specs, 2);
   const double traced_seconds = std::min(traced_a.seconds, traced_b.seconds);
   const double plain_seconds = std::min(plain_a.seconds, plain_b.seconds);
   // The last traced run's rings survive the trailing untraced run (its
@@ -316,11 +320,12 @@ int main(int argc, char** argv) {
     CheckSameOutcome(runall_results[i], cold_results[i]);
   }
 
-  // ---- Mode 4: the skewed stream — group scheduler vs morsel stealing. --
+  // ---- Mode 4: the skewed stream — one morsel per group vs stealing. ----
   // Interval popularity is Zipf-ish (weight of interval k ∝ (k+1)^-skew):
   // most specs land on interval 0, so every micro-batch is dominated by one
-  // hot (epoch, interval) group. Without stealing that group serializes on
-  // a single lane; with morsel stealing the idle lanes work its tail.
+  // hot (epoch, interval) group. As one morsel that group serializes on a
+  // single lane; split into --morsel spec morsels the idle lanes steal its
+  // tail.
   std::vector<double> cumulative(num_intervals, 0.0);
   double weight_sum = 0.0;
   for (size_t k = 0; k < num_intervals; ++k) {
@@ -353,10 +358,10 @@ int main(int argc, char** argv) {
     UST_CHECK(session.Prepare().ok());
     skew_reference = session.RunAll(skew_specs);
   }
-  const ServerRun skew_nosteal =
-      run_server(skew_specs, skew_reference, lanes, false, 2);
+  const ServerRun skew_nosteal = run_server(
+      skew_specs, skew_reference, lanes, std::max<size_t>(1, max_batch), 2);
   const ServerRun skew_steal =
-      run_server(skew_specs, skew_reference, lanes, true, 2);
+      run_server(skew_specs, skew_reference, lanes, morsel_specs, 2);
 
   // ---- Mode 5: the shared world arena on a hot-group skewed stream. ----
   // Same Zipf interval pick, but every spec shares one Monte-Carlo seed:
@@ -393,9 +398,9 @@ int main(int argc, char** argv) {
     arena_reference = session.RunAll(arena_specs);
   }
   const ServerRun arena_off =
-      run_server(arena_specs, arena_reference, lanes, true, 0);
+      run_server(arena_specs, arena_reference, lanes, morsel_specs, 0);
   const ServerRun arena_on =
-      run_server(arena_specs, arena_reference, lanes, true, 1);
+      run_server(arena_specs, arena_reference, lanes, morsel_specs, 1);
   UST_CHECK(arena_off.stats.cache.arena_builds == 0);
   UST_CHECK(arena_off.stats.arena_hits() == 0);
   UST_CHECK(arena_on.stats.cache.arena_builds >= 1);
@@ -441,9 +446,10 @@ int main(int argc, char** argv) {
       adaptive_reference = session.RunAll(adaptive_specs);
     }
     const ServerRun adaptive_off =
-        run_server(fixed_specs, fixed_reference, lanes, true, 2);
+        run_server(fixed_specs, fixed_reference, lanes, morsel_specs, 2);
     const ServerRun adaptive_on =
-        run_server(adaptive_specs, adaptive_reference, lanes, true, 2);
+        run_server(adaptive_specs, adaptive_reference, lanes, morsel_specs,
+                   2);
     const double n_adaptive = static_cast<double>(adaptive_specs.size());
     qps_adaptive_off = n_adaptive / adaptive_off.seconds;
     qps_adaptive_on = n_adaptive / adaptive_on.seconds;
@@ -495,7 +501,7 @@ int main(int argc, char** argv) {
 
   const double p99_skew_nosteal = p_ms(skew_nosteal, 0.99);
   const double p99_skew_steal = p_ms(skew_steal, 0.99);
-  // p99 ratio of the two schedulers on the skewed stream: > 1 means
+  // p99 ratio of the two morsel sizes on the skewed stream: > 1 means
   // stealing flattened the hot group's tail. Direction-aware gate: "down".
   const double steal_speedup = p99_skew_steal > 0.0
                                    ? p99_skew_nosteal / p99_skew_steal
@@ -601,8 +607,6 @@ int main(int argc, char** argv) {
   json.Add("lane_queue_peak", static_cast<double>(laneN.stats.lane_queue_peak));
   json.Add("cache_hits", static_cast<double>(laneN.stats.cache.hits));
   json.Add("cache_misses", static_cast<double>(laneN.stats.cache.misses));
-  json.Add("cache_busy_misses",
-           static_cast<double>(laneN.stats.cache.busy_misses));
   json.Add("qps_trace_on", qps_trace_on);
   json.Add("trace_overhead", trace_overhead);
   json.Add("trace_events", static_cast<double>(trace::RecordedCount()));

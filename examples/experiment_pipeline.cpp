@@ -1,7 +1,7 @@
 // Reproducible experiment pipeline: generate a world once, persist it to
 // disk, reload it in an "analysis" phase, and answer a threshold query with
-// the sequential (adaptive) estimator — the workflow of a user running the
-// paper's queries over a frozen dataset.
+// the adaptive estimator in threshold mode — the workflow of a user running
+// the paper's queries over a frozen dataset.
 #include <cstdio>
 #include <string>
 
@@ -60,22 +60,25 @@ int main() {
   // "Which objects were the NN at some point with probability >= 0.3?"
   // Decided sequentially: clear cases stop after a few hundred worlds
   // instead of the ~18k a fixed Hoeffding sizing would dictate.
-  SequentialOptions options;
-  options.delta = 0.05;
-  options.seed = 99;
-  auto decision = DecideThresholdSequential(db.value(), alive, alive, q, T,
-                                            /*tau=*/0.3,
-                                            PnnSemantics::kExists, options);
+  const double tau = 0.3;
+  MonteCarloOptions mc;
+  mc.num_worlds = 1 << 20;  // cap only: the decision stops far earlier
+  mc.seed = 99;
+  PrecisionTarget precision;
+  precision.mode = PrecisionMode::kThreshold;
+  precision.delta = 0.05;
+  auto decision = EstimatePnnAdaptive(
+      db.value(), alive, alive, q, T, PnnSemantics::kExists, tau, mc,
+      precision, /*pool=*/nullptr, /*scratch=*/nullptr, /*rows=*/nullptr);
   UST_CHECK(decision.ok());
-  std::printf("sequential decision used %zu worlds total (fixed sizing at "
-              "eps=0.01: %zu)\n",
-              decision.value().worlds_used,
-              HoeffdingSampleCount(0.01, 0.05));
-  for (const auto& d : decision.value().decisions) {
-    if (!d.qualifies) continue;
-    std::printf("  object %3u qualifies: p ~ %.3f (%s after %zu worlds)\n",
-                d.object, d.estimate,
-                d.decided ? "decided" : "undecided at cap", d.worlds_used);
+  std::printf("sequential decision used %zu worlds (fixed sizing at "
+              "eps=0.01: %zu), %zu object(s) undecided at the cap\n",
+              decision.value().worlds_used, HoeffdingSampleCount(0.01, 0.05),
+              decision.value().undecided);
+  for (const PnnEstimate& e : decision.value().estimates) {
+    if (e.exists_prob < tau) continue;
+    std::printf("  object %3u qualifies: p ~ %.3f\n", e.object,
+                e.exists_prob);
   }
   return 0;
 }

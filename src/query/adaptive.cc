@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "query/world_arena.h"
-#include "util/check.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -47,124 +46,6 @@ void Accumulate(const uint8_t* is_nn, const std::vector<size_t>& target_index,
 }
 
 }  // namespace
-
-Result<SequentialPnnResult> EstimatePnnSequential(
-    const DbSnapshot& db, const std::vector<ObjectId>& participants,
-    const std::vector<ObjectId>& targets, const QueryTrajectory& q,
-    const TimeInterval& T, const SequentialOptions& options) {
-  if (options.epsilon <= 0.0 || options.delta <= 0.0 || options.delta >= 1.0) {
-    return Status::InvalidArgument("epsilon/delta out of range");
-  }
-  if (options.batch_size == 0 || options.max_worlds == 0) {
-    return Status::InvalidArgument("batch_size/max_worlds must be positive");
-  }
-  auto target_index = ResolveTargets(participants, targets);
-  if (!target_index.ok()) return target_index.status();
-  auto sampler =
-      WorldSampler::Create(db, participants, q, T, options.k, options.seed);
-  if (!sampler.ok()) return sampler.status();
-
-  const size_t len = T.length();
-  const size_t world_stride = participants.size() * len;
-  std::vector<uint8_t> is_nn(options.batch_size * world_stride);
-  std::vector<size_t> forall_hits(targets.size(), 0);
-  std::vector<size_t> exists_hits(targets.size(), 0);
-  size_t worlds = 0;
-  while (worlds < options.max_worlds) {
-    const size_t batch =
-        std::min(options.batch_size, options.max_worlds - worlds);
-    sampler.value().SampleWorlds(batch, is_nn.data(), world_stride);
-    for (size_t b = 0; b < batch; ++b) {
-      Accumulate(is_nn.data() + b * world_stride, target_index.value(), len,
-                 &forall_hits, &exists_hits);
-    }
-    worlds += batch;
-    if (HoeffdingEpsilon(worlds, options.delta) <= options.epsilon) break;
-  }
-
-  SequentialPnnResult result;
-  result.worlds_used = worlds;
-  result.epsilon_achieved = HoeffdingEpsilon(worlds, options.delta);
-  result.estimates.reserve(targets.size());
-  for (size_t ti = 0; ti < targets.size(); ++ti) {
-    result.estimates.push_back(
-        {targets[ti],
-         static_cast<double>(forall_hits[ti]) / static_cast<double>(worlds),
-         static_cast<double>(exists_hits[ti]) / static_cast<double>(worlds)});
-  }
-  return result;
-}
-
-Result<ThresholdQueryResult> DecideThresholdSequential(
-    const DbSnapshot& db, const std::vector<ObjectId>& participants,
-    const std::vector<ObjectId>& targets, const QueryTrajectory& q,
-    const TimeInterval& T, double tau, PnnSemantics semantics,
-    const SequentialOptions& options) {
-  if (tau < 0.0 || tau > 1.0) {
-    return Status::InvalidArgument("tau out of [0, 1]");
-  }
-  if (options.batch_size == 0 || options.max_worlds == 0) {
-    return Status::InvalidArgument("batch_size/max_worlds must be positive");
-  }
-  if (options.delta <= 0.0 || options.delta >= 1.0) {
-    return Status::InvalidArgument("delta out of range");
-  }
-  auto target_index = ResolveTargets(participants, targets);
-  if (!target_index.ok()) return target_index.status();
-  auto sampler =
-      WorldSampler::Create(db, participants, q, T, options.k, options.seed);
-  if (!sampler.ok()) return sampler.status();
-
-  // Bonferroni: each per-object interval at confidence 1 - delta/#targets so
-  // the joint decision holds at 1 - delta.
-  const double per_object_delta =
-      options.delta / static_cast<double>(std::max<size_t>(1, targets.size()));
-  const size_t len = T.length();
-  const size_t world_stride = participants.size() * len;
-  std::vector<uint8_t> is_nn(options.batch_size * world_stride);
-  std::vector<size_t> forall_hits(targets.size(), 0);
-  std::vector<size_t> exists_hits(targets.size(), 0);
-
-  ThresholdQueryResult result;
-  result.decisions.resize(targets.size());
-  std::vector<char> decided(targets.size(), 0);
-  size_t undecided = targets.size();
-  size_t worlds = 0;
-  while (worlds < options.max_worlds && undecided > 0) {
-    const size_t batch =
-        std::min(options.batch_size, options.max_worlds - worlds);
-    sampler.value().SampleWorlds(batch, is_nn.data(), world_stride);
-    for (size_t b = 0; b < batch; ++b) {
-      Accumulate(is_nn.data() + b * world_stride, target_index.value(), len,
-                 &forall_hits, &exists_hits);
-    }
-    worlds += batch;
-    for (size_t ti = 0; ti < targets.size(); ++ti) {
-      if (decided[ti]) continue;
-      const size_t hits = semantics == PnnSemantics::kForall
-                              ? forall_hits[ti]
-                              : exists_hits[ti];
-      Interval ci = WilsonInterval(hits, worlds, per_object_delta);
-      if (ci.lo >= tau || ci.hi < tau) {
-        decided[ti] = 1;
-        --undecided;
-        result.decisions[ti] = {targets[ti], ci.lo >= tau, /*decided=*/true,
-                                static_cast<double>(hits) / worlds, worlds};
-      }
-    }
-  }
-  // Undecided targets: fall back to the point estimate, flagged as such.
-  for (size_t ti = 0; ti < targets.size(); ++ti) {
-    if (decided[ti]) continue;
-    const size_t hits = semantics == PnnSemantics::kForall ? forall_hits[ti]
-                                                           : exists_hits[ti];
-    const double estimate = static_cast<double>(hits) / worlds;
-    result.decisions[ti] = {targets[ti], estimate >= tau, /*decided=*/false,
-                            estimate, worlds};
-  }
-  result.worlds_used = worlds;
-  return result;
-}
 
 Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,

@@ -33,7 +33,7 @@ QuerySession::QuerySession(DbSnapshot db, const UstTree* index,
   // correct) — and make the drop observable.
   if (index_ != nullptr && index_->built_version() != db_.version()) {
     bool patched = false;
-    if (options_.delta_index && index_->built_version() < db_.version() &&
+    if (index_->built_version() < db_.version() &&
         db_.delta_floor() <= index_->built_version()) {
       auto delta = UstDelta::Build(db_, index_->built_version());
       if (delta.ok()) {
@@ -86,14 +86,10 @@ PruneResult QuerySession::Prune(const QueryTrajectory& q, const TimeInterval& T,
   return result;
 }
 
-const UstTree::TimeSlab* QuerySession::SlabFor(const TimeInterval& T) {
-  if (index_ == nullptr) return nullptr;
-  for (const auto& slab : slabs_) {
-    if (slab->T == T) return slab.get();
-  }
+void QuerySession::EnsureSlab(const TimeInterval& T) {
+  if (index_ == nullptr || FindSlab(T) != nullptr) return;
   slabs_.push_back(
       std::make_unique<UstTree::TimeSlab>(index_->MakeTimeSlab(T)));
-  return slabs_.back().get();
 }
 
 const UstTree::TimeSlab* QuerySession::FindSlab(const TimeInterval& T) const {
@@ -106,24 +102,20 @@ const UstTree::TimeSlab* QuerySession::FindSlab(const TimeInterval& T) const {
 
 void QuerySession::WarmInterval(const TimeInterval& T) {
   TrimSlabCache();
-  (void)SlabFor(T);
+  EnsureSlab(T);
 }
 
 void QuerySession::TrimSlabCache() {
   // Bound the cache: a long-lived session over ever-changing intervals must
   // not grow without limit. Trimming only at batch entry — never from
-  // SlabFor — keeps every pointer handed out during a batch valid, even
+  // EnsureSlab — keeps every pointer handed out during a batch valid, even
   // when one batch spans more than kMaxCachedSlabs distinct intervals.
   constexpr size_t kMaxCachedSlabs = 64;
   if (slabs_.size() >= kMaxCachedSlabs) slabs_.clear();
 }
 
 QueryOutcome QuerySession::Run(const QuerySpec& spec) {
-  // Single-query path: stays lazy (posteriors of the participants resolve on
-  // first use) and serial within the caller's thread; the session pool only
-  // shards world chunks.
-  TrimSlabCache();
-  QueryOutcome out = RunOne(spec, SlabFor(spec.T), &pool_, &scratch_[0]);
+  QueryOutcome out = std::move(RunAll({spec}).front());
   NoteAdaptiveOutcome(spec, out);
   return out;
 }
@@ -172,23 +164,22 @@ std::vector<QueryOutcome> QuerySession::RunAll(
   // failing the batch: per-query outcomes must match Run() bit for bit.
   bool share_across_queries = pool_.num_threads() > 1 && specs.size() > 1;
   if (share_across_queries && !Prepare().ok()) share_across_queries = false;
-  // Index slabs are built serially up front (the cache is not locked).
+  // Index slabs are built serially up front (the cache is not locked), so
+  // RunMorsel's read-only lookups find every one of them.
   TrimSlabCache();
-  std::vector<const UstTree::TimeSlab*> slabs(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) slabs[i] = SlabFor(specs[i].T);
+  for (const QuerySpec& spec : specs) EnsureSlab(spec.T);
   if (share_across_queries) {
-    // Shard across queries: each worker owns its scratch lane, each query
-    // writes its own outcome slot — schedule-independent by construction.
+    // Shard one-spec morsels across queries: each worker owns its scratch
+    // lane, each query writes its own outcome slot — schedule-independent by
+    // construction.
     pool_.ParallelFor(specs.size(), [&](size_t i, int worker) {
-      outcomes[i] =
-          RunOne(specs[i], slabs[i], /*world_pool=*/nullptr,
-                 &scratch_[static_cast<size_t>(worker)]);
+      RunMorsel(specs, i, i + 1, outcomes.data(), /*pool=*/nullptr,
+                &scratch_[static_cast<size_t>(worker)]);
     });
   } else {
-    // Serial batch (or a lone query): shard world chunks instead.
-    for (size_t i = 0; i < specs.size(); ++i) {
-      outcomes[i] = RunOne(specs[i], slabs[i], &pool_, &scratch_[0]);
-    }
+    // Serial batch (or a lone query, which stays lazy: posteriors of its
+    // participants resolve on first use): shard world chunks instead.
+    RunMorsel(specs, 0, specs.size(), outcomes.data(), &pool_, &scratch_[0]);
   }
   return outcomes;
 }
@@ -292,6 +283,7 @@ void QuerySession::RunMorsel(const std::vector<QuerySpec>& specs,
   // traversal inside Prune — a pure read, identical pruning output. Every
   // other input of RunOne is immutable session state or caller-owned, so
   // concurrent morsels of one shared session never touch common bytes.
+  // (RunAll pre-builds its slabs; the serving tier warms them at checkout.)
   for (size_t i = begin; i < end && i < specs.size(); ++i) {
     outcomes[i] = RunOne(specs[i], FindSlab(specs[i].T), pool, scratch);
   }

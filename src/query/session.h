@@ -7,14 +7,16 @@
 //                   and warm-up costs;
 //   planner       — picks the refinement backend per query from the pruning
 //                   output (query/executor.h);
-//   RunAll        — evaluates a batch, sharding across queries and across
-//                   world chunks within a query over a thread pool.
+//   RunMorsel     — the one execution primitive: evaluates a spec range
+//                   into caller-owned outcome slots. Run, RunAll and the
+//                   serving tier's lanes are thin wrappers over it.
 //
 // Determinism contract: a query's result is a pure function of the database
-// contents and its QuerySpec (seed included). Run vs RunAll, 1 vs N threads,
-// and batch order never change a single bit of the output — worker scratch
-// carries no cross-query state, world shards re-derive their RNG positions
-// from world indices, and per-query outputs occupy disjoint slots.
+// contents and its QuerySpec (seed included). Run vs RunAll vs any morsel
+// partition, 1 vs N threads, and batch order never change a single bit of
+// the output — worker scratch carries no cross-query state, world shards
+// re-derive their RNG positions from world indices, and per-query outputs
+// occupy disjoint slots.
 #pragma once
 
 #include <atomic>
@@ -95,10 +97,11 @@ struct QuerySpec {
   PrecisionTarget precision;
   /// Explicit executor override; kAuto defers to the planner.
   ExecutorKind backend = ExecutorKind::kAuto;
-  /// Latency budget relative to serving-tier admission, milliseconds; 0 = no
-  /// deadline. The session itself ignores it — only the serving tier sheds
-  /// expired specs, and only at request/morsel boundaries, so a spec that
-  /// does execute is bit-identical at any deadline (DESIGN.md section 11).
+  /// Latency budget relative to serving-tier admission, milliseconds; 0 (or
+  /// a budget beyond the clock's range, e.g. +inf) = no deadline. The
+  /// session itself ignores it — only the serving tier sheds expired specs,
+  /// and only at request/morsel boundaries, so a spec that does execute is
+  /// bit-identical at any deadline (DESIGN.md section 11).
   double deadline_ms = 0.0;
   /// Load-shedding class: under overload the serving tier rejects requests
   /// at or below its priority floor first. Does not affect execution order
@@ -143,10 +146,6 @@ struct SessionOptions {
   /// shared across its sessions); may be nullptr. The session also keeps
   /// its own ArenaStats either way.
   ArenaCounters* arena_counters = nullptr;
-  /// Patch a stale index with an UstDelta over the change log instead of
-  /// dropping it (bit-identical outcomes either way). false pins the legacy
-  /// drop-to-fallback behavior.
-  bool delta_index = true;
   /// Optional tally of stale indexes this session had to drop (no delta
   /// possible or delta build failed); may be nullptr.
   Counter* stale_index_drops = nullptr;
@@ -159,13 +158,14 @@ struct SessionOptions {
 /// that epoch, bit-identically, regardless of concurrent writes to the live
 /// database. An `index` built over an *older* epoch is patched with an
 /// UstDelta covering the objects written since (probed alongside the base
-/// tree, bit-identical to a rebuild); when that is impossible — delta layer
-/// disabled, the change log was trimmed past the base, or the delta build
-/// failed — the index is dropped and counted (pruning degenerates to
-/// alive-time filtering, which is always correct).
+/// tree, bit-identical to a rebuild); when that is impossible — the change
+/// log was trimmed past the base, or the delta build failed — the index is
+/// dropped and counted (pruning degenerates to alive-time filtering, which
+/// is always correct).
 ///
-/// Not safe for concurrent external use (one session = one request lane);
-/// internally it parallelizes over its own pool.
+/// Prepare, Run, RunAll and WarmInterval are not safe for concurrent use
+/// (they own the session's pool, scratch and slab cache); RunMorsel is,
+/// under the shared-lease contract documented on it.
 class QuerySession {
  public:
   /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
@@ -189,12 +189,16 @@ class QuerySession {
   /// so call Prepare() up front to warm the whole database explicitly.
   Status Prepare();
 
-  /// Evaluate one query, reusing session scratch.
+  /// Evaluate one query: a one-spec RunAll, plus the difficulty-EWMA update
+  /// the planner's adaptive cost model learns from.
   QueryOutcome Run(const QuerySpec& spec);
 
-  /// Evaluate a batch: queries are sharded across the pool; a lone query
-  /// instead shards its world chunks. outcome[i] corresponds to specs[i] and
-  /// is bit-identical to Run(specs[i]) at any thread count.
+  /// Evaluate a batch through RunMorsel with the session's own pool and
+  /// scratch: slabs are pre-built serially, then one-spec morsels are
+  /// sharded across the pool (threads > 1 and more than one spec), or one
+  /// [0, n) morsel runs with the pool sharding world chunks. outcome[i]
+  /// corresponds to specs[i] and is bit-identical to Run(specs[i]) at any
+  /// thread count.
   std::vector<QueryOutcome> RunAll(const std::vector<QuerySpec>& specs);
 
   /// Pre-build the index slab for `T` (no-op without an index), so a cached
@@ -203,21 +207,21 @@ class QuerySession {
   /// request. Results are unaffected either way.
   void WarmInterval(const TimeInterval& T);
 
-  /// Morsel execution for the serving tier (DESIGN.md section 5.6):
-  /// evaluate specs[i] into outcomes[i] for every i in [begin, end), using
-  /// only caller-owned resources — `pool` (may be nullptr: serial) shards
-  /// each query's world chunks, `scratch` holds the sampling buffers.
+  /// The execution primitive (DESIGN.md section 4.3): evaluate specs[i]
+  /// into outcomes[i] for every i in [begin, end), using only caller-owned
+  /// resources — `pool` (may be nullptr: serial) shards each query's world
+  /// chunks, `scratch` holds the sampling buffers. Run, RunAll and every
+  /// serving-tier lane execute through it.
   ///
-  /// Unlike Run/RunAll this path is safe to call *concurrently* from
-  /// several lanes on one shared session: it reads exclusively immutable
-  /// session state (the snapshot, the index, already-cached slabs) and
-  /// never touches the session's own pool, scratch lanes or slab cache.
-  /// The caller must hold a shared lease contract: the session is
-  /// Prepare()d (every posterior warm or deterministically failing, so no
-  /// lane ever cold-writes shared caches) and intervals were warmed via
-  /// WarmInterval (a missing slab is still correct — pruning traverses the
-  /// R*-tree directly — just slower). Outcomes are bit-identical to
-  /// Run(specs[i]) at any pool size, so any morsel partition of a batch
+  /// It reads exclusively immutable session state (the snapshot, the index,
+  /// already-cached slabs) and never touches the session's own pool,
+  /// scratch lanes or slab cache, so several lanes may call it
+  /// *concurrently* on one shared session under the lease contract: the
+  /// session is Prepare()d (every posterior warm or deterministically
+  /// failing, so no lane ever cold-writes shared caches) and intervals were
+  /// warmed via WarmInterval (a missing slab is still correct — pruning
+  /// traverses the R*-tree directly — just slower). Outcomes are
+  /// bit-identical at any pool size, so any morsel partition of a batch
   /// reassembles the exact serial RunAll bytes.
   void RunMorsel(const std::vector<QuerySpec>& specs, size_t begin,
                  size_t end, QueryOutcome* outcomes, ThreadPool* pool,
@@ -225,7 +229,6 @@ class QuerySession {
 
   const SessionOptions& options() const { return options_; }
   const DbSnapshot& db() const { return db_; }
-  ThreadPool& pool() { return pool_; }
 
   /// Snapshot of this session's own arena activity (thread-safe).
   ArenaStats arena_stats() const;
@@ -242,14 +245,15 @@ class QuerySession {
   PruneResult Prune(const QueryTrajectory& q, const TimeInterval& T, int k,
                     bool forall, const UstTree::TimeSlab* slab) const;
 
-  /// Cached slab lookup; inserts on miss. Not thread-safe — called only
-  /// from the serial sections (Run, RunAll's prebuild pass). Pointers stay
-  /// valid until the next batch entry (TrimSlabCache).
-  const UstTree::TimeSlab* SlabFor(const TimeInterval& T);
+  /// Build and cache the slab for T unless cached (no-op without an index).
+  /// Not thread-safe — called only from RunAll's serial prebuild pass and
+  /// WarmInterval. Cached slabs stay valid until the next batch entry
+  /// (TrimSlabCache).
+  void EnsureSlab(const TimeInterval& T);
 
-  /// Read-only slab lookup (never inserts): the morsel path's accessor,
-  /// safe concurrently with other readers as long as nobody mutates the
-  /// cache — the shared-lease contract of RunMorsel.
+  /// Read-only slab lookup (never inserts): RunMorsel's accessor, safe
+  /// concurrently with other readers as long as nobody mutates the cache —
+  /// the shared-lease contract of RunMorsel.
   const UstTree::TimeSlab* FindSlab(const TimeInterval& T) const;
 
   /// Evict the slab cache when it outgrew its bound; batch-entry only.
@@ -262,16 +266,16 @@ class QuerySession {
   size_t ExpectedWorlds(size_t cap) const;
 
   /// Feed one adaptive Monte-Carlo outcome into the difficulty EWMA. Called
-  /// ONLY from the exclusive entry point Run() — never from RunAll workers
-  /// or the const morsel path — so the fraction sequence is deterministic
-  /// at any thread count, and the serving tier (which only ever calls
-  /// RunAll/RunMorsel) plans with the frozen initial fraction regardless of
-  /// its lane/steal schedule.
+  /// ONLY from Run() — never from RunAll or the const morsel path — so the
+  /// fraction sequence is deterministic at any thread count, and the
+  /// serving tier (which only ever calls RunMorsel) plans with the frozen
+  /// initial fraction regardless of its lane/morsel schedule.
   void NoteAdaptiveOutcome(const QuerySpec& spec, const QueryOutcome& out);
 
-  /// The per-query execution core: pure reads of session state plus writes
-  /// to the caller's scratch and outcome — const so the shared-lease morsel
-  /// path can prove it touches nothing a concurrent lane could race on.
+  /// The per-query execution core, called only by RunMorsel: pure reads of
+  /// session state plus writes to the caller's scratch and outcome — const
+  /// so the shared-lease path can prove it touches nothing a concurrent lane
+  /// could race on.
   QueryOutcome RunOne(const QuerySpec& spec, const UstTree::TimeSlab* slab,
                       ThreadPool* world_pool, ExecScratch* scratch) const;
   void RunPnn(const QuerySpec& spec, const UstTree::TimeSlab* slab,
@@ -328,12 +332,12 @@ class QuerySession {
   mutable ArenaCounters own_arena_counters_;
   /// Observed difficulty of this session's adaptive queries: EWMA of
   /// worlds_used / num_worlds, starting at 1.0 (assume worst case until
-  /// evidence). Written only by NoteAdaptiveOutcome (exclusive Run path).
+  /// evidence). Written only by NoteAdaptiveOutcome (the Run path).
   double difficulty_ewma_ = 1.0;
   /// The fraction the planner reads (ExpectedWorlds). Atomic because the
   /// const morsel path loads it concurrently; stores happen only on the
-  /// exclusive Run path, so readers always see a value frozen before their
-  /// batch — plans stay a pure function of (spec, frozen fraction).
+  /// Run path, so readers always see a value frozen before their batch —
+  /// plans stay a pure function of (spec, frozen fraction).
   std::atomic<double> planner_fraction_{1.0};
 };
 

@@ -23,88 +23,7 @@ SessionOptions MakeSessionOptions(const ServerOptions& options) {
   session_options.threads = options.threads;
   session_options.planner = options.planner;
   session_options.arena_min_uses = options.arena_min_uses;
-  session_options.delta_index = options.delta_index;
   return session_options;
-}
-
-void AddCounterSample(std::vector<MetricSample>* samples, const char* name,
-                      uint64_t value) {
-  MetricSample sample;
-  sample.name = name;
-  sample.kind = MetricSample::Kind::kCounter;
-  sample.counter = value;
-  samples->push_back(std::move(sample));
-}
-
-void AddGaugeSample(std::vector<MetricSample>* samples, const char* name,
-                    int64_t value) {
-  MetricSample sample;
-  sample.name = name;
-  sample.kind = MetricSample::Kind::kGauge;
-  sample.gauge = value;
-  samples->push_back(std::move(sample));
-}
-
-void AddHistogramSample(std::vector<MetricSample>* samples, const char* name,
-                        const LatencyHistogram& histogram) {
-  MetricSample sample;
-  sample.name = name;
-  sample.kind = MetricSample::Kind::kHistogram;
-  sample.histogram = histogram;
-  samples->push_back(std::move(sample));
-}
-
-/// A detached ServerStats (default-constructed, or hand-filled by a test)
-/// has no registry snapshot; rebuild one from the named fields so ToJson
-/// renders the same document either way. Mirrors the registration order of
-/// the QueryServer constructor.
-std::vector<MetricSample> SamplesFromFields(const ServerStats& stats) {
-  std::vector<MetricSample> samples;
-  samples.reserve(36);
-  AddCounterSample(&samples, "submitted", stats.submitted);
-  AddCounterSample(&samples, "admitted", stats.admitted);
-  AddCounterSample(&samples, "rejected", stats.rejected);
-  AddCounterSample(&samples, "rejected_queue_full", stats.rejected_queue_full);
-  AddCounterSample(&samples, "rejected_shed", stats.rejected_shed);
-  AddCounterSample(&samples, "rejected_draining", stats.rejected_draining);
-  AddCounterSample(&samples, "completed", stats.completed);
-  AddCounterSample(&samples, "expired_in_queue", stats.expired_in_queue);
-  AddCounterSample(&samples, "expired_on_lane", stats.expired_on_lane);
-  AddCounterSample(&samples, "degraded_requests", stats.degraded_requests);
-  AddCounterSample(&samples, "batches", stats.batches);
-  AddCounterSample(&samples, "flush_full", stats.flush_full);
-  AddCounterSample(&samples, "flush_deadline", stats.flush_deadline);
-  AddCounterSample(&samples, "flush_drain", stats.flush_drain);
-  AddCounterSample(&samples, "early_stops", stats.early_stops);
-  AddCounterSample(&samples, "worlds_saved", stats.worlds_saved);
-  AddGaugeSample(&samples, "lane_queue_peak",
-                 static_cast<int64_t>(stats.lane_queue_peak));
-  AddGaugeSample(&samples, "overload_regime",
-                 static_cast<int64_t>(stats.overload_regime));
-  AddGaugeSample(&samples, "trace_dropped",
-                 static_cast<int64_t>(stats.trace_dropped));
-  AddCounterSample(&samples, "compactions", stats.compactions);
-  AddCounterSample(&samples, "compaction_failures", stats.compaction_failures);
-  AddGaugeSample(&samples, "delta_depth",
-                 static_cast<int64_t>(stats.delta_depth));
-  AddCounterSample(&samples, "cache_hits", stats.cache.hits);
-  AddCounterSample(&samples, "cache_misses", stats.cache.misses);
-  AddCounterSample(&samples, "cache_busy_misses", stats.cache.busy_misses);
-  AddCounterSample(&samples, "cache_shared_joins", stats.cache.shared_joins);
-  AddCounterSample(&samples, "cache_evictions_lru", stats.cache.evictions_lru);
-  AddCounterSample(&samples, "cache_evictions_stale",
-                   stats.cache.evictions_stale);
-  AddCounterSample(&samples, "arena_builds", stats.cache.arena_builds);
-  AddCounterSample(&samples, "arena_spec_reuses",
-                   stats.cache.arena_spec_reuses);
-  AddCounterSample(&samples, "arena_bytes", stats.cache.arena_bytes);
-  AddCounterSample(&samples, "stale_index_drops",
-                   stats.cache.stale_index_drops);
-  AddCounterSample(&samples, "session_build_failures",
-                   stats.cache.build_failures);
-  AddHistogramSample(&samples, "latency_us", stats.latency_micros);
-  AddHistogramSample(&samples, "queue_us", stats.queue_micros);
-  return samples;
 }
 
 }  // namespace
@@ -143,8 +62,7 @@ std::string ServerStats::ToJson() const {
   JsonWriter w;
   // The instruments, self-enumerated: a counter registered anywhere in the
   // serving tier shows up here without this function changing.
-  for (const MetricSample& sample :
-       metrics.empty() ? SamplesFromFields(*this) : metrics) {
+  for (const MetricSample& sample : metrics) {
     switch (sample.kind) {
       case MetricSample::Kind::kCounter:
         w.Uint(sample.name, sample.counter);
@@ -201,7 +119,7 @@ QueryServer::QueryServer(const TrajectoryDatabase& db, const UstTree* index,
   options_.morsel_specs = std::max<size_t>(1, options_.morsel_specs);
   lane_stats_.resize(static_cast<size_t>(options_.lanes));
   // Instrument registration order is JSON field order (ToJson enumerates
-  // the registry); SamplesFromFields above mirrors it for detached stats.
+  // the registry).
   c_submitted_ = metrics_.NewCounter("submitted");
   c_admitted_ = metrics_.NewCounter("admitted");
   c_rejected_ = metrics_.NewCounter("rejected");
@@ -312,13 +230,23 @@ std::future<QueryOutcome> QueryServer::Submit(QuerySpec spec) {
     request.id = id;
     if (request.spec.deadline_ms > 0.0) {
       // The budget starts at admission and covers queueing + staging +
-      // execution wait: propagation, not a per-stage timer.
-      request.has_deadline = true;
-      request.deadline_at =
-          request.submitted_at +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double, std::milli>(
-                  request.spec.deadline_ms));
+      // execution wait: propagation, not a per-stage timer. A budget past
+      // the clock's range (1e18 ms, +inf) is no deadline at all: converting
+      // it would overflow into an instant already expired. The millisecond
+      // of slack absorbs the double-to-tick rounding.
+      const auto headroom =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::time_point::max() -
+              request.submitted_at);
+      if (request.spec.deadline_ms <
+          static_cast<double>(headroom.count() - 1)) {
+        request.has_deadline = true;
+        request.deadline_at =
+            request.submitted_at +
+            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                std::chrono::duration<double, std::milli>(
+                    request.spec.deadline_ms));
+      }
     }
     queue_.push_back(std::move(request));
   }
@@ -612,7 +540,7 @@ void QueryServer::LaneLoop(int lane) {
   // world sharding must come from lane-owned workers, never the session's.
   QuerySession::ExecScratch scratch;
   std::unique_ptr<ThreadPool> world_pool;
-  if (options_.steal && options_.threads > 1) {
+  if (options_.threads > 1) {
     world_pool = std::make_unique<ThreadPool>(options_.threads);
   }
   // The group whose deque this lane currently drains (owner affinity: its
@@ -647,24 +575,22 @@ void QueryServer::LaneLoop(int lane) {
         // 3. Idle: steal the back half of the most-loaded ready group.
         //    (Groups still checking their session out are skipped — their
         //    owner publishes session_ready and wakes us when joinable.)
-        if (options_.steal) {
-          std::shared_ptr<GroupTask> victim;
-          size_t most_loaded = 0;
-          for (const auto& candidate : groups_) {
-            if (!candidate->session_ready) continue;
-            const size_t remaining = candidate->deque.remaining();
-            if (remaining > most_loaded) {
-              most_loaded = remaining;
-              victim = candidate;
-            }
+        std::shared_ptr<GroupTask> victim;
+        size_t most_loaded = 0;
+        for (const auto& candidate : groups_) {
+          if (!candidate->session_ready) continue;
+          const size_t remaining = candidate->deque.remaining();
+          if (remaining > most_loaded) {
+            most_loaded = remaining;
+            victim = candidate;
           }
-          if (victim != nullptr && victim->deque.StealHalf(&begin, &end)) {
-            ++lane_stats_[static_cast<size_t>(lane)].steals;
-            trace::Instant("steal", victim->requests.front().id);
-            group = victim;
-            stolen = true;
-            break;
-          }
+        }
+        if (victim != nullptr && victim->deque.StealHalf(&begin, &end)) {
+          ++lane_stats_[static_cast<size_t>(lane)].steals;
+          trace::Instant("steal", victim->requests.front().id);
+          group = victim;
+          stolen = true;
+          break;
         }
         if (lanes_stopping_) return;  // nothing claimable, drain complete
         // Idle accounting: this lane has nothing claimable. The clock reads
@@ -684,17 +610,11 @@ void QueryServer::LaneLoop(int lane) {
       }
     }
     if (adopt) {
-      if (!options_.steal) {
-        // Group granularity: the PR 4 scheduler, whole group on this lane.
-        ExecuteGroupExclusive(group, lane);
-        continue;
-      }
-      // Check the shared session out (build or join — possibly expensive,
-      // so outside the server mutex), then open the deque to thieves.
+      // Check the session out (build or join — possibly expensive, so
+      // outside the server mutex), then open the deque to thieves.
       {
         UST_TRACE_SCOPE("session_checkout", group->requests.front().id);
-        group->session = cache_.CheckoutShared(group->snapshot, group->T,
-                                               index_);
+        group->session = cache_.Checkout(group->snapshot, group->T, index_);
       }
       if (!group->session) {
         // Build failed (injected or real). The deque was never opened to
@@ -705,15 +625,19 @@ void QueryServer::LaneLoop(int lane) {
                              "session build failed for interval group"));
         continue;
       }
+      bool claimed = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
         group->session_ready = true;
+        // The adopter claims its first morsel in the same critical section
+        // that opens the deque: a one-morsel group always runs on the lane
+        // that checked its session out, never on a thief.
+        claimed = group->deque.PopFront(&begin, &end);
       }
       lane_cv_.notify_all();
-      own = std::move(group);
-      continue;
-    }
-    if (stolen) {
+      own = group;
+      if (!claimed) continue;
+    } else if (stolen) {
       // A stolen half-range is the thief's private deque: drain it morsel
       // by morsel (each commits + re-checks completion independently).
       for (size_t b = begin; b < end; b += options_.morsel_specs) {
@@ -813,101 +737,6 @@ void QueryServer::ExecuteMorsel(const std::shared_ptr<GroupTask>& group,
   // writer bumped it under the mutex after writing), so the reads below
   // are ordered after every write.
   if (last) FinalizeGroup(group.get());
-}
-
-void QueryServer::ExecuteGroupExclusive(
-    const std::shared_ptr<GroupTask>& group, int lane) {
-  fault::MaybeStall("lane_stall");
-  const auto exec_start = std::chrono::steady_clock::now();
-  uint64_t expired_here = 0;
-  {
-    // Exclusive checkout: this lane owns the session (and its scratch)
-    // until the lease dies at the end of this scope. A concurrent lane on
-    // the same (epoch, interval) key builds its own duplicate — never
-    // shares.
-    SessionCache::Lease session = [&] {
-      UST_TRACE_SCOPE("session_checkout", group->requests.front().id);
-      return cache_.Checkout(group->snapshot, group->T, index_);
-    }();
-    if (!session) {
-      FailGroup(group, Status::Internal(
-                           "session build failed for interval group"));
-      return;
-    }
-    // Group-boundary deadline check (the whole group is this scheduler's
-    // morsel): expired slots resolve directly, survivors run through
-    // RunAll — outcome[i] is bit-identical to the full-batch run because
-    // RunAll is per-spec pure.
-    const auto now = DeadlineNow();
-    std::vector<size_t> live;
-    live.reserve(group->specs.size());
-    for (size_t i = 0; i < group->specs.size(); ++i) {
-      if (group->requests[i].has_deadline &&
-          now >= group->requests[i].deadline_at) {
-        QueryOutcome& out = group->outcomes[i];
-        out.status = Status::DeadlineExceeded(
-            "deadline expired before lane execution");
-        out.kind = group->specs[i].kind;
-        trace::Instant("expire_lane", group->requests[i].id);
-        ++expired_here;
-      } else {
-        live.push_back(i);
-      }
-    }
-    if (expired_here == 0) {
-      group->outcomes = session->RunAll(group->specs);
-    } else if (!live.empty()) {
-      std::vector<QuerySpec> survivors;
-      survivors.reserve(live.size());
-      for (size_t i : live) survivors.push_back(group->specs[i]);
-      std::vector<QueryOutcome> outcomes = session->RunAll(survivors);
-      for (size_t j = 0; j < live.size(); ++j) {
-        group->outcomes[live[j]] = std::move(outcomes[j]);
-      }
-    }
-  }
-  c_expired_on_lane_->Increment(expired_here);
-  const auto exec_end = std::chrono::steady_clock::now();
-  const double exec_micros =
-      std::chrono::duration<double, std::micro>(exec_end - exec_start)
-          .count();
-  trace::Complete("morsel_exec", exec_start, exec_end,
-                  group->requests.front().id, trace::kReqArg,
-                  ExecutorKindName(group->outcomes.empty()
-                                       ? ExecutorKind::kAuto
-                                       : group->outcomes.front().executor));
-  uint64_t arena_hits = 0;
-  uint64_t early_stops = 0;
-  uint64_t worlds_saved = 0;
-  uint64_t worlds_sampled = 0;
-  for (size_t i = 0; i < group->outcomes.size(); ++i) {
-    const QueryOutcome& outcome = group->outcomes[i];
-    if (outcome.used_arena) ++arena_hits;
-    worlds_sampled += outcome.worlds_used;
-    if (outcome.early_stopped) {
-      ++early_stops;
-      worlds_saved += group->specs[i].mc.num_worlds - outcome.worlds_used;
-    }
-  }
-  c_early_stops_->Increment(early_stops);
-  c_worlds_saved_->Increment(worlds_saved);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    LaneStats& lane_stats = lane_stats_[static_cast<size_t>(lane)];
-    ++lane_stats.morsels;  // the whole group, as one morsel
-    lane_stats.requests += group->specs.size();
-    lane_stats.arena_hits += arena_hits;
-    lane_stats.worlds_sampled += worlds_sampled;
-    lane_stats.exec_micros.Record(exec_micros);
-    group->completed = group->specs.size();
-    for (auto it = groups_.begin(); it != groups_.end(); ++it) {
-      if (it->get() == group.get()) {
-        groups_.erase(it);
-        break;
-      }
-    }
-  }
-  FinalizeGroup(group.get());
 }
 
 void QueryServer::CompactionLoop() {

@@ -20,23 +20,22 @@
 //     of the batches behind it.
 //   lanes (options.lanes threads) — the morsel scheduler (DESIGN.md §5.6)
 //     a lane adopts the oldest unadopted group (checking its session out of
-//     the SessionCache as a *shared*, refcounted lease) and pops morsels
-//     off that group's deque; when its group drains and no group is
-//     unadopted, an idle lane *steals the back half* of the most-loaded
-//     group's remaining range and works it morsel by morsel. The worst case
-//     of the group scheduler — one dominant (epoch, interval) serializing a
-//     batch on a single lane while the others idle — thereby becomes its
-//     best case: every lane ends up sampling the hot group. Set
-//     `steal = false` for the PR 4 group-granularity scheduler (whole
-//     groups, exclusive leases, session->RunAll).
+//     the SessionCache as a refcounted lease), claims its first morsel and
+//     pops the rest off that group's deque; when its group drains and no
+//     group is unadopted, an idle lane *steals the back half* of the
+//     most-loaded group's remaining range and works it morsel by morsel.
+//     One dominant (epoch, interval) therefore never serializes a batch on
+//     a single lane while the others idle: every lane ends up sampling the
+//     hot group. With morsel_specs >= max_batch_size every group is one
+//     morsel, its adopter runs it whole, and thieves find nothing to take.
 //
 // Because a query's result is a pure function of (epoch, spec) — the PR 2
 // determinism contract — batching, the cache, the thread pool, the lane
 // pool, the morsel size and the steal schedule never change a bit of any
 // outcome: every spec is executed exactly once into its own slot by
-// QuerySession::RunMorsel (itself bit-identical to Run at any pool size),
-// so Submit(spec).get() equals a serial QuerySession::Run(spec) over the
-// same epoch at ANY {lanes, morsel_specs, steal} configuration.
+// QuerySession::RunMorsel (itself bit-identical at any pool size), so
+// Submit(spec).get() equals a serial QuerySession::Run(spec) over the same
+// epoch at ANY {lanes, morsel_specs} configuration.
 #pragma once
 
 #include <chrono>
@@ -66,18 +65,15 @@ struct ServerOptions {
   /// concurrently on this many worker threads. 1 reproduces the PR 3
   /// behavior (single execution stream), just off the dispatcher thread.
   int lanes = 1;
-  /// Worker threads of each executing session (RunAll sharding), and of
-  /// each lane's world pool on the morsel path.
+  /// Worker threads of each lane's private world pool (one query's world
+  /// chunks sharded per morsel) and of each cached session's Prepare pass.
   int threads = 1;
   /// Specs per morsel: the scheduling granule of the lane tier. Small
   /// morsels spread a hot group across lanes faster but claim more often;
   /// 4 is the micro_server-tuned default (claiming is a short critical
   /// section, so the knob mostly trades steal latency against churn).
+  /// morsel_specs >= max_batch_size makes every group a single morsel.
   size_t morsel_specs = 4;
-  /// Idle lanes steal half-ranges from the most-loaded group. false
-  /// restores the PR 4 group-granularity scheduler (the bench baseline the
-  /// --skew workload is measured against).
-  bool steal = true;
   /// Flush a micro-batch at this many specs...
   size_t max_batch_size = 64;
   /// ...or this many milliseconds after it opened, whichever first.
@@ -106,10 +102,6 @@ struct ServerOptions {
   size_t trace_events_per_thread = 1 << 16;
   /// Planner knobs handed to every session.
   PlannerOptions planner;
-  /// Patch stale indexes with a per-epoch delta (see
-  /// SessionOptions::delta_index) instead of dropping them. false restores
-  /// the pre-delta behavior: post-write epochs serve unindexed.
-  bool delta_index = true;
   /// Run the background compaction thread: periodically rebuild the base
   /// UstTree at the current epoch and publish it through the database
   /// (TrajectoryDatabase::PublishIndex), so session deltas stay shallow
@@ -145,8 +137,7 @@ struct LaneStats {
   /// claimable morsel (the idle complement of exec_micros: a loaded server
   /// with high idle_micros has a scheduling problem, not a load problem).
   uint64_t idle_micros = 0;
-  /// Wall time of each executed morsel (whole group when steal = false),
-  /// microseconds.
+  /// Wall time of each executed morsel, microseconds.
   LatencyHistogram exec_micros;
 };
 
@@ -224,10 +215,9 @@ struct ServerStats {
   uint64_t lane_idle_micros() const;
 
   /// Render as a JSON object: the registered instruments (self-enumerated
-  /// from `metrics`, falling back to the named fields for detached
-  /// snapshots), the derived aggregates, and a per-lane array. Built on
-  /// ust::JsonWriter, so empty lane arrays and escaping are structurally
-  /// correct.
+  /// from `metrics`, so only QueryServer::Stats() snapshots render them),
+  /// the derived aggregates, and a per-lane array. Built on ust::JsonWriter,
+  /// so empty lane arrays and escaping are structurally correct.
   std::string ToJson() const;
 };
 
@@ -306,7 +296,7 @@ class QueryServer {
     std::vector<QuerySpec> specs;        ///< specs[i] from requests[i]
     std::vector<QueryOutcome> outcomes;  ///< slot i belongs to specs[i]
     MorselDeque deque;                   ///< unclaimed spec ranges
-    SessionCache::SharedLease session;   ///< set by the adopting lane
+    SessionCache::Lease session;         ///< set by the adopting lane
     bool adopted = false;
     bool session_ready = false;  ///< checkout finished; thieves may steal
     size_t completed = 0;        ///< specs executed so far
@@ -316,17 +306,13 @@ class QueryServer {
   void LaneLoop(int lane);
   /// Pin the epoch, group by interval, publish each group's morsel deque.
   void StageBatch(std::vector<Request>* batch);
-  /// Group-granularity path (steal = false): exclusive lease, RunAll,
-  /// finalize — the PR 4 scheduler, kept as the bench baseline.
-  void ExecuteGroupExclusive(const std::shared_ptr<GroupTask>& group,
-                             int lane);
   /// Run specs [begin, end) of `group` through its shared session; the lane
   /// finishing the group's last spec finalizes it.
   void ExecuteMorsel(const std::shared_ptr<GroupTask>& group, size_t begin,
                      size_t end, int lane, ThreadPool* world_pool,
                      QuerySession::ExecScratch* scratch);
   /// Deliver outcomes to the promises, record completion stats, release the
-  /// shared session lease.
+  /// session lease.
   void FinalizeGroup(GroupTask* group);
   /// Resolve every spec of `group` with `status` without executing any
   /// (session build failed), then finalize it — promises never leak.

@@ -16,9 +16,9 @@
 // Point taxonomy of the serving tier (each is the `point` literal at its
 // probe site — grep for it):
 //   "lane_stall"     — an execution lane sleeps `stall_ms` before running a
-//                      morsel (QueryServer::ExecuteMorsel / the exclusive
-//                      group path): simulates a descheduled/slow lane, so
-//                      deadlines expire *on* lanes and stealing kicks in.
+//                      morsel (QueryServer::ExecuteMorsel): simulates a
+//                      descheduled/slow lane, so deadlines expire *on*
+//                      lanes and stealing kicks in.
 //   "session_build"  — SessionCache::BuildSession returns nullptr: the
 //                      checkout fails and the server must resolve every
 //                      promise of the group with an error instead of

@@ -2,7 +2,7 @@
 // section 8): per-spec epsilon/threshold targets flowing through
 // QuerySession and QueryServer, the revised determinism contract (identical
 // stop decisions — and identical bytes — at any thread count, lane count or
-// morsel/steal schedule), arena-prefix serving of early-stopped specs, the
+// morsel schedule), arena-prefix serving of early-stopped specs, the
 // undecided-near-tau fallback, and the planner's expected-worlds crossover.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "query/monte_carlo.h"
 #include "query/session.h"
 #include "server/query_server.h"
+#include "serving_fixture.h"
 #include "test_world.h"
 #include "util/rng.h"
 
@@ -39,26 +40,9 @@ void ExpectSameOutcome(const QueryOutcome& a, const QueryOutcome& b,
   }
 }
 
-class AdaptiveExecTest : public ::testing::Test {
+class AdaptiveExecTest : public testing::ServingWorldTest {
  protected:
-  void SetUp() override {
-    SyntheticConfig config;
-    config.num_states = 600;
-    config.num_objects = 20;
-    config.lifetime = 24;
-    config.obs_interval = 6;
-    config.horizon = 40;
-    config.seed = 77;
-    auto world = GenerateSyntheticWorld(config);
-    ASSERT_TRUE(world.ok());
-    world_ = std::make_unique<SyntheticWorld>(world.MoveValue());
-    auto tree = UstTree::Build(*world_->db);
-    ASSERT_TRUE(tree.ok());
-    index_ = std::make_unique<UstTree>(tree.MoveValue());
-    T_ = BusiestInterval(*world_->db, 6);
-  }
-
-  TrajectoryDatabase& db() { return *world_->db; }
+  void SetUp() override { BuildWorld(20, 77); }
 
   /// Easy threshold-decision specs under an oversized cap: every target's
   /// probability sits far from tau = 0.5, so the stopping rule fires at an
@@ -83,10 +67,6 @@ class AdaptiveExecTest : public ::testing::Test {
     }
     return specs;
   }
-
-  std::unique_ptr<SyntheticWorld> world_;
-  std::unique_ptr<UstTree> index_;
-  TimeInterval T_{0, 0};
 };
 
 TEST_F(AdaptiveExecTest, EpsilonModeAgreesWithFixedSampling) {
@@ -177,33 +157,31 @@ TEST_F(AdaptiveExecTest, ServerScheduleMatrixPreservesStopDecisions) {
   }
   ASSERT_GT(expected_stops, 0u);
 
-  for (int lanes : {1, 2}) {
-    for (size_t morsel_specs : {size_t{1}, size_t{4}}) {
-      for (bool steal : {false, true}) {
-        ServerOptions options;
-        options.lanes = lanes;
-        options.morsel_specs = morsel_specs;
-        options.steal = steal;
-        options.max_batch_size = 6;
-        options.max_batch_delay_ms = 0.5;
-        QueryServer server(db(), index_.get(), options);
-        server.Pause();
-        std::vector<std::future<QueryOutcome>> futures;
-        for (const QuerySpec& spec : specs) {
-          futures.push_back(server.Submit(spec));
-        }
-        server.Resume();
-        for (size_t i = 0; i < specs.size(); ++i) {
-          ExpectSameOutcome(futures[i].get(), expected[i], i);
-        }
-        server.Stop();
-        // The savings counters are schedule-invariant too: stop decisions
-        // are pinned, so every schedule accounts the same worlds.
-        const ServerStats stats = server.Stats();
-        EXPECT_EQ(stats.early_stops, expected_stops);
-        EXPECT_EQ(stats.worlds_saved, expected_saved);
-      }
+  constexpr size_t kBatch = 6;
+  for (const testing::ServingSchedule& schedule :
+       testing::ServingSchedules(kBatch)) {
+    SCOPED_TRACE(::testing::Message() << schedule);
+    ServerOptions options;
+    options.lanes = schedule.lanes;
+    options.morsel_specs = schedule.morsel_specs;
+    options.max_batch_size = kBatch;
+    options.max_batch_delay_ms = 0.5;
+    QueryServer server(db(), index_.get(), options);
+    server.Pause();
+    std::vector<std::future<QueryOutcome>> futures;
+    for (const QuerySpec& spec : specs) {
+      futures.push_back(server.Submit(spec));
     }
+    server.Resume();
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ExpectSameOutcome(futures[i].get(), expected[i], i);
+    }
+    server.Stop();
+    // The savings counters are schedule-invariant too: stop decisions are
+    // pinned, so every schedule accounts the same worlds.
+    const ServerStats stats = server.Stats();
+    EXPECT_EQ(stats.early_stops, expected_stops);
+    EXPECT_EQ(stats.worlds_saved, expected_saved);
   }
 }
 

@@ -47,127 +47,123 @@ TEST(NormalQuantileTest, KnownValues) {
   EXPECT_NEAR(NormalQuantile(1e-6), -4.753424, 1e-4);
 }
 
-SequentialOptions Opts(double epsilon, double delta, size_t max_worlds) {
-  SequentialOptions o;
-  o.epsilon = epsilon;
-  o.delta = delta;
-  o.max_worlds = max_worlds;
-  o.seed = 11;
-  return o;
+// One serial EstimatePnnAdaptive call over the Figure 1 world (truth:
+// P∀NN = {0.75, 0} and P∃NN = {1.0, 0.25} for {o1, o2}).
+Result<AdaptivePnnResult> Adaptive(const Figure1World& world,
+                                   const std::vector<ObjectId>& targets,
+                                   PnnSemantics semantics, double tau,
+                                   PrecisionMode mode, double epsilon,
+                                   size_t cap, double delta = 0.05) {
+  MonteCarloOptions mc;
+  mc.num_worlds = cap;
+  mc.seed = 11;
+  PrecisionTarget precision{mode, epsilon, delta};
+  return EstimatePnnAdaptive(*world.db, {world.o1, world.o2}, targets,
+                             world.q, world.T, semantics, tau, mc, precision,
+                             nullptr, nullptr, nullptr);
 }
 
-TEST(SequentialEstimateTest, StopsAtHoeffdingTarget) {
+TEST(AdaptiveEpsilonTest, StopsWithinAChunkOfHoeffdingTarget) {
   Figure1World world = MakeFigure1World();
-  auto result = EstimatePnnSequential(*world.db, {world.o1, world.o2},
-                                      {world.o1, world.o2}, world.q, world.T,
-                                      Opts(0.02, 0.05, 1 << 20));
+  const size_t needed = HoeffdingSampleCount(0.02, 0.05);
+  for (PnnSemantics semantics :
+       {PnnSemantics::kForall, PnnSemantics::kExists}) {
+    auto result = Adaptive(world, {world.o1, world.o2}, semantics, 0.0,
+                           PrecisionMode::kEpsilon, 0.02, 1 << 20);
+    ASSERT_TRUE(result.ok());
+    // Hoeffding caps the stop at the a-priori count rounded up to one
+    // 512-world chunk; the per-target Wilson check may stop earlier.
+    EXPECT_LE(result.value().worlds_used, needed + WorldSampler::kWorldChunk);
+    EXPECT_TRUE(result.value().early_stopped);
+    // And the estimates are within the requested epsilon of the truth.
+    const std::vector<PnnEstimate>& e = result.value().estimates;
+    if (semantics == PnnSemantics::kForall) {
+      EXPECT_NEAR(e[0].forall_prob, 0.75, 0.02);
+      EXPECT_NEAR(e[1].forall_prob, 0.0, 0.02);
+    } else {
+      EXPECT_NEAR(e[0].exists_prob, 1.0, 0.02);
+      EXPECT_NEAR(e[1].exists_prob, 0.25, 0.02);
+    }
+  }
+}
+
+TEST(AdaptiveEpsilonTest, NumWorldsCapRespected) {
+  Figure1World world = MakeFigure1World();
+  auto result = Adaptive(world, {world.o1}, PnnSemantics::kForall, 0.0,
+                         PrecisionMode::kEpsilon, 0.001, 1000);
   ASSERT_TRUE(result.ok());
-  EXPECT_LE(result.value().epsilon_achieved, 0.02);
-  // Stops within one batch (the executor's 512-world chunk, the default) of
-  // the analytic Hoeffding count.
-  size_t needed = HoeffdingSampleCount(0.02, 0.05);
-  EXPECT_GE(result.value().worlds_used, needed);
-  EXPECT_LE(result.value().worlds_used, needed + WorldSampler::kWorldChunk);
-  // And the estimates are within the guaranteed bound of the exact values.
-  EXPECT_NEAR(result.value().estimates[0].forall_prob, 0.75, 0.02);
-  EXPECT_NEAR(result.value().estimates[1].exists_prob, 0.25, 0.02);
+  EXPECT_EQ(result.value().worlds_used, 1000u);  // a short final chunk
+  EXPECT_FALSE(result.value().early_stopped);    // cap hit, target unmet
 }
 
-TEST(SequentialEstimateTest, MaxWorldsCapRespected) {
+TEST(AdaptiveEpsilonTest, InvalidOptionsRejected) {
   Figure1World world = MakeFigure1World();
-  auto result = EstimatePnnSequential(*world.db, {world.o1, world.o2},
-                                      {world.o1}, world.q, world.T,
-                                      Opts(0.001, 0.05, 1000));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().worlds_used, 1000u);
-  EXPECT_GT(result.value().epsilon_achieved, 0.001);  // cap hit, bound honest
+  const PnnSemantics kForall = PnnSemantics::kForall;
+  const PrecisionMode kEps = PrecisionMode::kEpsilon;
+  EXPECT_FALSE(Adaptive(world, {world.o1}, kForall, 0, kEps, 0.0, 100).ok());
+  EXPECT_FALSE(
+      Adaptive(world, {world.o1}, kForall, 0, kEps, 0.1, 100, 1.5).ok());
+  EXPECT_FALSE(Adaptive(world, {world.o1}, kForall, 0, kEps, 0.1, 0).ok());
+  EXPECT_FALSE(Adaptive(world, {world.o1}, kForall, 0,
+                        PrecisionMode::kFixedWorlds, 0.1, 100)
+                   .ok());
+  EXPECT_FALSE(Adaptive(world, {world.o1}, kForall, 1.5,
+                        PrecisionMode::kThreshold, 0.1, 100)
+                   .ok());
+  const ObjectId stranger = world.o2 + 1;  // not a participant
+  EXPECT_FALSE(Adaptive(world, {stranger}, kForall, 0, kEps, 0.1, 100).ok());
 }
 
-TEST(SequentialEstimateTest, InvalidOptionsRejected) {
-  Figure1World world = MakeFigure1World();
-  EXPECT_FALSE(EstimatePnnSequential(*world.db, {world.o1}, {world.o1},
-                                     world.q, world.T, Opts(0.0, 0.05, 100))
-                   .ok());
-  EXPECT_FALSE(EstimatePnnSequential(*world.db, {world.o1}, {world.o1},
-                                     world.q, world.T, Opts(0.1, 1.5, 100))
-                   .ok());
-  EXPECT_FALSE(EstimatePnnSequential(*world.db, {world.o1}, {world.o2},
-                                     world.q, world.T, Opts(0.1, 0.05, 100))
-                   .ok());
-}
-
-TEST(ThresholdDecisionTest, ClearCasesDecideEarly) {
+TEST(AdaptiveThresholdTest, ClearCasesDecideEarly) {
   Figure1World world = MakeFigure1World();
   // tau = 0.5: P∀NN(o1) = 0.75 (clearly above), P∀NN(o2) = 0 (clearly below).
-  auto result = DecideThresholdSequential(
-      *world.db, {world.o1, world.o2}, {world.o1, world.o2}, world.q, world.T,
-      0.5, PnnSemantics::kForall, Opts(0.01, 0.05, 1 << 20));
+  auto result = Adaptive(world, {world.o1, world.o2}, PnnSemantics::kForall,
+                         0.5, PrecisionMode::kThreshold, 0.01, 1 << 20);
   ASSERT_TRUE(result.ok());
-  const auto& decisions = result.value().decisions;
-  ASSERT_EQ(decisions.size(), 2u);
-  EXPECT_TRUE(decisions[0].decided);
-  EXPECT_TRUE(decisions[0].qualifies);
-  EXPECT_TRUE(decisions[1].decided);
-  EXPECT_FALSE(decisions[1].qualifies);
+  const auto& e = result.value().estimates;
+  EXPECT_EQ(result.value().undecided, 0u);
+  EXPECT_GE(e[0].forall_prob, 0.5);
+  EXPECT_LT(e[1].forall_prob, 0.5);
   // Early stopping: far fewer worlds than the epsilon=0.01 Hoeffding count
   // (18445 at delta=0.05).
   EXPECT_LT(result.value().worlds_used, 5000u);
 }
 
-TEST(ThresholdDecisionTest, BorderlineCaseFallsBackToEstimate) {
+TEST(AdaptiveThresholdTest, BorderlineCaseFallsBackToEstimate) {
   Figure1World world = MakeFigure1World();
   // tau exactly at P∀NN(o1) = 0.75: the CI straddles tau forever.
-  auto result = DecideThresholdSequential(
-      *world.db, {world.o1, world.o2}, {world.o1}, world.q, world.T, 0.75,
-      PnnSemantics::kForall, Opts(0.01, 0.05, 4096));
+  auto result = Adaptive(world, {world.o1}, PnnSemantics::kForall, 0.75,
+                         PrecisionMode::kThreshold, 0.01, 4096);
   ASSERT_TRUE(result.ok());
-  const auto& d = result.value().decisions[0];
-  EXPECT_NEAR(d.estimate, 0.75, 0.05);
+  EXPECT_NEAR(result.value().estimates[0].forall_prob, 0.75, 0.05);
   // Either undecided at the cap, or decided after scraping past tau — both
   // are valid outcomes at the boundary; undecided is the typical one.
-  if (!d.decided) {
-    EXPECT_EQ(d.worlds_used, 4096u);
+  if (result.value().undecided > 0) {
+    EXPECT_EQ(result.value().worlds_used, 4096u);
   }
 }
 
-TEST(ThresholdDecisionTest, ExistsSemantics) {
+TEST(AdaptiveThresholdTest, DecisionsMatchFigure1TruthUnderBothSemantics) {
   Figure1World world = MakeFigure1World();
-  // P∃NN(o1) = 1.0, P∃NN(o2) = 0.25.
-  auto result = DecideThresholdSequential(
-      *world.db, {world.o1, world.o2}, {world.o1, world.o2}, world.q, world.T,
-      0.5, PnnSemantics::kExists, Opts(0.01, 0.05, 1 << 20));
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().decisions[0].qualifies);
-  EXPECT_FALSE(result.value().decisions[1].qualifies);
-  EXPECT_TRUE(result.value().decisions[0].decided);
-  EXPECT_TRUE(result.value().decisions[1].decided);
-}
-
-TEST(ThresholdDecisionTest, MatchesFixedSamplingDecisions) {
-  Figure1World world = MakeFigure1World();
-  for (double tau : {0.1, 0.4, 0.9}) {
-    auto sequential = DecideThresholdSequential(
-        *world.db, {world.o1, world.o2}, {world.o1, world.o2}, world.q,
-        world.T, tau, PnnSemantics::kForall, Opts(0.01, 0.05, 1 << 18));
-    ASSERT_TRUE(sequential.ok());
-    // Ground truth: P∀NN(o1) = 0.75, P∀NN(o2) = 0.
-    EXPECT_EQ(sequential.value().decisions[0].qualifies, 0.75 >= tau)
-        << "tau=" << tau;
-    EXPECT_EQ(sequential.value().decisions[1].qualifies, false);
+  for (PnnSemantics semantics :
+       {PnnSemantics::kForall, PnnSemantics::kExists}) {
+    const bool forall = semantics == PnnSemantics::kForall;
+    const double truth[2] = {forall ? 0.75 : 1.0, forall ? 0.0 : 0.25};
+    for (double tau : {0.1, 0.4, 0.9}) {
+      auto result = Adaptive(world, {world.o1, world.o2}, semantics, tau,
+                             PrecisionMode::kThreshold, 0.01, 1 << 18);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result.value().undecided, 0u) << "tau=" << tau;
+      // A decided target's estimate is frozen inside its Wilson interval,
+      // so `p >= tau` reproduces the interval decision.
+      for (size_t i = 0; i < 2; ++i) {
+        const PnnEstimate& e = result.value().estimates[i];
+        EXPECT_EQ((forall ? e.forall_prob : e.exists_prob) >= tau,
+                  truth[i] >= tau)
+            << "forall=" << forall << " tau=" << tau << " target " << i;
+      }
+    }
   }
-}
-
-TEST(ThresholdDecisionTest, DecidedObjectsStopConsumingWork) {
-  // worlds_used of an early-decided object is below the total.
-  Figure1World world = MakeFigure1World();
-  auto result = DecideThresholdSequential(
-      *world.db, {world.o1, world.o2}, {world.o1, world.o2}, world.q, world.T,
-      0.7, PnnSemantics::kForall, Opts(0.01, 0.05, 1 << 18));
-  ASSERT_TRUE(result.ok());
-  // o2 (P = 0) is decided almost immediately; o1 (P = 0.75 vs tau = 0.7)
-  // needs more evidence.
-  EXPECT_LE(result.value().decisions[1].worlds_used,
-            result.value().decisions[0].worlds_used);
 }
 
 }  // namespace

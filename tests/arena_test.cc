@@ -2,9 +2,9 @@
 // wiring): a hot (interval, seed) group's worlds are materialized once and
 // every later Monte-Carlo spec evaluates against them — with outcomes
 // bit-identical to live per-spec sampling at any thread count, any
-// {lanes, morsel_specs, steal} schedule, and any SIMD dispatch level. The
-// arena is purely an amortization: `used_arena` and the counters are the
-// only observable difference.
+// {lanes, morsel_specs} schedule, and any SIMD dispatch level. The arena is
+// purely an amortization: `used_arena` and the counters are the only
+// observable difference.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,53 +18,18 @@
 #include "query/world_arena.h"
 #include "server/query_server.h"
 #include "server/session_cache.h"
+#include "serving_fixture.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
 namespace ust {
 namespace {
 
-bool SameOutcome(const QueryOutcome& a, const QueryOutcome& b) {
-  if (a.status.code() != b.status.code()) return false;
-  if (a.kind != b.kind || a.executor != b.executor) return false;
-  if (a.pnn.results.size() != b.pnn.results.size()) return false;
-  for (size_t i = 0; i < a.pnn.results.size(); ++i) {
-    if (a.pnn.results[i].object != b.pnn.results[i].object) return false;
-    if (a.pnn.results[i].prob != b.pnn.results[i].prob) return false;  // bitwise
-  }
-  if (a.pnn.num_candidates != b.pnn.num_candidates) return false;
-  if (a.pnn.num_influencers != b.pnn.num_influencers) return false;
-  if (a.pcnn.pcnn.entries.size() != b.pcnn.pcnn.entries.size()) return false;
-  for (size_t i = 0; i < a.pcnn.pcnn.entries.size(); ++i) {
-    const PcnnEntry& x = a.pcnn.pcnn.entries[i];
-    const PcnnEntry& y = b.pcnn.pcnn.entries[i];
-    if (x.object != y.object || x.tics != y.tics || x.prob != y.prob) {
-      return false;
-    }
-  }
-  return true;
-}
+using testing::SameOutcome;
 
-class ArenaTest : public ::testing::Test {
+class ArenaTest : public testing::ServingWorldTest {
  protected:
-  void SetUp() override {
-    SyntheticConfig config;
-    config.num_states = 600;
-    config.num_objects = 20;
-    config.lifetime = 24;
-    config.obs_interval = 6;
-    config.horizon = 40;
-    config.seed = 77;
-    auto world = GenerateSyntheticWorld(config);
-    ASSERT_TRUE(world.ok());
-    world_ = std::make_unique<SyntheticWorld>(world.MoveValue());
-    auto tree = UstTree::Build(*world_->db);
-    ASSERT_TRUE(tree.ok());
-    index_ = std::make_unique<UstTree>(tree.MoveValue());
-    T_ = BusiestInterval(*world_->db, 6);
-  }
-
-  TrajectoryDatabase& db() { return *world_->db; }
+  void SetUp() override { BuildWorld(20, 77); }
 
   /// A hot group: every spec shares (T, seed, num_worlds) — the arena key —
   /// while query points, k and semantics vary. Pinned to Monte-Carlo: the
@@ -96,10 +61,6 @@ class ArenaTest : public ::testing::Test {
     QuerySession session(db(), index_.get(), options);
     return session.RunAll(specs);
   }
-
-  std::unique_ptr<SyntheticWorld> world_;
-  std::unique_ptr<UstTree> index_;
-  TimeInterval T_{0, 0};
 };
 
 TEST_F(ArenaTest, ArenaOutcomesBitwiseEqualLiveSamplingAtAnyThreadCount) {
@@ -191,17 +152,11 @@ TEST_F(ArenaTest, ServerScheduleMatrixPreservesBitsWithArenas) {
   // and the cache-level counters observe the sharing.
   const std::vector<QuerySpec> specs = MakeHotSpecs(24);
   const std::vector<QueryOutcome> expected = Reference(specs);
-  struct Config {
-    int lanes;
-    size_t morsel_specs;
-    bool steal;
-  };
-  for (const Config& config : std::vector<Config>{
-           {1, 4, false}, {2, 2, true}, {4, 1, true}}) {
+  for (const testing::ServingSchedule& schedule :
+       testing::ServingSchedules(specs.size())) {
     ServerOptions options;
-    options.lanes = config.lanes;
-    options.morsel_specs = config.morsel_specs;
-    options.steal = config.steal;
+    options.lanes = schedule.lanes;
+    options.morsel_specs = schedule.morsel_specs;
     options.arena_min_uses = 1;
     options.max_batch_size = specs.size();
     QueryServer server(db(), index_.get(), options);
@@ -211,8 +166,7 @@ TEST_F(ArenaTest, ServerScheduleMatrixPreservesBitsWithArenas) {
     server.Resume();
     for (size_t i = 0; i < specs.size(); ++i) {
       EXPECT_TRUE(SameOutcome(futures[i].get(), expected[i]))
-          << "lanes=" << config.lanes << " morsel=" << config.morsel_specs
-          << " steal=" << config.steal << " spec " << i;
+          << schedule << " spec " << i;
     }
     server.Stop();
     const ServerStats stats = server.Stats();
@@ -244,9 +198,9 @@ TEST_F(ArenaTest, ScalarAndSimdDispatchAgreeBitwise) {
   }
 }
 
-TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderSharedLease) {
-  // Lanes hold a session (and through it, arena shared_ptrs) via shared
-  // leases while the cache evicts: capacity churn and epoch eviction must
+TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderLease) {
+  // Lanes hold a session (and through it, arena shared_ptrs) via leases
+  // while the cache evicts: capacity churn and epoch eviction must
   // never invalidate an arena mid-evaluation. Two threads run morsels on
   // the leased session while the main thread hammers the cache.
   const std::vector<QuerySpec> specs = MakeHotSpecs(16);
@@ -255,7 +209,7 @@ TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderSharedLease) {
   session_options.arena_min_uses = 1;
   SessionCache cache(/*capacity=*/1, session_options);
   DbSnapshot snap = db().Snapshot();
-  auto lease = cache.CheckoutShared(snap, T_, index_.get());
+  auto lease = cache.Checkout(snap, T_, index_.get());
   ASSERT_TRUE(lease);
 
   std::vector<QueryOutcome> outcomes(specs.size());
@@ -275,7 +229,7 @@ TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderSharedLease) {
       // is dropped (not reinserted) at final release.
       TimeInterval other{static_cast<Tic>(T_.start + i % 3),
                          static_cast<Tic>(T_.start + 3 + i % 3)};
-      cache.CheckoutShared(snap, other, index_.get()).Release();
+      cache.Checkout(snap, other, index_.get()).Release();
       cache.EvictStale(snap.version() + 1);
     }
   }

@@ -24,6 +24,7 @@
 #include "index/ust_tree.h"
 #include "query/session.h"
 #include "server/query_server.h"
+#include "serving_fixture.h"
 #include "util/rng.h"
 
 namespace ust {
@@ -64,26 +65,9 @@ namespace {
   return ::testing::AssertionSuccess();
 }
 
-class IngestTest : public ::testing::Test {
+class IngestTest : public testing::ServingWorldTest {
  protected:
-  void SetUp() override {
-    SyntheticConfig config;
-    config.num_states = 600;
-    config.num_objects = 18;
-    config.lifetime = 24;
-    config.obs_interval = 6;
-    config.horizon = 40;
-    config.seed = 91;
-    auto world = GenerateSyntheticWorld(config);
-    ASSERT_TRUE(world.ok());
-    world_ = std::make_unique<SyntheticWorld>(world.MoveValue());
-    auto tree = UstTree::Build(*world_->db);
-    ASSERT_TRUE(tree.ok());
-    index_ = std::make_unique<UstTree>(tree.MoveValue());
-    T_ = BusiestInterval(*world_->db, 6);
-  }
-
-  TrajectoryDatabase& db() { return *world_->db; }
+  void SetUp() override { BuildWorld(18, 91); }
 
   /// Monte-Carlo-pinned specs with tau > 0: the regime where indexed and
   /// index-free plans are bit-identical (tau = 0 would surface the
@@ -108,14 +92,6 @@ class IngestTest : public ::testing::Test {
     return specs;
   }
 
-  ObjectId AddObjectAt(Tic tic, Tic end_tic) {
-    const UncertainObject& donor = db().object(0);
-    auto obs = ObservationSeq::Create(
-        {{tic, donor.observations().items()[0].state}});
-    EXPECT_TRUE(obs.ok());
-    return db().AddObject(obs.MoveValue(), donor.matrix_ptr(), end_tic);
-  }
-
   /// Some writes the queries can see: appended objects alive throughout T_
   /// plus a lifetime extension of an indexed object (the delta's replace
   /// path — its base entries go stale, not just missing).
@@ -125,10 +101,6 @@ class IngestTest : public ::testing::Test {
     const Tic end = db().object(1).last_tic();
     ASSERT_TRUE(db().ExtendLifetime(1, end + 4).ok());
   }
-
-  std::unique_ptr<SyntheticWorld> world_;
-  std::unique_ptr<UstTree> index_;
-  TimeInterval T_{0, 0};
 };
 
 TEST_F(IngestTest, DeltaProbeMatchesIndexFreeFallbackBitwise) {
@@ -145,12 +117,17 @@ TEST_F(IngestTest, DeltaProbeMatchesIndexFreeFallbackBitwise) {
   EXPECT_EQ(patched.delta_depth(), 3u);  // two inserts + one extension
   const std::vector<QueryOutcome> via_delta = patched.RunAll(specs);
 
-  // The pre-delta behavior, now opt-out: drop the stale index entirely.
-  SessionOptions no_delta;
-  no_delta.delta_index = false;
+  // Where no delta is possible — a published base trimmed the change log
+  // past the stale tree — the session drops the index entirely. The
+  // publication leaves the epoch unchanged, so `expected` still applies.
+  auto rebuilt = UstTree::Build(db());
+  ASSERT_TRUE(rebuilt.ok());
+  db().PublishIndex(std::make_shared<const UstTree>(rebuilt.MoveValue()));
+  ASSERT_EQ(db().Snapshot().version(), snapshot.version());
+  SessionOptions options;
   Counter drops;
-  no_delta.stale_index_drops = &drops;
-  QuerySession dropped(snapshot, index_.get(), no_delta);
+  options.stale_index_drops = &drops;
+  QuerySession dropped(db().Snapshot(), index_.get(), options);
   EXPECT_TRUE(dropped.dropped_stale_index());
   EXPECT_EQ(drops.value(), 1u);
   EXPECT_EQ(dropped.delta_depth(), 0u);

@@ -152,28 +152,40 @@ TEST_P(InvariantSweep, PcnnLatticeConsistency) {
   }
 }
 
-TEST_P(InvariantSweep, SequentialAgreesWithFixedSampling) {
+TEST_P(InvariantSweep, AdaptiveEpsilonAgreesWithFixedSampling) {
   WorldUnderTest wut = MakeWorld(GetParam());
   const TrajectoryDatabase& db = *wut.world.db;
   std::vector<ObjectId> ids = db.AliveThroughout(wut.T.start, wut.T.end);
   if (ids.empty()) GTEST_SKIP();
-  SequentialOptions seq;
-  seq.epsilon = 0.03;
-  seq.delta = 0.05;
-  seq.seed = GetParam();
-  auto sequential =
-      EstimatePnnSequential(db, ids, ids, wut.q, wut.T, seq);
-  ASSERT_TRUE(sequential.ok());
   MonteCarloOptions fixed;
   fixed.num_worlds = 4000;
   fixed.seed = GetParam() + 5;
   auto reference = EstimatePnn(db, ids, ids, wut.q, wut.T, fixed);
   ASSERT_TRUE(reference.ok());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_NEAR(sequential.value().estimates[i].forall_prob,
-                reference.value()[i].forall_prob, 0.06);
-    EXPECT_NEAR(sequential.value().estimates[i].exists_prob,
-                reference.value()[i].exists_prob, 0.06);
+  // The epsilon stopping rule reads the hits of one semantics, so each
+  // semantics gets its own self-sizing run.
+  for (PnnSemantics semantics :
+       {PnnSemantics::kForall, PnnSemantics::kExists}) {
+    MonteCarloOptions cap;
+    cap.num_worlds = 1 << 20;
+    cap.seed = GetParam();
+    PrecisionTarget precision;
+    precision.mode = PrecisionMode::kEpsilon;
+    precision.epsilon = 0.03;
+    precision.delta = 0.05;
+    auto adaptive = EstimatePnnAdaptive(db, ids, ids, wut.q, wut.T, semantics,
+                                        0.0, cap, precision, nullptr, nullptr,
+                                        nullptr);
+    ASSERT_TRUE(adaptive.ok());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (semantics == PnnSemantics::kForall) {
+        EXPECT_NEAR(adaptive.value().estimates[i].forall_prob,
+                    reference.value()[i].forall_prob, 0.06);
+      } else {
+        EXPECT_NEAR(adaptive.value().estimates[i].exists_prob,
+                    reference.value()[i].exists_prob, 0.06);
+      }
+    }
   }
 }
 

@@ -7,13 +7,14 @@
 //     serial session running the coarsened spec), and
 //   - expiring some requests of a batch never perturbs the survivors —
 //     their outcomes stay bitwise-identical to running the survivors alone,
-//     at any {lanes, steal} schedule.
+//     at any {lanes, morsel_specs} schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -24,31 +25,13 @@
 #include "query/session.h"
 #include "server/overload.h"
 #include "server/query_server.h"
+#include "serving_fixture.h"
 #include "util/rng.h"
 
 namespace ust {
 namespace {
 
-bool SameOutcome(const QueryOutcome& a, const QueryOutcome& b) {
-  if (a.status.code() != b.status.code()) return false;
-  if (a.kind != b.kind || a.executor != b.executor) return false;
-  if (a.pnn.results.size() != b.pnn.results.size()) return false;
-  for (size_t i = 0; i < a.pnn.results.size(); ++i) {
-    if (a.pnn.results[i].object != b.pnn.results[i].object) return false;
-    if (a.pnn.results[i].prob != b.pnn.results[i].prob) return false;  // bitwise
-  }
-  if (a.pnn.num_candidates != b.pnn.num_candidates) return false;
-  if (a.pnn.num_influencers != b.pnn.num_influencers) return false;
-  if (a.pcnn.pcnn.entries.size() != b.pcnn.pcnn.entries.size()) return false;
-  for (size_t i = 0; i < a.pcnn.pcnn.entries.size(); ++i) {
-    const PcnnEntry& x = a.pcnn.pcnn.entries[i];
-    const PcnnEntry& y = b.pcnn.pcnn.entries[i];
-    if (x.object != y.object || x.tics != y.tics || x.prob != y.prob) {
-      return false;
-    }
-  }
-  return true;
-}
+using testing::SameOutcome;
 
 // ---------------------------------------------------------- the controller
 
@@ -125,26 +108,9 @@ TEST(OverloadControllerTest, RegimeNamesAreStable) {
 
 // ------------------------------------------------------------- the server
 
-class OverloadServerTest : public ::testing::Test {
+class OverloadServerTest : public testing::ServingWorldTest {
  protected:
-  void SetUp() override {
-    SyntheticConfig config;
-    config.num_states = 600;
-    config.num_objects = 18;
-    config.lifetime = 24;
-    config.obs_interval = 6;
-    config.horizon = 40;
-    config.seed = 77;
-    auto world = GenerateSyntheticWorld(config);
-    ASSERT_TRUE(world.ok());
-    world_ = std::make_unique<SyntheticWorld>(world.MoveValue());
-    auto tree = UstTree::Build(*world_->db);
-    ASSERT_TRUE(tree.ok());
-    index_ = std::make_unique<UstTree>(tree.MoveValue());
-    T_ = BusiestInterval(*world_->db, 6);
-  }
-
-  TrajectoryDatabase& db() { return *world_->db; }
+  void SetUp() override { BuildWorld(18, 77); }
 
   /// Monte-Carlo P∀NN specs on the implicit fixed-worlds default — the
   /// degradable request class. Seeds differ per spec.
@@ -164,10 +130,6 @@ class OverloadServerTest : public ::testing::Test {
     }
     return specs;
   }
-
-  std::unique_ptr<SyntheticWorld> world_;
-  std::unique_ptr<UstTree> index_;
-  TimeInterval T_{0, 0};
 };
 
 TEST_F(OverloadServerTest, ShedsLowPriorityAndSparesHighUnderOverload) {
@@ -284,11 +246,38 @@ TEST_F(OverloadServerTest, ExpiredRequestsResolveInQueueWithoutLaneTime) {
   }
 }
 
+TEST_F(OverloadServerTest, BudgetBeyondClockRangeIsNoDeadline) {
+  // A budget the steady clock cannot represent must behave exactly like no
+  // deadline: the specs execute and return the deadline-free bytes, rather
+  // than overflowing into an instant already past and being shed in the
+  // admission queue.
+  const std::vector<QuerySpec> specs = MakeMcSpecs(2);
+  QuerySession reference(db().Snapshot(), index_.get());
+  const std::vector<QueryOutcome> expected = reference.RunAll(specs);
+  QueryServer server(db(), index_.get(), ServerOptions{});
+  for (double deadline_ms : {1e18, std::numeric_limits<double>::infinity()}) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      QuerySpec spec = specs[i];
+      spec.deadline_ms = deadline_ms;
+      const QueryOutcome outcome = server.Submit(std::move(spec)).get();
+      EXPECT_TRUE(outcome.status.ok())
+          << "deadline_ms=" << deadline_ms << " i=" << i << ": "
+          << outcome.status.ToString();
+      EXPECT_TRUE(SameOutcome(outcome, expected[i]))
+          << "deadline_ms=" << deadline_ms << " i=" << i;
+    }
+  }
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.completed, 2 * specs.size());
+  EXPECT_EQ(stats.expired_in_queue + stats.expired_on_lane, 0u);
+}
+
 TEST_F(OverloadServerTest, SurvivorsAreBitIdenticalAtAnySchedule) {
   // The deadline-determinism contract: expiry can only drop whole specs at
   // request/morsel boundaries, so the specs that *do* execute return
   // bitwise-identical outcomes to running the survivors alone — whatever
-  // the lane count or steal mode, and whatever interleaving the expired
+  // the lane count or morsel size, and whatever interleaving the expired
   // requests had with them.
   const std::vector<QuerySpec> all = MakeMcSpecs(10);
   std::vector<QuerySpec> survivors;
@@ -298,43 +287,43 @@ TEST_F(OverloadServerTest, SurvivorsAreBitIdenticalAtAnySchedule) {
   QuerySession reference(db().Snapshot(), index_.get());
   const std::vector<QueryOutcome> expected = reference.RunAll(survivors);
 
-  for (int lanes : {1, 2}) {
-    for (bool steal : {false, true}) {
-      ServerOptions options;
-      options.lanes = lanes;
-      options.steal = steal;
-      options.max_batch_size = 64;  // one mixed batch
-      options.max_batch_delay_ms = 5.0;
-      QueryServer server(db(), index_.get(), options);
-      server.Pause();
+  constexpr size_t kBatch = 64;  // one mixed batch
+  for (const testing::ServingSchedule& schedule :
+       testing::ServingSchedules(kBatch)) {
+    ServerOptions options;
+    options.lanes = schedule.lanes;
+    options.morsel_specs = schedule.morsel_specs;
+    options.max_batch_size = kBatch;
+    options.max_batch_delay_ms = 5.0;
+    QueryServer server(db(), index_.get(), options);
+    server.Pause();
 
-      std::vector<std::future<QueryOutcome>> futures;
-      for (size_t i = 0; i < all.size(); ++i) {
-        QuerySpec spec = all[i];
-        if (i % 3 == 1) spec.deadline_ms = 2.0;  // doomed
-        futures.push_back(server.Submit(std::move(spec)));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      server.Resume();
-
-      size_t next_survivor = 0;
-      for (size_t i = 0; i < futures.size(); ++i) {
-        const QueryOutcome outcome = futures[i].get();
-        if (i % 3 == 1) {
-          EXPECT_EQ(outcome.status.code(), StatusCode::kDeadlineExceeded)
-              << "lanes=" << lanes << " steal=" << steal << " i=" << i;
-        } else {
-          EXPECT_TRUE(SameOutcome(outcome, expected[next_survivor]))
-              << "lanes=" << lanes << " steal=" << steal << " i=" << i;
-          ++next_survivor;
-        }
-      }
-      server.Stop();
-      const ServerStats stats = server.Stats();
-      EXPECT_EQ(stats.completed, all.size());
-      EXPECT_EQ(stats.expired_in_queue + stats.expired_on_lane,
-                all.size() - survivors.size());
+    std::vector<std::future<QueryOutcome>> futures;
+    for (size_t i = 0; i < all.size(); ++i) {
+      QuerySpec spec = all[i];
+      if (i % 3 == 1) spec.deadline_ms = 2.0;  // doomed
+      futures.push_back(server.Submit(std::move(spec)));
     }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    server.Resume();
+
+    size_t next_survivor = 0;
+    for (size_t i = 0; i < futures.size(); ++i) {
+      const QueryOutcome outcome = futures[i].get();
+      if (i % 3 == 1) {
+        EXPECT_EQ(outcome.status.code(), StatusCode::kDeadlineExceeded)
+            << schedule << " i=" << i;
+      } else {
+        EXPECT_TRUE(SameOutcome(outcome, expected[next_survivor]))
+            << schedule << " i=" << i;
+        ++next_survivor;
+      }
+    }
+    server.Stop();
+    const ServerStats stats = server.Stats();
+    EXPECT_EQ(stats.completed, all.size());
+    EXPECT_EQ(stats.expired_in_queue + stats.expired_on_lane,
+              all.size() - survivors.size());
   }
 }
 

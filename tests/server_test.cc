@@ -19,53 +19,18 @@
 #include "query/session.h"
 #include "server/query_server.h"
 #include "server/session_cache.h"
+#include "serving_fixture.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
 namespace ust {
 namespace {
 
-bool SameOutcome(const QueryOutcome& a, const QueryOutcome& b) {
-  if (a.status.code() != b.status.code()) return false;
-  if (a.kind != b.kind || a.executor != b.executor) return false;
-  if (a.pnn.results.size() != b.pnn.results.size()) return false;
-  for (size_t i = 0; i < a.pnn.results.size(); ++i) {
-    if (a.pnn.results[i].object != b.pnn.results[i].object) return false;
-    if (a.pnn.results[i].prob != b.pnn.results[i].prob) return false;  // bitwise
-  }
-  if (a.pnn.num_candidates != b.pnn.num_candidates) return false;
-  if (a.pnn.num_influencers != b.pnn.num_influencers) return false;
-  if (a.pcnn.pcnn.entries.size() != b.pcnn.pcnn.entries.size()) return false;
-  for (size_t i = 0; i < a.pcnn.pcnn.entries.size(); ++i) {
-    const PcnnEntry& x = a.pcnn.pcnn.entries[i];
-    const PcnnEntry& y = b.pcnn.pcnn.entries[i];
-    if (x.object != y.object || x.tics != y.tics || x.prob != y.prob) {
-      return false;
-    }
-  }
-  return true;
-}
+using testing::SameOutcome;
 
-class ServerTest : public ::testing::Test {
+class ServerTest : public testing::ServingWorldTest {
  protected:
-  void SetUp() override {
-    SyntheticConfig config;
-    config.num_states = 600;
-    config.num_objects = 18;
-    config.lifetime = 24;
-    config.obs_interval = 6;
-    config.horizon = 40;
-    config.seed = 77;
-    auto world = GenerateSyntheticWorld(config);
-    ASSERT_TRUE(world.ok());
-    world_ = std::make_unique<SyntheticWorld>(world.MoveValue());
-    auto tree = UstTree::Build(*world_->db);
-    ASSERT_TRUE(tree.ok());
-    index_ = std::make_unique<UstTree>(tree.MoveValue());
-    T_ = BusiestInterval(*world_->db, 6);
-  }
-
-  TrajectoryDatabase& db() { return *world_->db; }
+  void SetUp() override { BuildWorld(18, 77); }
 
   /// A mixed request stream: several query points, two intervals, all three
   /// semantics. Backends stay kAuto — the planner is part of the pipeline
@@ -87,20 +52,6 @@ class ServerTest : public ::testing::Test {
     }
     return specs;
   }
-
-  /// Append an object observed at `tic` (reusing object 0's motion model and
-  /// first observed state, which are valid by construction).
-  ObjectId AddObjectAt(Tic tic, Tic end_tic) {
-    const UncertainObject& donor = db().object(0);
-    auto obs = ObservationSeq::Create(
-        {{tic, donor.observations().items()[0].state}});
-    EXPECT_TRUE(obs.ok());
-    return db().AddObject(obs.MoveValue(), donor.matrix_ptr(), end_tic);
-  }
-
-  std::unique_ptr<SyntheticWorld> world_;
-  std::unique_ptr<UstTree> index_;
-  TimeInterval T_{0, 0};
 };
 
 TEST_F(ServerTest, VersionCountsWritesAndValidatesThem) {
@@ -179,13 +130,16 @@ TEST_F(ServerTest, ExtendLifetimeIsCopyOnWrite) {
 TEST_F(ServerTest, StaleIndexIsDroppedNotTrusted) {
   const std::vector<QuerySpec> specs = MakeSpecs(4);
   AddObjectAt(T_.start, T_.end);  // index_ is now one epoch behind
-  // Pin the legacy drop path: with the delta layer disabled, a stale index
-  // must be discarded (and the drop counted), never trusted.
-  SessionOptions no_delta;
-  no_delta.delta_index = false;
+  // Publishing a fresh base trims the change log past index_, so no delta
+  // can patch it: a stale index that cannot be patched must be discarded
+  // (and the drop counted), never trusted.
+  auto rebuilt = UstTree::Build(db());
+  ASSERT_TRUE(rebuilt.ok());
+  db().PublishIndex(std::make_shared<const UstTree>(rebuilt.MoveValue()));
+  SessionOptions options;
   Counter drops;
-  no_delta.stale_index_drops = &drops;
-  QuerySession with_stale_index(db().Snapshot(), index_.get(), no_delta);
+  options.stale_index_drops = &drops;
+  QuerySession with_stale_index(db().Snapshot(), index_.get(), options);
   QuerySession without_index(db().Snapshot(), nullptr);
   EXPECT_TRUE(with_stale_index.dropped_stale_index());
   EXPECT_EQ(drops.value(), 1u);
@@ -241,35 +195,44 @@ TEST_F(ServerTest, SessionCacheKeysOnEpochAndInterval) {
   EXPECT_GE(cache.stats().evictions_stale, 1u);
 }
 
-TEST_F(ServerTest, SessionCacheCheckoutIsExclusive) {
+TEST_F(ServerTest, LeaseJoinsInsteadOfDuplicating) {
   SessionCache cache(2, SessionOptions{});
   DbSnapshot snap = db().Snapshot();
 
-  // Two concurrent leases on one key: the second caller must get its own
-  // session (scratch is single-lane), built as a counted duplicate.
+  // Two checkouts on one key: the second *joins* the first — same session,
+  // one build. This is what spares hot groups duplicate builds.
   auto lease1 = cache.Checkout(snap, T_, index_.get());
-  auto lease2 = cache.Checkout(snap, T_, index_.get());
   ASSERT_TRUE(lease1);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  auto lease2 = cache.Checkout(snap, T_, index_.get());
   ASSERT_TRUE(lease2);
-  EXPECT_NE(lease1.get(), lease2.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().busy_misses, 1u);
-  EXPECT_EQ(cache.size(), 0u);  // both leased out, nothing idle
+  EXPECT_EQ(lease1.get(), lease2.get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().shared_joins, 1u);
+  EXPECT_EQ(cache.size(), 0u);  // out on lease, not idle
 
-  const QuerySession* first = lease1.get();
+  // Refcounted return: the first release keeps the session out, the last
+  // one reinserts it at MRU — where a later checkout finds it idle.
+  const QuerySession* session = lease1.get();
   lease1.Release();
   EXPECT_FALSE(lease1);  // the lease handle is dead after release
+  EXPECT_EQ(cache.size(), 0u);
+  {
+    auto lease3 = cache.Checkout(snap, T_, index_.get());  // joins
+    EXPECT_EQ(lease3.get(), session);
+    EXPECT_EQ(cache.stats().shared_joins, 2u);
+    lease2.Release();  // two holders left -> one
+  }  // lease3 released: last holder, session goes idle
   EXPECT_EQ(cache.size(), 1u);
   {
-    auto lease3 = cache.Checkout(snap, T_, index_.get());  // hit on returned
-    EXPECT_EQ(lease3.get(), first);
-    EXPECT_EQ(cache.stats().hits, 1u);
+    auto lease4 = cache.Checkout(snap, T_, index_.get());
+    EXPECT_EQ(lease4.get(), session);  // idle promotion, not a join
+    EXPECT_EQ(cache.stats().shared_joins, 2u);
+    EXPECT_EQ(cache.stats().hits, 3u);
   }
-  lease2.Release();
-  EXPECT_EQ(cache.size(), 2u);  // the duplicate is cached too (capacity 2)
 
-  // A lease outstanding across EvictStale is dropped on return, not cached:
-  // its epoch has passed.
+  // A session whose epoch passes mid-lease is dropped on the last release,
+  // not cached.
   auto stale = cache.Checkout(snap, T_, index_.get());
   const uint64_t stale_before = cache.stats().evictions_stale;
   cache.EvictStale(snap.version() + 1);
@@ -279,64 +242,12 @@ TEST_F(ServerTest, SessionCacheCheckoutIsExclusive) {
   EXPECT_GT(cache.stats().evictions_stale, stale_before);
 }
 
-TEST_F(ServerTest, SharedLeaseJoinsInsteadOfDuplicating) {
-  SessionCache cache(2, SessionOptions{});
-  DbSnapshot snap = db().Snapshot();
-
-  // Two shared checkouts on one key: the second *joins* the first — same
-  // session, one build, no busy miss. This is the protocol that lets hot
-  // groups stop paying duplicate builds.
-  auto lease1 = cache.CheckoutShared(snap, T_, index_.get());
-  ASSERT_TRUE(lease1);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  auto lease2 = cache.CheckoutShared(snap, T_, index_.get());
-  ASSERT_TRUE(lease2);
-  EXPECT_EQ(lease1.get(), lease2.get());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().shared_joins, 1u);
-  EXPECT_EQ(cache.stats().busy_misses, 0u);
-  EXPECT_EQ(cache.size(), 0u);  // out on lease, not idle
-
-  // An exclusive checkout cannot join a shared lease: duplicate, busy miss.
-  {
-    auto exclusive = cache.Checkout(snap, T_, index_.get());
-    EXPECT_NE(exclusive.get(), lease1.get());
-    EXPECT_EQ(cache.stats().busy_misses, 1u);
-  }
-
-  // Refcounted return: the first release keeps the session out, the last
-  // one reinserts it at MRU — where a later shared checkout finds it idle.
-  const QuerySession* session = lease1.get();
-  lease1.Release();
-  EXPECT_EQ(cache.stats().shared_joins, 1u);
-  {
-    auto lease3 = cache.CheckoutShared(snap, T_, index_.get());  // joins
-    EXPECT_EQ(lease3.get(), session);
-    EXPECT_EQ(cache.stats().shared_joins, 2u);
-    lease2.Release();  // two holders left -> one
-  }  // lease3 released: last holder, session goes idle
-  EXPECT_EQ(cache.size(), 2u);  // the shared session + the exclusive dup
-  {
-    auto lease4 = cache.CheckoutShared(snap, T_, index_.get());
-    EXPECT_EQ(lease4.get(), session);  // idle promotion, not a join
-    EXPECT_EQ(cache.stats().shared_joins, 2u);
-  }
-
-  // A shared session whose epoch passes mid-lease is dropped on the last
-  // release, exactly like the exclusive path.
-  auto stale = cache.CheckoutShared(snap, T_, index_.get());
-  cache.EvictStale(snap.version() + 1);
-  const uint64_t stale_before = cache.stats().evictions_stale;
-  stale.Release();
-  EXPECT_GT(cache.stats().evictions_stale, stale_before);
-}
-
 TEST_F(ServerTest, HotGroupMorselsMatchSerialRunAllBitwise) {
   // One dominant (epoch, interval) group split into 1-spec morsels over 2
-  // lanes with stealing forced on: whatever the claim/steal schedule, the
-  // reassembled outcomes must equal the serial RunAll bytes. Submits are
-  // paused into one admission queue so the whole stream flushes as full
-  // batches of one hot group each.
+  // lanes: whatever the claim/steal schedule, the reassembled outcomes must
+  // equal the serial RunAll bytes. Submits are paused into one admission
+  // queue so the whole stream flushes as full batches of one hot group
+  // each.
   std::vector<QuerySpec> specs = MakeSpecs(18);
   for (QuerySpec& spec : specs) spec.T = T_;  // one hot interval
   QuerySession reference(db().Snapshot(), index_.get());
@@ -344,7 +255,6 @@ TEST_F(ServerTest, HotGroupMorselsMatchSerialRunAllBitwise) {
 
   ServerOptions options;
   options.lanes = 2;
-  options.steal = true;
   options.morsel_specs = 1;
   options.max_batch_size = 6;
   options.max_batch_delay_ms = 0.5;
@@ -367,14 +277,14 @@ TEST_F(ServerTest, HotGroupMorselsMatchSerialRunAllBitwise) {
 }
 
 TEST_F(ServerTest, IdleLaneStealsFromDominantGroup) {
-  // The tail-latency regression test for the group-granularity scheduler:
-  // one dominant group of heavy specs next to a tiny one. At group
-  // granularity the dominant group pins ONE lane while the other goes idle
-  // after its tiny group (steals == 0, one lane owns every heavy request);
-  // with morsel stealing the idle lane must take half-ranges of the hot
-  // group (steals >= 1 and both lanes execute requests). The heavy specs
-  // are hundreds of milliseconds each, the idle lane wakes in microseconds
-  // — the margin is ~5 orders of magnitude, so this is timing-robust.
+  // The tail-latency regression test of the morsel scheduler: one dominant
+  // group of heavy specs next to a tiny one. As one morsel per group the
+  // dominant group pins ONE lane while the other goes idle after its tiny
+  // group (steals == 0, one lane owns every heavy request); split into
+  // 1-spec morsels the idle lane must take half-ranges of the hot group
+  // (steals >= 1 and both lanes execute requests). The heavy specs are
+  // hundreds of milliseconds each, the idle lane wakes in microseconds —
+  // the margin is ~5 orders of magnitude, so this is timing-robust.
   std::vector<QuerySpec> heavy = MakeSpecs(6);
   for (QuerySpec& spec : heavy) {
     spec.kind = QueryKind::kForall;
@@ -388,12 +298,12 @@ TEST_F(ServerTest, IdleLaneStealsFromDominantGroup) {
   tiny.backend = ExecutorKind::kMonteCarlo;
   tiny.mc.num_worlds = 50;
 
-  const auto run = [&](bool steal) {
+  const size_t batch = heavy.size() + 1;
+  const auto run = [&](size_t morsel_specs) {
     ServerOptions options;
     options.lanes = 2;
-    options.steal = steal;
-    options.morsel_specs = 1;
-    options.max_batch_size = 7;
+    options.morsel_specs = morsel_specs;
+    options.max_batch_size = batch;
     options.max_batch_delay_ms = 1.0;
     QueryServer server(db(), index_.get(), options);
     server.Pause();  // everything flushes as one batch: 2 groups
@@ -406,9 +316,9 @@ TEST_F(ServerTest, IdleLaneStealsFromDominantGroup) {
     return server.Stats();
   };
 
-  const ServerStats nosteal = run(false);
-  // Group granularity: whole groups stick to their adopting lane — the six
-  // heavy requests all executed where the dominant group landed.
+  const ServerStats nosteal = run(batch);
+  // One morsel per group: whole groups stick to their adopting lane — the
+  // six heavy requests all executed where the dominant group landed.
   EXPECT_EQ(nosteal.lane_steals(), 0u);
   uint64_t max_lane_requests = 0;
   for (const LaneStats& lane : nosteal.lanes) {
@@ -416,9 +326,9 @@ TEST_F(ServerTest, IdleLaneStealsFromDominantGroup) {
   }
   EXPECT_GE(max_lane_requests, heavy.size());
 
-  const ServerStats steal = run(true);
-  // Morsel scheduling: the lane that finished the tiny group steals from
-  // the dominant one instead of idling.
+  const ServerStats steal = run(1);
+  // 1-spec morsels: the lane that finished the tiny group steals from the
+  // dominant one instead of idling.
   EXPECT_GE(steal.lane_steals(), 1u);
   for (const LaneStats& lane : steal.lanes) {
     EXPECT_GE(lane.requests, 1u) << "a lane sat idle beside a hot group";
@@ -714,8 +624,7 @@ TEST_F(ServerTest, StatsRenderAsJson) {
         "\"rejected_draining\":0", "\"expired_in_queue\":0",
         "\"expired_on_lane\":0", "\"degraded_requests\":0",
         "\"overload_regime\":", "\"session_build_failures\":0", "\"batches\":",
-        "\"cache_misses\":", "\"cache_busy_misses\":",
-        "\"cache_shared_joins\":", "\"latency_us\":",
+        "\"cache_misses\":", "\"cache_shared_joins\":", "\"latency_us\":",
         "\"queue_us\":", "\"p50\":", "\"p99\":", "\"lane_queue_depth\":",
         "\"lane_queue_peak\":", "\"lane_steals\":", "\"morsels_executed\":",
         "\"arena_builds\":", "\"arena_spec_reuses\":", "\"arena_bytes\":",

@@ -79,11 +79,12 @@ CHECKS = {
         "qps_server": ("down", ABSOLUTE_BAND),
         "qps_server_1lane": ("down", ABSOLUTE_BAND),
         "latency_p99_ms": ("up", ABSOLUTE_BAND),
-        # Morsel stealing vs the group scheduler on the skewed stream: a
-        # within-run p99 ratio, so it gets the machine-portable band. On a
-        # 1-core runner it hovers near 1.0 (no idle lane to steal with);
-        # the band then only rejects a genuine regression, while a
-        # multi-core runner's >=1.3x win can only push it further up.
+        # One morsel per group vs --morsel spec morsels (stealing) on the
+        # skewed stream: a within-run p99 ratio, so it gets the
+        # machine-portable band. On a 1-core runner it hovers near 1.0 (no
+        # idle lane to steal with); the band then only rejects a genuine
+        # regression, while a multi-core runner's >=1.3x win can only push
+        # it further up.
         "steal_speedup": ("down", RATIO_BAND),
         "p99_skew_steal": ("up", ABSOLUTE_BAND),
         # The arena on/off comparison on the hot-group skewed stream (PR 6).
