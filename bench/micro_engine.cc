@@ -6,10 +6,10 @@
 //                 QueryEngine), paying adaptation, sampler warm-up and
 //                 scratch allocation per query;
 //   warm_engine : one QueryEngine over a warm database — posterior caches
-//                 amortize, but pruning state and sampling scratch are
+//                 amortize, but the session and sampling scratch are
 //                 still rebuilt per call;
 //   session     : QuerySession::Prepare + RunAll — shared immutable state,
-//                 cached index slabs, per-worker scratch, planner on.
+//                 per-worker scratch, planner on.
 //
 // Emits BENCH_engine.json (queries/sec for each mode plus the speedups) so
 // engine throughput is tracked machine-readably across PRs, like

@@ -3,8 +3,8 @@
 //
 //   cold_session : the no-server pattern for independent callers — every
 //                  request builds its own QuerySession from a cold database
-//                  (posteriors invalidated), paying adaptation, sampler
-//                  warm-up and slab construction per request;
+//                  (posteriors invalidated), paying adaptation and
+//                  sampler warm-up per request;
 //   direct_runall: one prepared QuerySession evaluating the whole stream as
 //                  a single RunAll batch — the PR 2 upper bound (no
 //                  queueing, no batching window);

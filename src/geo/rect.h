@@ -1,7 +1,5 @@
 // Axis-aligned rectangles in D dimensions with the min/max distance
-// computations required for spatial pruning (Section 6 of the paper) and the
-// geometric primitives required by the R*-tree (margin, area, overlap,
-// enlargement).
+// computations required for spatial pruning (Section 6 of the paper).
 #pragma once
 
 #include <algorithm>
@@ -16,7 +14,7 @@ namespace ust {
 /// \brief Axis-aligned box in D dimensions: [lo[i], hi[i]] per axis.
 ///
 /// An empty box (default constructed) has lo > hi on every axis and acts as
-/// the identity for Extend/Union.
+/// the identity for Extend.
 template <int D>
 struct Rect {
   std::array<double, D> lo;
@@ -42,27 +40,6 @@ struct Rect {
     }
   }
 
-  /// Grow to cover `other`.
-  void Extend(const Rect& other) {
-    for (int i = 0; i < D; ++i) {
-      lo[i] = std::min(lo[i], other.lo[i]);
-      hi[i] = std::max(hi[i], other.hi[i]);
-    }
-  }
-
-  static Rect Union(const Rect& a, const Rect& b) {
-    Rect r = a;
-    r.Extend(b);
-    return r;
-  }
-
-  bool Intersects(const Rect& other) const {
-    for (int i = 0; i < D; ++i) {
-      if (lo[i] > other.hi[i] || hi[i] < other.lo[i]) return false;
-    }
-    return true;
-  }
-
   bool Contains(const std::array<double, D>& p) const {
     for (int i = 0; i < D; ++i) {
       if (p[i] < lo[i] || p[i] > hi[i]) return false;
@@ -76,48 +53,9 @@ struct Rect {
     }
     return true;
   }
-
-  /// Product of side lengths (R* "area").
-  double Area() const {
-    if (empty()) return 0.0;
-    double a = 1.0;
-    for (int i = 0; i < D; ++i) a *= hi[i] - lo[i];
-    return a;
-  }
-
-  /// Sum of side lengths (R* "margin").
-  double Margin() const {
-    if (empty()) return 0.0;
-    double m = 0.0;
-    for (int i = 0; i < D; ++i) m += hi[i] - lo[i];
-    return m;
-  }
-
-  /// Area of the intersection with `other` (0 when disjoint).
-  double OverlapArea(const Rect& other) const {
-    double a = 1.0;
-    for (int i = 0; i < D; ++i) {
-      double side = std::min(hi[i], other.hi[i]) - std::max(lo[i], other.lo[i]);
-      if (side <= 0.0) return 0.0;
-      a *= side;
-    }
-    return a;
-  }
-
-  /// Area increase caused by extending this box to cover `other`.
-  double Enlargement(const Rect& other) const {
-    return Union(*this, other).Area() - Area();
-  }
-
-  std::array<double, D> Center() const {
-    std::array<double, D> c;
-    for (int i = 0; i < D; ++i) c[i] = 0.5 * (lo[i] + hi[i]);
-    return c;
-  }
 };
 
 using Rect2 = Rect<2>;
-using Rect3 = Rect<3>;  ///< (x, y, time) boxes stored in the UST-tree.
 
 /// Build a 2-D rectangle from explicit bounds.
 inline Rect2 MakeRect2(double x_lo, double y_lo, double x_hi, double y_hi) {
@@ -138,21 +76,5 @@ double MinDistance(const Rect2& a, const Rect2& b);
 
 /// Maximum distance between two rectangles.
 double MaxDistance(const Rect2& a, const Rect2& b);
-
-/// The spatial (x, y) footprint of a 3-D (x, y, t) box.
-inline Rect2 SpatialPart(const Rect3& r) {
-  Rect2 s;
-  s.lo = {r.lo[0], r.lo[1]};
-  s.hi = {r.hi[0], r.hi[1]};
-  return s;
-}
-
-/// Assemble an (x, y, t) box from a spatial box and a time interval.
-inline Rect3 WithTimeInterval(const Rect2& space, double t_lo, double t_hi) {
-  Rect3 r;
-  r.lo = {space.lo[0], space.lo[1], t_lo};
-  r.hi = {space.hi[0], space.hi[1], t_hi};
-  return r;
-}
 
 }  // namespace ust

@@ -6,9 +6,10 @@
 // bit-identical to a tree rebuilt at the session's epoch — and therefore (by
 // the pruning soundness argument) to the index-free alive-time fallback.
 //
-// A delta is a flat per-object list, not a tree: compaction (see
-// QueryServer's compaction thread) keeps its depth bounded, so linear probing
-// stays cheap while the base R*-tree carries the bulk of the database.
+// A delta is a per-object list of the same segment entries the base holds:
+// compaction (see QueryServer's compaction thread) keeps its depth bounded,
+// so probing it beside the base's entry array stays cheap while the base
+// carries the bulk of the database.
 #pragma once
 
 #include <cstdint>

@@ -89,47 +89,24 @@ Status AppendObjectSegments(const DbSnapshot& db, const UncertainObject& obj,
 }
 
 Result<UstTree> UstTree::Build(const DbSnapshot& db) {
-  return Build(db, RStarTree::Options());
-}
-
-Result<UstTree> UstTree::Build(const DbSnapshot& db,
-                               RStarTree::Options options) {
-  UstTree tree(options);
+  UstTree tree;
   tree.db_ = db.WithoutIndex();
-  tree.space_bounds_ = db.space().BoundingBox();
   // Support graphs are shared between objects using the same matrix.
   SupportGraphCache graphs;
-  std::vector<SegmentEntry> segments;
   for (size_t obj_index = 0; obj_index < db.size(); ++obj_index) {
     const UncertainObject& obj = db.object(static_cast<ObjectId>(obj_index));
-    segments.clear();
-    UST_RETURN_NOT_OK(AppendObjectSegments(db, obj, &graphs, &segments));
-    for (const SegmentEntry& entry : segments) {
-      tree.rtree_.Insert(WithTimeInterval(entry.mbr, entry.t_lo, entry.t_hi),
-                         tree.entries_.size());
-      tree.entries_.push_back(entry);
-    }
+    UST_RETURN_NOT_OK(AppendObjectSegments(db, obj, &graphs, &tree.entries_));
   }
   return tree;
 }
 
 UstTree::TimeSlab UstTree::MakeTimeSlab(const TimeInterval& T) const {
-  // Fetch all segment rectangles overlapping the query time slab through the
-  // R*-tree (prunes by time; space is left open since dmax bounds require
-  // every alive object).
-  Rect3 slab_box = WithTimeInterval(space_bounds_, static_cast<double>(T.start),
-                                    static_cast<double>(T.end));
-  std::vector<uint64_t> hits = rtree_.Query(slab_box);
-  std::map<ObjectId, std::vector<const SegmentEntry*>> per_object;
-  for (uint64_t idx : hits) {
-    const SegmentEntry& e = entries_[idx];
-    per_object[e.object].push_back(&e);
-  }
+  // Only time is searched: the dmax bound needs every object alive in T,
+  // wherever it is.
   TimeSlab slab;
   slab.T = T;
-  slab.per_object.reserve(per_object.size());
-  for (auto& [object, segments] : per_object) {
-    slab.per_object.emplace_back(object, std::move(segments));
+  for (const SegmentEntry& e : entries_) {
+    if (e.t_lo <= T.end && e.t_hi >= T.start) slab.entries.push_back(&e);
   }
   return slab;
 }
@@ -146,8 +123,9 @@ std::vector<UstTree::DistanceProfile> UstTree::BuildProfiles(
   }
   UST_DCHECK(slab->T == T);
 
-  // Accumulate one covering rectangle into a profile (tighter bound wins
-  // where rectangles overlap a tic).
+  // Accumulate one covering rectangle into a profile. Multiple rectangles
+  // can cover an observation tic; both bounds hold, so keep the tighter of
+  // each — a max/min fold, independent of the order rectangles arrive in.
   auto accumulate = [&](DistanceProfile* profile, const SegmentEntry& seg) {
     Tic lo = std::max(T.start, seg.t_lo);
     Tic hi = std::min(T.end, seg.t_hi);
@@ -155,8 +133,6 @@ std::vector<UstTree::DistanceProfile> UstTree::BuildProfiles(
       const size_t rel = static_cast<size_t>(t - T.start);
       double dmin = MinDistance(q.At(t), seg.mbr);
       double dmax = MaxDistance(q.At(t), seg.mbr);
-      // Multiple rectangles can cover an observation tic; both bounds hold,
-      // so keep the tighter of each.
       if (profile->dmin[rel] == kInf) {
         profile->dmin[rel] = dmin;
         profile->dmax[rel] = dmax;
@@ -166,22 +142,24 @@ std::vector<UstTree::DistanceProfile> UstTree::BuildProfiles(
       }
     }
   };
+  auto new_profile = [&](ObjectId object, Tic first_tic, Tic last_tic) {
+    DistanceProfile profile;
+    profile.object = object;
+    profile.first_tic = first_tic;
+    profile.last_tic = last_tic;
+    profile.dmin.assign(len, kInf);
+    profile.dmax.assign(len, kInf);
+    return profile;
+  };
 
   std::vector<DistanceProfile> profiles;
-  profiles.reserve(slab->per_object.size() +
-                   (delta == nullptr ? 0 : delta->objects().size()));
 
   // Emit the profile of one delta object if its lifetime overlaps T. Delta
   // entries tile the whole lifetime, so the overlap test matches exactly the
-  // set of objects a rebuilt tree's slab traversal would surface.
+  // set of objects a rebuilt tree's slab would hold.
   auto emit_delta = [&](const UstDelta::DeltaObject& d) {
     if (d.first_tic > T.end || d.last_tic < T.start) return;
-    DistanceProfile profile;
-    profile.object = d.object;
-    profile.first_tic = d.first_tic;
-    profile.last_tic = d.last_tic;
-    profile.dmin.assign(len, kInf);
-    profile.dmax.assign(len, kInf);
+    DistanceProfile profile = new_profile(d.object, d.first_tic, d.last_tic);
     for (const SegmentEntry& seg : d.entries) {
       if (seg.t_lo > T.end || seg.t_hi < T.start) continue;
       accumulate(&profile, seg);
@@ -189,12 +167,17 @@ std::vector<UstTree::DistanceProfile> UstTree::BuildProfiles(
     profiles.push_back(std::move(profile));
   };
 
-  // Merge the (id-sorted) base slab with the (id-sorted) delta objects.
-  // Delta objects replace their base counterparts outright: a rewritten
-  // object's base rectangles describe its pre-write lifetime and are stale.
+  // Merge the slab's per-object runs (ascending id) with the (id-sorted)
+  // delta objects. Delta objects replace their base counterparts outright:
+  // a rewritten object's base rectangles describe its pre-write lifetime
+  // and are stale.
   size_t di = 0;
   const size_t dn = delta == nullptr ? 0 : delta->objects().size();
-  for (const auto& [object, segments] : slab->per_object) {
+  const std::vector<const SegmentEntry*>& segs = slab->entries;
+  for (size_t begin = 0, end = 0; begin < segs.size(); begin = end) {
+    const ObjectId object = segs[begin]->object;
+    end = begin + 1;
+    while (end < segs.size() && segs[end]->object == object) ++end;
     while (di < dn && delta->objects()[di].object < object) {
       emit_delta(delta->objects()[di++]);
     }
@@ -202,14 +185,10 @@ std::vector<UstTree::DistanceProfile> UstTree::BuildProfiles(
       emit_delta(delta->objects()[di++]);
       continue;
     }
-    DistanceProfile profile;
-    profile.object = object;
     const UncertainObject& obj = db_.object(object);
-    profile.first_tic = obj.first_tic();
-    profile.last_tic = obj.last_tic();
-    profile.dmin.assign(len, kInf);
-    profile.dmax.assign(len, kInf);
-    for (const SegmentEntry* seg : segments) accumulate(&profile, *seg);
+    DistanceProfile profile =
+        new_profile(object, obj.first_tic(), obj.last_tic());
+    for (size_t i = begin; i < end; ++i) accumulate(&profile, *segs[i]);
     profiles.push_back(std::move(profile));
   }
   while (di < dn) emit_delta(delta->objects()[di++]);

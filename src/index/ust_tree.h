@@ -2,7 +2,10 @@
 // Section 6: for every pair of consecutive observations of an object, the
 // set of possibly visited (location, time) pairs — the reachability
 // "diamond" — is bounded by a minimum bounding rectangle over the time
-// interval, and all such rectangles are indexed in an R*-tree.
+// interval. The rectangles live in one array in object-id order, each
+// object's segments contiguous and ascending in time. Pruning needs every
+// object alive in T (the dmax bound below), so only the time axis is ever
+// searched: one pass over the array collects the rectangles of T.
 //
 // Query-time pruning computes, per query tic t, each object's dmin/dmax to
 // q(t) from its covering rectangles and derives:
@@ -17,8 +20,8 @@
 #include <map>
 #include <vector>
 
+#include "geo/rect.h"
 #include "graph/csr_graph.h"
-#include "index/rstar_tree.h"
 #include "model/trajectory_database.h"
 #include "query/query.h"
 #include "util/status.h"
@@ -61,33 +64,32 @@ class UstTree {
   /// to its current epoch); built_version() identifies that epoch so serving
   /// code can detect a stale index after online writes.
   static Result<UstTree> Build(const DbSnapshot& db);
-  static Result<UstTree> Build(const DbSnapshot& db,
-                               RStarTree::Options options);
 
   /// Epoch of the snapshot this tree indexes. Pruning against a database at
   /// a different version may miss objects — callers must not pass this tree
   /// to sessions over other epochs (QuerySession drops a mismatched index).
   uint64_t built_version() const { return db_.version(); }
 
-  /// \brief Reusable index-traversal state for one query time interval: the
-  /// segment rectangles overlapping T, grouped per object (sorted by id).
-  /// Pruning only depends on the query trajectory beyond this, so a batch of
-  /// queries sharing T walks the R*-tree once and prunes from the slab.
+  /// \brief The segment rectangles overlapping one query interval T, in
+  /// entries() order: ascending object id, each object's run contiguous.
+  /// Pruning reads the tree's entries only through it, so a caller pruning
+  /// several queries over one T may build it once and pass it in.
   struct TimeSlab {
     TimeInterval T{0, 0};
-    std::vector<std::pair<ObjectId, std::vector<const SegmentEntry*>>>
-        per_object;
+    std::vector<const SegmentEntry*> entries;
   };
 
-  /// Collect the slab of `T` (one R*-tree traversal).
+  /// Collect the slab of `T` (one pass over entries()).
   TimeSlab MakeTimeSlab(const TimeInterval& T) const;
 
-  /// Candidates and influencers for P∀(k)NN queries. When `slab` is given it
-  /// must have been built for the same T; the traversal is then skipped.
-  /// When `delta` is given (an UstDelta over this tree's epoch), its objects
-  /// are probed alongside the base slab — delta segment entries replace the
-  /// base entries of rewritten objects, so the result is bit-identical to
-  /// pruning with a tree rebuilt at the delta's epoch.
+  /// Candidates and influencers for P∀(k)NN queries. Requires k >= 1 and a
+  /// valid T covered by q (QuerySession validates specs before pruning).
+  /// When `slab` is given it must have been built for the same T; otherwise
+  /// pruning builds its own. When `delta` is given (an UstDelta over this
+  /// tree's epoch), its objects are probed alongside the base slab — delta
+  /// segment entries replace the base entries of rewritten objects, so the
+  /// result is bit-identical to pruning with a tree rebuilt at the delta's
+  /// epoch.
   PruneResult PruneForall(const QueryTrajectory& q, const TimeInterval& T,
                           int k = 1, const TimeSlab* slab = nullptr,
                           const UstDelta* delta = nullptr) const;
@@ -97,8 +99,9 @@ class UstTree {
                           int k = 1, const TimeSlab* slab = nullptr,
                           const UstDelta* delta = nullptr) const;
 
+  /// Every segment entry, ascending by object id; each object's entries are
+  /// contiguous and ascending in t_lo (the order AppendObjectSegments emits).
   const std::vector<SegmentEntry>& entries() const { return entries_; }
-  const RStarTree& rtree() const { return rtree_; }
 
   /// Per-object dmin/dmax profile over T, +inf where the object is not
   /// alive. Exposed for white-box tests; not part of the stable API.
@@ -109,7 +112,7 @@ class UstTree {
   };
 
  private:
-  UstTree(RStarTree::Options options) : rtree_(options) {}
+  UstTree() = default;
 
   std::vector<DistanceProfile> BuildProfiles(const QueryTrajectory& q,
                                              const TimeInterval& T,
@@ -117,8 +120,6 @@ class UstTree {
                                              const UstDelta* delta) const;
 
   std::vector<SegmentEntry> entries_;
-  RStarTree rtree_;
-  Rect2 space_bounds_;
   /// The indexed epoch (snapshots are cheap: two shared_ptrs + a version).
   /// Stored WithoutIndex(): a compacted tree must not transitively pin the
   /// base tree (and change log) of the snapshot it was built from.

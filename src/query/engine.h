@@ -7,8 +7,8 @@
 // QuerySession pinned to the Monte-Carlo backend, so results (seed included)
 // match the historical engine bit for bit. Code running many queries against
 // one database should hold a QuerySession instead — it amortizes posterior
-// warm-up, index slabs and sampling scratch across the batch and unlocks the
-// planner and the thread pool (see bench/micro_engine for the difference).
+// warm-up and sampling scratch across the batch and unlocks the planner and
+// the thread pool (see bench/micro_engine for the difference).
 #pragma once
 
 #include <vector>

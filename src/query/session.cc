@@ -11,6 +11,20 @@ namespace ust {
 
 namespace {
 
+// The checks every sampling backend makes, made once before pruning: the
+// index sizes per-tic arrays by T and reads q at every tic of it, so an
+// invalid spec must fail here, identically with and without an index.
+// Coverage is contiguous, so checking both ends of T suffices.
+Status ValidateSpec(const QuerySpec& spec) {
+  if (!spec.T.valid()) return Status::InvalidArgument("empty query interval");
+  if (spec.mc.k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (!spec.q.Covers(spec.T.start) || !spec.q.Covers(spec.T.end)) {
+    return Status::InvalidArgument(
+        "query trajectory does not cover the query interval");
+  }
+  return Status::OK();
+}
+
 // Union of two id sets (inputs need not be sorted).
 std::vector<ObjectId> UnionIds(std::vector<ObjectId> a,
                                const std::vector<ObjectId>& b) {
@@ -68,50 +82,20 @@ Status QuerySession::Prepare() {
 }
 
 PruneResult QuerySession::Prune(const QueryTrajectory& q, const TimeInterval& T,
-                                int k, bool forall,
-                                const UstTree::TimeSlab* slab) const {
+                                int k, bool forall) const {
   if (index_ != nullptr) {
     if (!delta_.empty()) {
       UST_TRACE_SCOPE("delta_probe", delta_.depth(), "objects");
-      return forall ? index_->PruneForall(q, T, k, slab, &delta_)
-                    : index_->PruneExists(q, T, k, slab, &delta_);
+      return forall ? index_->PruneForall(q, T, k, nullptr, &delta_)
+                    : index_->PruneExists(q, T, k, nullptr, &delta_);
     }
-    return forall ? index_->PruneForall(q, T, k, slab)
-                  : index_->PruneExists(q, T, k, slab);
+    return forall ? index_->PruneForall(q, T, k) : index_->PruneExists(q, T, k);
   }
   PruneResult result;
   result.influencers = db_.AliveSometime(T.start, T.end);
   result.candidates =
       forall ? db_.AliveThroughout(T.start, T.end) : result.influencers;
   return result;
-}
-
-void QuerySession::EnsureSlab(const TimeInterval& T) {
-  if (index_ == nullptr || FindSlab(T) != nullptr) return;
-  slabs_.push_back(
-      std::make_unique<UstTree::TimeSlab>(index_->MakeTimeSlab(T)));
-}
-
-const UstTree::TimeSlab* QuerySession::FindSlab(const TimeInterval& T) const {
-  if (index_ == nullptr) return nullptr;
-  for (const auto& slab : slabs_) {
-    if (slab->T == T) return slab.get();
-  }
-  return nullptr;
-}
-
-void QuerySession::WarmInterval(const TimeInterval& T) {
-  TrimSlabCache();
-  EnsureSlab(T);
-}
-
-void QuerySession::TrimSlabCache() {
-  // Bound the cache: a long-lived session over ever-changing intervals must
-  // not grow without limit. Trimming only at batch entry — never from
-  // EnsureSlab — keeps every pointer handed out during a batch valid, even
-  // when one batch spans more than kMaxCachedSlabs distinct intervals.
-  constexpr size_t kMaxCachedSlabs = 64;
-  if (slabs_.size() >= kMaxCachedSlabs) slabs_.clear();
 }
 
 QueryOutcome QuerySession::Run(const QuerySpec& spec) {
@@ -164,10 +148,6 @@ std::vector<QueryOutcome> QuerySession::RunAll(
   // failing the batch: per-query outcomes must match Run() bit for bit.
   bool share_across_queries = pool_.num_threads() > 1 && specs.size() > 1;
   if (share_across_queries && !Prepare().ok()) share_across_queries = false;
-  // Index slabs are built serially up front (the cache is not locked), so
-  // RunMorsel's read-only lookups find every one of them.
-  TrimSlabCache();
-  for (const QuerySpec& spec : specs) EnsureSlab(spec.T);
   if (share_across_queries) {
     // Shard one-spec morsels across queries: each worker owns its scratch
     // lane, each query writes its own outcome slot — schedule-independent by
@@ -279,36 +259,34 @@ std::shared_ptr<const WorldArena> QuerySession::ArenaFor(
 void QuerySession::RunMorsel(const std::vector<QuerySpec>& specs,
                              size_t begin, size_t end, QueryOutcome* outcomes,
                              ThreadPool* pool, ExecScratch* scratch) const {
-  // A missing slab (an interval never warmed) degrades to a direct R*-tree
-  // traversal inside Prune — a pure read, identical pruning output. Every
-  // other input of RunOne is immutable session state or caller-owned, so
-  // concurrent morsels of one shared session never touch common bytes.
-  // (RunAll pre-builds its slabs; the serving tier warms them at checkout.)
+  // Every input of RunOne is immutable session state or caller-owned (each
+  // prune builds its own slab), so concurrent morsels of one shared session
+  // never touch common bytes.
   for (size_t i = begin; i < end && i < specs.size(); ++i) {
-    outcomes[i] = RunOne(specs[i], FindSlab(specs[i].T), pool, scratch);
+    outcomes[i] = RunOne(specs[i], pool, scratch);
   }
 }
 
 QueryOutcome QuerySession::RunOne(const QuerySpec& spec,
-                                  const UstTree::TimeSlab* slab,
                                   ThreadPool* world_pool,
                                   ExecScratch* scratch) const {
   QueryOutcome out;
   out.kind = spec.kind;
+  out.status = ValidateSpec(spec);
+  if (!out.status.ok()) return out;
   if (spec.kind == QueryKind::kContinuous) {
-    RunContinuous(spec, slab, world_pool, scratch, &out);
+    RunContinuous(spec, world_pool, scratch, &out);
   } else {
-    RunPnn(spec, slab, world_pool, scratch, &out);
+    RunPnn(spec, world_pool, scratch, &out);
   }
   return out;
 }
 
-void QuerySession::RunPnn(const QuerySpec& spec, const UstTree::TimeSlab* slab,
-                          ThreadPool* world_pool, ExecScratch* scratch,
-                          QueryOutcome* out) const {
+void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
+                          ExecScratch* scratch, QueryOutcome* out) const {
   const bool forall = spec.kind == QueryKind::kForall;
   Timer prune_timer;
-  PruneResult pruned = Prune(spec.q, spec.T, spec.mc.k, forall, slab);
+  PruneResult pruned = Prune(spec.q, spec.T, spec.mc.k, forall);
   out->pnn.prune_millis = prune_timer.Millis();
   out->pnn.num_candidates = pruned.candidates.size();
   out->pnn.num_influencers = pruned.influencers.size();
@@ -400,7 +378,6 @@ void QuerySession::RunPnn(const QuerySpec& spec, const UstTree::TimeSlab* slab,
 }
 
 void QuerySession::RunContinuous(const QuerySpec& spec,
-                                 const UstTree::TimeSlab* slab,
                                  ThreadPool* world_pool, ExecScratch* scratch,
                                  QueryOutcome* out) const {
   // Algorithm 1 validates timestamp sets against one shared world sample,
@@ -419,7 +396,7 @@ void QuerySession::RunContinuous(const QuerySpec& spec,
   Timer prune_timer;
   // Any object that can be NN at some tic can hold a singleton result set,
   // so PCNN candidates are the P∃NN candidates.
-  PruneResult pruned = Prune(spec.q, spec.T, spec.mc.k, /*forall=*/false, slab);
+  PruneResult pruned = Prune(spec.q, spec.T, spec.mc.k, /*forall=*/false);
   out->pcnn.prune_millis = prune_timer.Millis();
   out->pcnn.num_candidates = pruned.candidates.size();
   out->pcnn.num_influencers = pruned.influencers.size();

@@ -1,10 +1,9 @@
 // The plan-based batched query pipeline (Section 3.3 industrialized):
 //
 //   QuerySession  — owns immutable shared state (a database's posteriors
-//                   with warmed alias samplers, the UST-tree, cached
-//                   per-interval index slabs) plus reusable per-worker
-//                   scratch, so back-to-back queries stop paying allocation
-//                   and warm-up costs;
+//                   with warmed alias samplers, the UST-tree and its delta)
+//                   plus reusable per-worker scratch, so back-to-back
+//                   queries stop paying allocation and warm-up costs;
 //   planner       — picks the refinement backend per query from the pruning
 //                   output (query/executor.h);
 //   RunMorsel     — the one execution primitive: evaluates a spec range
@@ -163,9 +162,9 @@ struct SessionOptions {
 /// dropped and counted (pruning degenerates to alive-time filtering, which
 /// is always correct).
 ///
-/// Prepare, Run, RunAll and WarmInterval are not safe for concurrent use
-/// (they own the session's pool, scratch and slab cache); RunMorsel is,
-/// under the shared-lease contract documented on it.
+/// Prepare, Run and RunAll are not safe for concurrent use (they own the
+/// session's pool and scratch); RunMorsel is, under the shared-lease
+/// contract documented on it.
 class QuerySession {
  public:
   /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
@@ -194,35 +193,28 @@ class QuerySession {
   QueryOutcome Run(const QuerySpec& spec);
 
   /// Evaluate a batch through RunMorsel with the session's own pool and
-  /// scratch: slabs are pre-built serially, then one-spec morsels are
-  /// sharded across the pool (threads > 1 and more than one spec), or one
-  /// [0, n) morsel runs with the pool sharding world chunks. outcome[i]
-  /// corresponds to specs[i] and is bit-identical to Run(specs[i]) at any
-  /// thread count.
+  /// scratch: one-spec morsels are sharded across the pool (threads > 1 and
+  /// more than one spec), or one [0, n) morsel runs with the pool sharding
+  /// world chunks. outcome[i] corresponds to specs[i] and is bit-identical
+  /// to Run(specs[i]) at any thread count.
   std::vector<QueryOutcome> RunAll(const std::vector<QuerySpec>& specs);
-
-  /// Pre-build the index slab for `T` (no-op without an index), so a cached
-  /// session starts warm for its keyed interval — the serving tier calls
-  /// this once at insert instead of paying the R*-tree walk on the first
-  /// request. Results are unaffected either way.
-  void WarmInterval(const TimeInterval& T);
 
   /// The execution primitive (DESIGN.md section 4.3): evaluate specs[i]
   /// into outcomes[i] for every i in [begin, end), using only caller-owned
   /// resources — `pool` (may be nullptr: serial) shards each query's world
   /// chunks, `scratch` holds the sampling buffers. Run, RunAll and every
-  /// serving-tier lane execute through it.
+  /// serving-tier lane execute through it. A spec with an empty interval,
+  /// k < 1, or a query trajectory not covering its interval resolves to
+  /// InvalidArgument before pruning, with or without an index.
   ///
-  /// It reads exclusively immutable session state (the snapshot, the index,
-  /// already-cached slabs) and never touches the session's own pool,
-  /// scratch lanes or slab cache, so several lanes may call it
-  /// *concurrently* on one shared session under the lease contract: the
-  /// session is Prepare()d (every posterior warm or deterministically
-  /// failing, so no lane ever cold-writes shared caches) and intervals were
-  /// warmed via WarmInterval (a missing slab is still correct — pruning
-  /// traverses the R*-tree directly — just slower). Outcomes are
-  /// bit-identical at any pool size, so any morsel partition of a batch
-  /// reassembles the exact serial RunAll bytes.
+  /// It reads exclusively immutable session state (the snapshot, the index
+  /// and its delta) and never touches the session's own pool or scratch
+  /// lanes, so several lanes may call it *concurrently* on one shared
+  /// session under the lease contract: the session is Prepare()d (every
+  /// posterior warm or deterministically failing, so no lane ever
+  /// cold-writes shared caches). Outcomes are bit-identical at any pool
+  /// size, so any morsel partition of a batch reassembles the exact serial
+  /// RunAll bytes.
   void RunMorsel(const std::vector<QuerySpec>& specs, size_t begin,
                  size_t end, QueryOutcome* outcomes, ThreadPool* pool,
                  ExecScratch* scratch) const;
@@ -240,24 +232,10 @@ class QuerySession {
   bool dropped_stale_index() const { return dropped_stale_index_; }
 
  private:
-  /// Pruning (filter step), via the index slab when one is cached for T;
-  /// without an index, degenerates to alive-time filtering.
+  /// Pruning (filter step) through the index (and delta); without an
+  /// index, degenerates to alive-time filtering.
   PruneResult Prune(const QueryTrajectory& q, const TimeInterval& T, int k,
-                    bool forall, const UstTree::TimeSlab* slab) const;
-
-  /// Build and cache the slab for T unless cached (no-op without an index).
-  /// Not thread-safe — called only from RunAll's serial prebuild pass and
-  /// WarmInterval. Cached slabs stay valid until the next batch entry
-  /// (TrimSlabCache).
-  void EnsureSlab(const TimeInterval& T);
-
-  /// Read-only slab lookup (never inserts): RunMorsel's accessor, safe
-  /// concurrently with other readers as long as nobody mutates the cache —
-  /// the shared-lease contract of RunMorsel.
-  const UstTree::TimeSlab* FindSlab(const TimeInterval& T) const;
-
-  /// Evict the slab cache when it outgrew its bound; batch-entry only.
-  void TrimSlabCache();
+                    bool forall) const;
 
   /// Expected world count of an *adaptive* spec with cap `cap`: the frozen
   /// difficulty fraction scaled onto the cap, rounded up to a chunk and
@@ -276,14 +254,12 @@ class QuerySession {
   /// session state plus writes to the caller's scratch and outcome — const
   /// so the shared-lease path can prove it touches nothing a concurrent lane
   /// could race on.
-  QueryOutcome RunOne(const QuerySpec& spec, const UstTree::TimeSlab* slab,
-                      ThreadPool* world_pool, ExecScratch* scratch) const;
-  void RunPnn(const QuerySpec& spec, const UstTree::TimeSlab* slab,
-              ThreadPool* world_pool, ExecScratch* scratch,
-              QueryOutcome* out) const;
-  void RunContinuous(const QuerySpec& spec, const UstTree::TimeSlab* slab,
-                     ThreadPool* world_pool, ExecScratch* scratch,
-                     QueryOutcome* out) const;
+  QueryOutcome RunOne(const QuerySpec& spec, ThreadPool* world_pool,
+                      ExecScratch* scratch) const;
+  void RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
+              ExecScratch* scratch, QueryOutcome* out) const;
+  void RunContinuous(const QuerySpec& spec, ThreadPool* world_pool,
+                     ExecScratch* scratch, QueryOutcome* out) const;
 
   /// One (interval, seed) arena group and its build state. `building` is
   /// the non-blocking in-flight marker: while a build runs outside the
@@ -319,9 +295,6 @@ class QuerySession {
   SessionOptions options_;
   ThreadPool pool_;
   std::vector<ExecScratch> scratch_;  // one per worker
-  /// Slab cache; unique_ptr keeps handed-out slab pointers stable as the
-  /// cache grows.
-  std::vector<std::unique_ptr<UstTree::TimeSlab>> slabs_;
   bool prepared_ = false;
   Status prepare_status_;
   /// Arena groups; mutable because arenas are a cache — RunMorsel is const

@@ -42,10 +42,10 @@ SessionCache::SessionCache(size_t capacity, SessionOptions session_options)
 }
 
 std::shared_ptr<QuerySession> SessionCache::BuildSession(
-    const DbSnapshot& snapshot, const TimeInterval& T, const UstTree* index) {
+    const DbSnapshot& snapshot, const UstTree* index) {
   // Build outside the LRU lock (lookups stay fast). Only the warm-up below
-  // needs the warm lock: session construction and the R*-tree slab build
-  // touch nothing shared, so they proceed concurrently across lanes.
+  // needs the warm lock: session construction touches nothing shared, so it
+  // proceeds concurrently across lanes.
   UST_TRACE_SCOPE("session_build", snapshot.version(), "epoch");
   if (fault::ShouldFail("session_build")) {
     // Injected build failure: the caller gets an empty lease and must
@@ -88,8 +88,6 @@ std::shared_ptr<QuerySession> SessionCache::BuildSession(
       }
     }
   }
-  // Pre-build the keyed interval's index slab (session-local, lock-free).
-  session->WarmInterval(T);
   return session;
 }
 
@@ -123,7 +121,7 @@ SessionCache::Lease SessionCache::Checkout(const DbSnapshot& snapshot,
   // Two lanes missing on one key concurrently both build; the later one
   // simply leases its own copy (outcomes are per-spec pure, so duplicates
   // are correct).
-  std::shared_ptr<QuerySession> session = BuildSession(snapshot, T, index);
+  std::shared_ptr<QuerySession> session = BuildSession(snapshot, index);
   std::lock_guard<std::mutex> lock(mu_);
   if (session == nullptr) {
     c_build_failures_.Increment();

@@ -1,8 +1,8 @@
 // The serving tier's session cache (DESIGN.md section 5): an LRU map from
 // (database epoch, query interval) to a warmed QuerySession, so traffic that
-// repeats an interval amortizes posterior adaptation, sampler warm-up and
-// TimeSlab construction across *requests* exactly like QuerySession::RunAll
-// amortizes them across a batch.
+// repeats an interval amortizes posterior adaptation and sampler warm-up
+// across *requests* exactly like QuerySession::RunAll amortizes them across
+// a batch.
 //
 // Keying on the epoch gives snapshot isolation for free: after a write, the
 // next lookup carries the new version, misses, and builds a session over the
@@ -28,8 +28,8 @@
 // object when it fails partway, so nothing is left cold — preserves that
 // single-warmer contract with lanes in play: the second session over an
 // epoch finds every object already warm and prepares in microseconds,
-// while session construction, slab warming and *execution* (pure reads of
-// warmed state) stay fully concurrent.
+// while session construction and *execution* (pure reads of warmed state)
+// stay fully concurrent.
 #pragma once
 
 #include <cstdint>
@@ -108,13 +108,13 @@ class SessionCache {
   /// Lease on the session for (snapshot.version(), T): joins a live lease
   /// on the key when one exists (counted as a hit + shared_join — no build
   /// at all), else promotes a cached idle session, else builds a fresh one
-  /// over `snapshot`, prepared (posteriors + samplers warmed) and with the
-  /// `T` slab pre-built. The freshest base tree wins: a compacted base
-  /// published through the snapshot supersedes `index`, and the session
-  /// patches any remaining epoch gap with a delta (or drops the index,
-  /// counted in stale_index_drops). Holders may only execute through the
-  /// read-only morsel path; Run/RunAll/WarmInterval on a leased session are
-  /// the caller's bug. An empty lease means the build failed.
+  /// over `snapshot`, prepared (posteriors + samplers warmed). The freshest
+  /// base tree wins: a compacted base published through the snapshot
+  /// supersedes `index`, and the session patches any remaining epoch gap
+  /// with a delta (or drops the index, counted in stale_index_drops).
+  /// Holders may only execute through the read-only morsel path; Run/RunAll
+  /// on a leased session are the caller's bug. An empty lease means the
+  /// build failed.
   Lease Checkout(const DbSnapshot& snapshot, const TimeInterval& T,
                  const UstTree* index);
 
@@ -150,10 +150,9 @@ class SessionCache {
     size_t refs;
   };
 
-  /// Build + warm a fresh session for the key (the miss path); runs outside
-  /// mu_, Prepare under warm_mu_.
+  /// Build + warm a fresh session over `snapshot` (the miss path); runs
+  /// outside mu_, Prepare under warm_mu_.
   std::shared_ptr<QuerySession> BuildSession(const DbSnapshot& snapshot,
-                                             const TimeInterval& T,
                                              const UstTree* index);
 
   /// Lease return path: unref; the last holder reinserts the session at

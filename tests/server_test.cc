@@ -385,6 +385,22 @@ TEST_F(ServerTest, ServerMatchesSerialRunAllAtTwoLanesFourClients) {
   EXPECT_GE(stats.lane_queue_peak, 1u);
 }
 
+TEST_F(ServerTest, InvalidSpecResolvesAndTheServerKeepsServing) {
+  // An inverted interval must resolve InvalidArgument on its lane, not
+  // throw out of it and take the process down; the next spec is served.
+  QueryServer server(db(), index_.get());
+  QuerySpec bad = MakeSpecs(1)[0];
+  bad.T = {10, 5};
+  const QueryOutcome bad_out = server.Submit(bad).get();
+  EXPECT_EQ(bad_out.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_out.status.message(), "empty query interval");
+  const QuerySpec good = MakeSpecs(1)[0];
+  const QueryOutcome good_out = server.Submit(good).get();
+  ASSERT_TRUE(good_out.status.ok()) << good_out.status.ToString();
+  QuerySession serial(db(), index_.get());
+  EXPECT_TRUE(SameOutcome(good_out, serial.Run(good)));
+}
+
 TEST_F(ServerTest, StopDrainsEveryAdmittedRequest) {
   const std::vector<QuerySpec> specs = MakeSpecs(10);
   ServerOptions options;

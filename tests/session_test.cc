@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/synthetic.h"
@@ -415,6 +417,84 @@ TEST_F(SessionTest, FailureIsolationInBatches) {
   EXPECT_TRUE(outcomes[0].status.ok());
   EXPECT_FALSE(outcomes[1].status.ok());
   EXPECT_TRUE(outcomes[2].status.ok());
+}
+
+TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
+  // A malformed spec resolves to InvalidArgument with the sampler's own
+  // message before pruning, so the index (which sizes per-tic arrays by T
+  // and reads q at every tic of it) never sees it, and the status is the
+  // same whether or not the session has an index.
+  const Point2 p = world_->space->coord(0);
+  const QueryTrajectory point = QueryTrajectory::FromPoint(p);
+  struct Case {
+    const char* name;
+    TimeInterval T;
+    int k;
+    QueryTrajectory q;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"inverted interval", {10, 5}, 1, point, "empty query interval"},
+      {"interval ending before it starts", {10, 9}, 1, point,
+       "empty query interval"},
+      {"k = 0", T_, 0, point, "k must be >= 1"},
+      {"k = -1", T_, -1, point, "k must be >= 1"},
+      {"q starts after T", T_, 1,
+       QueryTrajectory::FromPoints(T_.start + 1,
+                                   std::vector<Point2>(T_.length(), p)),
+       "query trajectory does not cover the query interval"},
+      {"q ends before T", T_, 1, QueryTrajectory::FromPoints(T_.start, {p}),
+       "query trajectory does not cover the query interval"},
+  };
+  const auto check = [](const TrajectoryDatabase& db, const UstTree* index,
+                        const QuerySpec& spec, const std::string& what,
+                        const char* message) {
+    std::string statuses[2];
+    for (bool with_index : {false, true}) {
+      QuerySession session(db, with_index ? index : nullptr);
+      const QueryOutcome out = session.Run(spec);
+      EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument)
+          << what << " index=" << with_index << ": " << out.status.ToString();
+      EXPECT_EQ(out.status.message(), message)
+          << what << " index=" << with_index;
+      statuses[with_index] = out.status.ToString();
+    }
+    EXPECT_EQ(statuses[0], statuses[1]) << what;
+  };
+  const std::pair<QueryKind, const char*> kinds[] = {
+      {QueryKind::kForall, "forall"},
+      {QueryKind::kExists, "exists"},
+      {QueryKind::kContinuous, "pcnn"}};
+  for (const auto& [kind, kind_name] : kinds) {
+    for (const Case& c : cases) {
+      QuerySpec spec;
+      spec.kind = kind;
+      spec.q = c.q;
+      spec.T = c.T;
+      spec.tau = 0.1;
+      spec.mc.k = c.k;
+      spec.mc.num_worlds = 200;
+      check(*world_->db, index_.get(), spec,
+            std::string(kind_name) + " / " + c.name, c.message);
+    }
+  }
+  // On the Figure 1 world the planner routes P∀/P∃NN to enumeration, whose
+  // kernel requires k >= 1.
+  auto fig = MakeFigure1World();
+  auto fig_index = UstTree::Build(*fig.db);
+  ASSERT_TRUE(fig_index.ok());
+  for (const auto& [kind, kind_name] : kinds) {
+    for (int k : {0, -1}) {
+      QuerySpec spec;
+      spec.kind = kind;
+      spec.q = fig.q;
+      spec.T = fig.T;
+      spec.mc.k = k;
+      check(*fig.db, &fig_index.value(), spec,
+            std::string("figure 1 / ") + kind_name + " / k=" + std::to_string(k),
+            "k must be >= 1");
+    }
+  }
 }
 
 }  // namespace
