@@ -33,7 +33,11 @@
 //
 // Emits BENCH_ingest.json (qps_delta, qps_fallback, delta_speedup,
 // qps_ingest, p99_ingest_ms, delta depth, compaction counts) — gated by
-// tools/check_bench.py like the other harnesses.
+// tools/check_bench.py like the other harnesses — plus two index
+// maintenance timings it reports without gating: index_build_ms (phase A's
+// UstTree::Build, the first use of the world's matrix, so it includes
+// computing its support graphs) and delta_build_ms (one UstDelta::Build
+// over phase A's writes).
 //
 // Flags (defaults sized for a single CI core; the object count and
 // observation density are chosen so pruning has teeth — the fallback's
@@ -57,6 +61,7 @@
 #include "bench_json.h"
 #include "gen/synthetic.h"
 #include "gen/workload.h"
+#include "index/ust_delta.h"
 #include "index/ust_tree.h"
 #include "query/session.h"
 #include "server/query_server.h"
@@ -149,7 +154,9 @@ int main(int argc, char** argv) {
   const size_t seed_objects = db.Snapshot().size();
   // The base tree is built *before* any write lands: from here on it is
   // stale for every new epoch, and staying useful is the delta's job.
+  Timer index_timer;
   auto tree = UstTree::Build(db);
+  const double index_build_ms = index_timer.Seconds() * 1e3;
   UST_CHECK(tree.ok());
 
   const TimeInterval T1 = BusiestInterval(db, interval_length);
@@ -228,6 +235,11 @@ int main(int argc, char** argv) {
   // ---- Phase A: delta vs stale-drop fallback at one post-write epoch. ----
   for (const PendingWrite& w : phase_a_writes) ApplyWrite(db, w);
   const DbSnapshot snapshot = db.Snapshot();
+  // Index maintenance cost of those writes: one delta over all of them.
+  Timer delta_timer;
+  const auto delta = UstDelta::Build(snapshot, tree.value().built_version());
+  const double delta_build_ms = delta_timer.Seconds() * 1e3;
+  UST_CHECK(delta.ok());
   const std::vector<QuerySpec> specs = make_specs(num_queries, 1000);
 
   SessionOptions session_options;
@@ -280,7 +292,6 @@ int main(int argc, char** argv) {
   server_options.max_batch_delay_ms = delay_ms;
   server_options.compaction = true;
   server_options.compaction_interval_ms = compact_ms;
-  server_options.compaction_min_depth = 1;
   QueryServer server(db, &tree.value(), server_options);
 
   const size_t churn_queries = 3 * num_queries;
@@ -355,6 +366,8 @@ int main(int argc, char** argv) {
       churn_stats.latency_micros.Quantile(0.99) / 1000.0;
 
   CsvTable table({"metric", "value"});
+  table.AddRow({"index_build_ms", std::to_string(index_build_ms)});
+  table.AddRow({"delta_build_ms", std::to_string(delta_build_ms)});
   table.AddRow({"qps_delta", std::to_string(qps_delta)});
   table.AddRow({"qps_fallback", std::to_string(qps_fallback)});
   table.AddRow({"delta_speedup", std::to_string(delta_speedup)});
@@ -387,6 +400,8 @@ int main(int argc, char** argv) {
   json.Add("writes", static_cast<double>(num_writes));
   json.Add("write_interval_us", static_cast<double>(write_interval_us));
   json.Add("compaction_interval_ms", compact_ms);
+  json.Add("index_build_ms", index_build_ms);
+  json.Add("delta_build_ms", delta_build_ms);
   json.Add("qps_delta", qps_delta);
   json.Add("qps_fallback", qps_fallback);
   json.Add("delta_speedup", delta_speedup);

@@ -182,7 +182,6 @@ int main(int argc, char** argv) {
     options.arena_min_uses = 1;
     options.compaction = compaction;
     options.compaction_interval_ms = 5.0;
-    options.compaction_min_depth = 1;
     return options;
   };
 

@@ -6,10 +6,12 @@
 // bit-identical to a tree rebuilt at the session's epoch — and therefore (by
 // the pruning soundness argument) to the index-free alive-time fallback.
 //
-// A delta is a per-object list of the same segment entries the base holds:
-// compaction (see QueryServer's compaction thread) keeps its depth bounded,
-// so probing it beside the base's entry array stays cheap while the base
-// carries the bulk of the database.
+// A delta is a per-object list of the same segment entries the base holds,
+// and building one costs only the changed objects' segments: the support
+// graphs it walks are computed once per matrix, not per build. Compaction
+// (see QueryServer's compaction thread) splices a delta into the base's
+// id-ordered entry array (UstTree::Splice) to publish the next base, so
+// its depth stays bounded and probing it beside the base stays cheap.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +38,14 @@ class UstDelta {
   UstDelta() = default;
 
   /// Build the delta covering db's epoch from a base built at
-  /// `base_version`. Requires base_version >= db.delta_floor() (older bases
-  /// predate the retained change log; callers drop the index instead).
-  /// Fails like a full build would (e.g. contradicting observations).
+  /// `base_version`. Fails with OutOfRange unless db.delta_floor() <=
+  /// base_version <= db.version(): an older base predates the retained
+  /// change log (a delta over it would silently miss writes), and a newer
+  /// one is not a base of this epoch. Callers drop the index (sessions) or
+  /// rebuild it in full (compaction) instead. Otherwise fails like a full
+  /// build would (e.g. contradicting observations). Costs the changed
+  /// objects' segments, each O(states in its diamond) on a matrix with
+  /// self-loops (index/ust_tree.h), plus the change log scan.
   static Result<UstDelta> Build(const DbSnapshot& db, uint64_t base_version);
 
   /// True when `id` was rewritten after the base epoch (its base entries are

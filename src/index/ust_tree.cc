@@ -10,24 +10,24 @@
 
 namespace ust {
 
-const std::pair<CsrGraph, CsrGraph>& SupportGraphCache::For(
-    const TransitionMatrix& matrix) {
-  auto it = graphs_.find(&matrix);
-  if (it == graphs_.end()) {
-    CsrGraph forward = matrix.SupportGraph();
-    CsrGraph reversed = forward.Reversed();
-    it = graphs_
-             .emplace(&matrix,
-                      std::make_pair(std::move(forward), std::move(reversed)))
-             .first;
+namespace {
+
+// Grow `mbr` over the coordinates of `states` (a min/max fold: the result
+// does not depend on the order of the states).
+void ExtendOver(const StateSpace& space, const std::vector<StateId>& states,
+                Rect2* mbr) {
+  for (StateId s : states) {
+    const Point2& p = space.coord(s);
+    mbr->Extend({p.x, p.y});
   }
-  return it->second;
 }
 
+}  // namespace
+
 Status AppendObjectSegments(const DbSnapshot& db, const UncertainObject& obj,
-                            SupportGraphCache* graphs,
+                            HopReachability* reach,
                             std::vector<UstTree::SegmentEntry>* out) {
-  const auto& [forward, reversed] = graphs->For(obj.matrix());
+  const TransitionMatrix::SupportGraphs& support = obj.matrix().Support();
   const auto& items = obj.observations().items();
   if (items.size() == 1 && obj.last_tic() == items[0].time) {
     UstTree::SegmentEntry entry;
@@ -40,18 +40,26 @@ Status AppendObjectSegments(const DbSnapshot& db, const UncertainObject& obj,
   }
   for (size_t i = 0; i + 1 < items.size(); ++i) {
     const int steps = static_cast<int>(items[i + 1].time - items[i].time);
-    auto diamond = DiamondReachability(forward, reversed, items[i].state,
-                                       items[i + 1].state, steps);
     Rect2 mbr;
     bool contradiction = false;
-    for (const auto& slice : diamond) {
-      if (slice.empty()) {
-        contradiction = true;
-        break;
-      }
-      for (StateId s : slice) {
-        const Point2& p = db.space().coord(s);
-        mbr.Extend({p.x, p.y});
+    if (support.self_loops) {
+      const std::vector<StateId>& diamond =
+          reach->Diamond(support.forward, support.reversed, items[i].state,
+                         items[i + 1].state, steps);
+      contradiction = diamond.empty();
+      ExtendOver(db.space(), diamond, &mbr);
+    } else {
+      // Without a self-loop everywhere, a state within k hops need not be
+      // reachable in exactly k: walk the diamond slice by slice.
+      auto diamond = DiamondReachability(support.forward, support.reversed,
+                                         items[i].state, items[i + 1].state,
+                                         steps);
+      for (const auto& slice : diamond) {
+        if (slice.empty()) {
+          contradiction = true;
+          break;
+        }
+        ExtendOver(db.space(), slice, &mbr);
       }
     }
     if (contradiction) {
@@ -67,17 +75,14 @@ Status AppendObjectSegments(const DbSnapshot& db, const UncertainObject& obj,
     out->push_back(entry);
   }
   // Lifetime extension past the last observation: the bound is the plain
-  // forward-reachable cone (no later observation caps it).
+  // forward-reachable cone (no later observation caps it) — the union of
+  // the exactly-k sets, which is the within-k set on any graph.
   if (obj.last_tic() > items.back().time) {
     const int steps = static_cast<int>(obj.last_tic() - items.back().time);
-    auto cone = ForwardReachability(forward, items.back().state, steps);
     Rect2 mbr;
-    for (const auto& slice : cone) {
-      for (StateId s : slice) {
-        const Point2& p = db.space().coord(s);
-        mbr.Extend({p.x, p.y});
-      }
-    }
+    ExtendOver(db.space(),
+               reach->Within(support.forward, items.back().state, steps),
+               &mbr);
     UstTree::SegmentEntry entry;
     entry.object = obj.id();
     entry.t_lo = items.back().time;
@@ -91,12 +96,41 @@ Status AppendObjectSegments(const DbSnapshot& db, const UncertainObject& obj,
 Result<UstTree> UstTree::Build(const DbSnapshot& db) {
   UstTree tree;
   tree.db_ = db.WithoutIndex();
-  // Support graphs are shared between objects using the same matrix.
-  SupportGraphCache graphs;
+  HopReachability reach;
   for (size_t obj_index = 0; obj_index < db.size(); ++obj_index) {
     const UncertainObject& obj = db.object(static_cast<ObjectId>(obj_index));
-    UST_RETURN_NOT_OK(AppendObjectSegments(db, obj, &graphs, &tree.entries_));
+    UST_RETURN_NOT_OK(AppendObjectSegments(db, obj, &reach, &tree.entries_));
   }
+  return tree;
+}
+
+Result<UstTree> UstTree::Splice(const DbSnapshot& db, const UstTree& base) {
+  UST_ASSIGN_OR_RETURN(UstDelta delta,
+                       UstDelta::Build(db, base.built_version()));
+  UstTree tree;
+  tree.db_ = db.WithoutIndex();
+  size_t delta_entries = 0;
+  for (const UstDelta::DeltaObject& d : delta.objects()) {
+    delta_entries += d.entries.size();
+  }
+  tree.entries_.reserve(base.entries_.size() + delta_entries);
+  // Both sides ascend by object id: copy the base up to each changed
+  // object, put the object's fresh entries in place of its base run (an
+  // object added after the base has none), and skip that run.
+  auto copied = base.entries_.begin();
+  for (const UstDelta::DeltaObject& d : delta.objects()) {
+    auto run = std::lower_bound(
+        copied, base.entries_.end(), d.object,
+        [](const SegmentEntry& e, ObjectId id) { return e.object < id; });
+    tree.entries_.insert(tree.entries_.end(), copied, run);
+    tree.entries_.insert(tree.entries_.end(), d.entries.begin(),
+                         d.entries.end());
+    copied = run;
+    while (copied != base.entries_.end() && copied->object == d.object) {
+      ++copied;
+    }
+  }
+  tree.entries_.insert(tree.entries_.end(), copied, base.entries_.end());
   return tree;
 }
 

@@ -7,6 +7,16 @@
 // object alive in T (the dmax bound below), so only the time axis is ever
 // searched: one pass over the array collects the rectangles of T.
 //
+// Building a rectangle walks the support graphs of the object's matrix
+// (computed once per matrix, TransitionMatrix::Support) with the
+// hop-distance kernels of graph/reachability.h, which cost O(states in the
+// diamond) per segment. They hold only where every state has a self-loop;
+// a matrix lacking one falls back to the per-slice DiamondReachability.
+// Because the array is in object-id order, a tree at a later epoch is a
+// splice: the runs of unchanged objects are copied from an older tree, and
+// only the objects the change log names are rebuilt (Splice, used by
+// compaction).
+//
 // Query-time pruning computes, per query tic t, each object's dmin/dmax to
 // q(t) from its covering rectangles and derives:
 //   C∀(q) = {o alive throughout T : ∀t ∈ T, dmin_o(t) <= min_o' dmax_o'(t)}
@@ -17,33 +27,22 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "geo/rect.h"
-#include "graph/csr_graph.h"
 #include "model/trajectory_database.h"
 #include "query/query.h"
 #include "util/status.h"
 
 namespace ust {
 
+class HopReachability;
 class UstDelta;
 
 /// \brief Pruning output: result candidates and influence objects.
 struct PruneResult {
   std::vector<ObjectId> candidates;   ///< may satisfy the query predicate
   std::vector<ObjectId> influencers;  ///< may affect others' probabilities
-};
-
-/// \brief Forward/reversed support-graph pair per transition matrix, shared
-/// between objects using the same matrix while building segment entries
-/// (computing the pair dominates build cost for shared-matrix databases).
-struct SupportGraphCache {
-  const std::pair<CsrGraph, CsrGraph>& For(const TransitionMatrix& matrix);
-
- private:
-  std::map<const TransitionMatrix*, std::pair<CsrGraph, CsrGraph>> graphs_;
 };
 
 /// \brief The UST-tree index over an uncertain trajectory database.
@@ -64,6 +63,15 @@ class UstTree {
   /// to its current epoch); built_version() identifies that epoch so serving
   /// code can detect a stale index after online writes.
   static Result<UstTree> Build(const DbSnapshot& db);
+
+  /// The tree Build(db) returns, made from `base`, a tree over an earlier
+  /// epoch of the same database: the runs of objects db's change log does
+  /// not name since base.built_version() are copied from `base`, and the
+  /// named objects' entries come from UstDelta::Build(db,
+  /// base.built_version()). Costs O(changed objects' segments) reachability
+  /// plus one copy of the entry array. Fails like UstDelta::Build, e.g.
+  /// when the change log no longer reaches back to `base`.
+  static Result<UstTree> Splice(const DbSnapshot& db, const UstTree& base);
 
   /// Epoch of the snapshot this tree indexes. Pruning against a database at
   /// a different version may miss objects — callers must not pass this tree
@@ -130,8 +138,9 @@ class UstTree {
 /// a lifetime extension) of one object to `out`, in the same order
 /// UstTree::Build produces them. Shared between full builds and the delta
 /// layer so a delta's rectangles are bit-identical to a rebuilt tree's.
+/// `reach` is the calling build's BFS scratch.
 Status AppendObjectSegments(const DbSnapshot& db, const UncertainObject& obj,
-                            SupportGraphCache* graphs,
+                            HopReachability* reach,
                             std::vector<UstTree::SegmentEntry>* out);
 
 }  // namespace ust

@@ -88,15 +88,24 @@ SparseDist TransitionMatrix::Propagate(const SparseDist& dist,
   return SparseDist::FromSorted(std::move(ids), std::move(probs));
 }
 
-CsrGraph TransitionMatrix::SupportGraph() const {
-  std::vector<std::vector<Edge>> adj(num_states());
-  for (StateId s = 0; s < num_states(); ++s) {
-    adj[s].reserve(row_size(s));
-    for (const Entry* e = begin(s); e != end(s); ++e) {
-      adj[s].push_back({e->first, e->second});
+const TransitionMatrix::SupportGraphs& TransitionMatrix::Support() const {
+  std::call_once(support_->once, [this] {
+    SupportGraphs& g = support_->graphs;
+    std::vector<std::vector<Edge>> adj(num_states());
+    g.self_loops = true;
+    for (StateId s = 0; s < num_states(); ++s) {
+      adj[s].reserve(row_size(s));
+      bool self_loop = false;
+      for (const Entry* e = begin(s); e != end(s); ++e) {
+        adj[s].push_back({e->first, e->second});
+        self_loop |= e->first == s;
+      }
+      g.self_loops &= self_loop;
     }
-  }
-  return CsrGraph::FromAdjacency(adj);
+    g.forward = CsrGraph::FromAdjacency(adj);
+    g.reversed = g.forward.Reversed();
+  });
+  return support_->graphs;
 }
 
 TransitionMatrix TransitionMatrix::Uniformized() const {

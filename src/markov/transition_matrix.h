@@ -3,9 +3,15 @@
 // time-homogeneous matrix shared by all objects; this class models that case.
 // Time-inhomogeneity enters through the forward-backward adaptation, which
 // produces per-tic matrices (see model/posterior_model.h).
+//
+// A matrix is immutable once built, so its support graphs (what the
+// UST-tree's reachability diamonds walk) are computed once per matrix, on
+// first use, and shared by every index build, delta build and compaction
+// that reads objects moving under it.
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -56,16 +62,35 @@ class TransitionMatrix {
   SparseDist Propagate(const SparseDist& dist) const;
   SparseDist Propagate(const SparseDist& dist, PropagateWorkspace* ws) const;
 
-  /// Support graph: an edge per nonzero entry (weight = probability).
-  CsrGraph SupportGraph() const;
+  /// \brief The matrix's support as graphs, for reachability.
+  struct SupportGraphs {
+    CsrGraph forward;   ///< an edge per entry (weight = probability)
+    CsrGraph reversed;  ///< forward.Reversed()
+    /// Every state has an entry to itself. Then "reachable in exactly k
+    /// steps" equals "reachable within k steps" (graph/reachability.h).
+    bool self_loops = false;
+  };
+
+  /// The support graphs, computed on the first call and returned by every
+  /// later one. Thread-safe: concurrent first calls compute once and all
+  /// get the same object. Copies of a matrix share it (same rows).
+  const SupportGraphs& Support() const;
 
   /// Same support, but probabilities replaced by a uniform distribution over
   /// each row (the paper's FBU ablation in Figure 12).
   TransitionMatrix Uniformized() const;
 
  private:
+  struct SupportMemo {
+    std::once_flag once;
+    SupportGraphs graphs;
+  };
+
   std::vector<size_t> row_offsets_;
   std::vector<Entry> entries_;
+  /// Shared between copies, which hold the same rows; a matrix with new
+  /// rows (FromRows, Uniformized) starts from a default-constructed one.
+  std::shared_ptr<SupportMemo> support_ = std::make_shared<SupportMemo>();
 };
 
 /// Shared ownership alias: many objects reference one matrix.

@@ -109,7 +109,7 @@ class DbSnapshot {
   /// Ids of objects written (added or lifetime-extended) after epoch
   /// `base_version`, ascending and deduplicated. Requires
   /// base_version >= delta_floor() (debug-checked): older bases predate the
-  /// retained change log.
+  /// retained change log. UstDelta::Build checks this and fails instead.
   std::vector<ObjectId> ChangedSince(uint64_t base_version) const;
 
   /// Number of distinct objects a delta over `base_version` would carry.

@@ -42,20 +42,16 @@ QuerySession::QuerySession(DbSnapshot db, const UstTree* index,
       pool_(options.threads),
       scratch_(static_cast<size_t>(pool_.num_threads())) {
   // An index over another epoch prunes against the wrong object set. Patch
-  // the gap with a delta over the change log when possible; otherwise drop
-  // the index rather than serve wrong results (alive-time filtering stays
-  // correct) — and make the drop observable.
+  // the gap with a delta over the change log when possible; otherwise (the
+  // log no longer reaches back to the index, the index is newer than this
+  // epoch, or the build failed) drop the index rather than serve wrong
+  // results (alive-time filtering stays correct) — and make the drop
+  // observable.
   if (index_ != nullptr && index_->built_version() != db_.version()) {
-    bool patched = false;
-    if (index_->built_version() < db_.version() &&
-        db_.delta_floor() <= index_->built_version()) {
-      auto delta = UstDelta::Build(db_, index_->built_version());
-      if (delta.ok()) {
-        delta_ = delta.MoveValue();
-        patched = true;
-      }
-    }
-    if (!patched) {
+    auto delta = UstDelta::Build(db_, index_->built_version());
+    if (delta.ok()) {
+      delta_ = delta.MoveValue();
+    } else {
       index_ = nullptr;
       dropped_stale_index_ = true;
       trace::Instant("stale_index_drop", db_.version(), "epoch", "dropped");

@@ -769,8 +769,7 @@ void QueryServer::CompactOnce() {
                            ? snapshot.size()
                            : snapshot.DeltaDepth(base->built_version());
   g_delta_depth_->Set(static_cast<int64_t>(depth));
-  if (depth < options_.compaction_min_depth) return;
-  if (base != nullptr && base->built_version() == snapshot.version()) return;
+  if (depth == 0) return;  // also when the base is at this epoch already
   UST_TRACE_SCOPE("compact", depth, "objects");
   if (fault::ShouldFail("compaction")) {
     // Injected rebuild failure, taken exactly like a real one: the
@@ -778,7 +777,13 @@ void QueryServer::CompactOnce() {
     c_compaction_failures_->Increment();
     return;
   }
-  auto tree = UstTree::Build(snapshot);
+  // Splice the written objects into the base; build in full only when no
+  // base can be bridged (none yet, or the change log no longer reaches it).
+  auto tree = base == nullptr ? UstTree::Build(snapshot)
+                              : UstTree::Splice(snapshot, *base);
+  if (!tree.ok() && tree.status().code() == StatusCode::kOutOfRange) {
+    tree = UstTree::Build(snapshot);
+  }
   if (!tree.ok()) {
     // The previous base stays published; sessions keep patching it with
     // deltas (or fall back) exactly as before this attempt.

@@ -102,17 +102,17 @@ struct ServerOptions {
   size_t trace_events_per_thread = 1 << 16;
   /// Planner knobs handed to every session.
   PlannerOptions planner;
-  /// Run the background compaction thread: periodically rebuild the base
-  /// UstTree at the current epoch and publish it through the database
+  /// Run the background compaction thread: periodically bring the base
+  /// UstTree up to the current epoch and publish it through the database
   /// (TrajectoryDatabase::PublishIndex), so session deltas stay shallow
-  /// under sustained writes. Publication never bumps the epoch — outcomes
-  /// are bit-identical whether a query lands before or after it.
+  /// under sustained writes. The new base is spliced from the freshest one
+  /// and the written objects' entries (UstTree::Splice), so a pass costs
+  /// O(changed objects). Publication never bumps the epoch — outcomes are
+  /// bit-identical whether a query lands before or after it.
   bool compaction = false;
-  /// Compaction poll period. Each wake-up rebuilds only if the delta depth
-  /// over the freshest base reached compaction_min_depth.
+  /// Compaction poll period. Each wake-up publishes a new base if any
+  /// object was written since the freshest one.
   double compaction_interval_ms = 10.0;
-  /// Rewritten-object count that triggers a rebuild at the next poll.
-  size_t compaction_min_depth = 1;
   /// Overload controller thresholds and degradation policy (DESIGN.md
   /// section 11): watermarks on in-flight utilization and queue-delay EWMA
   /// drive normal -> degrade -> shed. The defaults keep a server under the
@@ -379,8 +379,8 @@ class QueryServer {
   HistogramMetric* h_queue_;
   bool owns_trace_ = false;  ///< this server enabled the global tracer
 
-  /// One compaction pass: rebuild the base tree at the current epoch and
-  /// publish it, when the delta depth warrants it.
+  /// One compaction pass: when objects were written since the freshest
+  /// base, splice a base at the current epoch and publish it.
   void CompactOnce();
   void CompactionLoop();
   std::mutex compact_mu_;

@@ -189,7 +189,6 @@ TEST_F(ChaosTest, AllInjectionPointsFireAndTheLedgerReconciles) {
   options.arena_min_uses = 1;  // every Monte-Carlo group probes alloc_limit
   options.compaction = true;
   options.compaction_interval_ms = 2.0;
-  options.compaction_min_depth = 1;
   QueryServer server(db(), index_.get(), options);
 
   // A write gives the compactor a delta to chase; its first rebuild attempt

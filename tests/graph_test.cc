@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "graph/csr_graph.h"
@@ -195,6 +196,85 @@ TEST(ReachabilityTest, ZeroStepsDiamond) {
   EXPECT_EQ(diamond[0], (std::vector<StateId>{1}));
   auto contradictory = DiamondReachability(g, r, 0, 2, 0);
   EXPECT_TRUE(contradictory[0].empty());
+}
+
+// A random digraph on `n` nodes with 0..max_degree out-edges per node
+// (duplicates allowed, as CsrGraph permits), plus a self-loop on every node
+// when asked.
+CsrGraph RandomGraph(Rng& rng, size_t n, int max_degree, bool self_loops) {
+  std::vector<std::vector<Edge>> adj(n);
+  for (StateId v = 0; v < n; ++v) {
+    const int degree = static_cast<int>(rng.UniformInt(max_degree + 1));
+    for (int i = 0; i < degree; ++i) {
+      adj[v].push_back({static_cast<StateId>(rng.UniformInt(n)), 1.0});
+    }
+    if (self_loops) adj[v].push_back({v, 1.0});
+  }
+  return CsrGraph::FromAdjacency(adj);
+}
+
+std::vector<StateId> SortedUnion(const std::vector<std::vector<StateId>>& sets) {
+  std::vector<StateId> all;
+  for (const auto& set : sets) all.insert(all.end(), set.begin(), set.end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
+}
+
+std::vector<StateId> Sorted(std::vector<StateId> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(ReachabilityTest, HopKernelsEqualSliceUnionsOnRandomGraphs) {
+  // One scratch across every call and graph size, as a build reuses it:
+  // the touched-list reset must leave nothing behind between calls.
+  HopReachability hop;
+  Rng rng(20240917);
+  int diamonds = 0, contradictions = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const bool self_loops = trial % 2 == 0;
+    const size_t n = 1 + rng.UniformInt(80);
+    const CsrGraph g = RandomGraph(rng, n, 1 + trial % 3, self_loops);
+    const CsrGraph r = g.Reversed();
+    const StateId from = static_cast<StateId>(rng.UniformInt(n));
+    const StateId to = static_cast<StateId>(rng.UniformInt(n));
+    const int steps = static_cast<int>(rng.UniformInt(21));
+
+    // The cone is the within-k set on any graph.
+    EXPECT_EQ(Sorted(hop.Within(g, from, steps)),
+              SortedUnion(ForwardReachability(g, from, steps)))
+        << "trial " << trial;
+    if (!self_loops) continue;
+
+    const auto slices = DiamondReachability(g, r, from, to, steps);
+    const bool contradiction =
+        std::any_of(slices.begin(), slices.end(),
+                    [](const std::vector<StateId>& s) { return s.empty(); });
+    const std::vector<StateId> diamond =
+        Sorted(hop.Diamond(g, r, from, to, steps));
+    EXPECT_EQ(diamond.empty(), contradiction) << "trial " << trial;
+    if (!contradiction) {
+      EXPECT_EQ(diamond, SortedUnion(slices)) << "trial " << trial;
+    }
+    ++diamonds;
+    contradictions += contradiction;
+  }
+  // The sweep covers both outcomes.
+  EXPECT_GT(contradictions, diamonds / 10);
+  EXPECT_LT(contradictions, diamonds * 9 / 10);
+}
+
+TEST(ReachabilityTest, HopDiamondIsASupersetWithoutSelfLoops) {
+  // Why the UST-tree falls back to the per-slice kernel: on a path without
+  // self-loops, 2 -> 4 in 3 steps is impossible (parity), yet 4 is within
+  // 3 hops of 2.
+  const CsrGraph g = MakePathGraph(7, /*self_loops=*/false);
+  const CsrGraph r = g.Reversed();
+  const auto slices = DiamondReachability(g, r, 2, 4, 3);
+  EXPECT_TRUE(slices[3].empty());
+  HopReachability hop;
+  EXPECT_FALSE(hop.Diamond(g, r, 2, 4, 3).empty());
 }
 
 }  // namespace

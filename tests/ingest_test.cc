@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <thread>
@@ -63,6 +65,12 @@ namespace {
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
 }
 
 class IngestTest : public testing::ServingWorldTest {
@@ -308,7 +316,6 @@ TEST_F(IngestTest, ServerCompactsInBackgroundAndMatchesSerialReference) {
   options.max_batch_delay_ms = 1.0;
   options.compaction = true;
   options.compaction_interval_ms = 1.0;
-  options.compaction_min_depth = 1;
   QueryServer server(db(), index_.get(), options);
 
   // Queries racing the compactor on the stale post-write epoch: every
@@ -380,6 +387,106 @@ TEST_F(IngestTest, UstDeltaBuildRecordsChangedObjectsInIdOrder) {
             db().object(0).first_tic());
   EXPECT_EQ(delta.value().objects()[0].last_tic, end + 3);
   EXPECT_FALSE(delta.value().objects()[0].entries.empty());
+}
+
+TEST_F(IngestTest, UstDeltaBuildRejectsABaseTheLogCannotBridge) {
+  // A base at `stale`, then a publish at `published` that trims the change
+  // log up to it, then one more write.
+  AddObjectAt(T_.start, T_.end);
+  const uint64_t stale = db().version();
+  const ObjectId trimmed = AddObjectAt(T_.start, T_.end + 1);
+  auto rebuilt = UstTree::Build(db());
+  ASSERT_TRUE(rebuilt.ok());
+  const uint64_t published = rebuilt.value().built_version();
+  db().PublishIndex(std::make_shared<const UstTree>(rebuilt.MoveValue()));
+  AddObjectAt(T_.start, T_.end + 2);
+  const DbSnapshot snapshot = db().Snapshot();
+  ASSERT_EQ(snapshot.delta_floor(), published);
+
+  // The log no longer holds the write that produced `published`, so a delta
+  // over `stale` would miss object `trimmed` (and prune with its stale base
+  // rectangles); one over a base newer than the snapshot describes nothing.
+  for (uint64_t base : {stale, snapshot.version() + 1}) {
+    auto delta = UstDelta::Build(snapshot, base);
+    ASSERT_FALSE(delta.ok()) << "base " << base;
+    EXPECT_EQ(delta.status().code(), StatusCode::kOutOfRange);
+  }
+  // Both ends of the bridgeable range still build.
+  auto at_floor = UstDelta::Build(snapshot, published);
+  ASSERT_TRUE(at_floor.ok());
+  EXPECT_EQ(at_floor.value().depth(), 1u);
+  EXPECT_FALSE(at_floor.value().Contains(trimmed));
+  auto at_epoch = UstDelta::Build(snapshot, snapshot.version());
+  ASSERT_TRUE(at_epoch.ok());
+  EXPECT_TRUE(at_epoch.value().empty());
+}
+
+TEST_F(IngestTest, SplicedBaseEqualsRebuildAcrossPublishRounds) {
+  // Three rounds of seeded writes, each folded into the next base by a
+  // splice and published, as the compactor does. Every round extends one
+  // object twice; the first two add objects, and from the second round on
+  // an object added after the first base is extended. The last round adds
+  // nothing, so its splice also copies unchanged runs after the last
+  // changed object.
+  Rng rng(4711);
+  const size_t seed_objects = db().Snapshot().size();
+  const UstTree* base = index_.get();
+  for (int round = 0; round < 3; ++round) {
+    const bool adds = round < 2;
+    for (int w = 0; w < 6; ++w) {
+      const size_t n = adds ? db().Snapshot().size() : seed_objects;
+      if (adds && rng.Bernoulli(0.4)) {
+        const Tic start = T_.start + static_cast<Tic>(rng.UniformInt(3));
+        AddObjectAt(start, start + 2 + static_cast<Tic>(rng.UniformInt(8)));
+      } else {
+        const ObjectId id = static_cast<ObjectId>(rng.UniformInt(n));
+        const Tic end = db().object(id).last_tic();
+        ASSERT_TRUE(db().ExtendLifetime(
+                        id, end + 1 + static_cast<Tic>(rng.UniformInt(4)))
+                        .ok());
+      }
+    }
+    const ObjectId twice = static_cast<ObjectId>(rng.UniformInt(seed_objects));
+    for (Tic more : {2, 3}) {
+      ASSERT_TRUE(
+          db().ExtendLifetime(twice, db().object(twice).last_tic() + more)
+              .ok());
+    }
+    if (adds) AddObjectAt(T_.start, T_.end + round);
+    if (round > 0) {
+      const ObjectId late = static_cast<ObjectId>(seed_objects);
+      ASSERT_TRUE(
+          db().ExtendLifetime(late, db().object(late).last_tic() + 1).ok());
+    }
+
+    const DbSnapshot snapshot = db().Snapshot();
+    auto spliced = UstTree::Splice(snapshot, *base);
+    auto rebuilt = UstTree::Build(snapshot);
+    ASSERT_TRUE(spliced.ok());
+    ASSERT_TRUE(rebuilt.ok());
+    EXPECT_EQ(spliced.value().built_version(), snapshot.version());
+    EXPECT_EQ(spliced.value().built_version(),
+              rebuilt.value().built_version());
+    // Field by field, the MBR by its bits (SegmentEntry has padding, so no
+    // memcmp of the array).
+    const auto& a = spliced.value().entries();
+    const auto& b = rebuilt.value().entries();
+    ASSERT_EQ(a.size(), b.size()) << "round " << round;
+    for (size_t i = 0; i < a.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "round " << round << " entry " << i);
+      EXPECT_EQ(a[i].object, b[i].object);
+      EXPECT_EQ(a[i].t_lo, b[i].t_lo);
+      EXPECT_EQ(a[i].t_hi, b[i].t_hi);
+      for (int axis = 0; axis < 2; ++axis) {
+        EXPECT_EQ(Bits(a[i].mbr.lo[axis]), Bits(b[i].mbr.lo[axis]));
+        EXPECT_EQ(Bits(a[i].mbr.hi[axis]), Bits(b[i].mbr.hi[axis]));
+      }
+    }
+    db().PublishIndex(std::make_shared<const UstTree>(spliced.MoveValue()));
+    base = db().Snapshot().base_index().get();
+    ASSERT_EQ(base->built_version(), snapshot.version());
+  }
 }
 
 }  // namespace

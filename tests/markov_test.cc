@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "gen/synthetic.h"
 #include "markov/builders.h"
 #include "markov/sparse_dist.h"
@@ -117,11 +121,44 @@ TEST(TransitionMatrixTest, PropagatePreservesMass) {
 
 TEST(TransitionMatrixTest, SupportGraphMirrorsNonzeros) {
   auto m = MakeMatrix(3, {{{1, 0.5}, {2, 0.5}}, {{0, 1.0}}, {{2, 1.0}}});
-  CsrGraph g = m->SupportGraph();
+  const CsrGraph& g = m->Support().forward;
   EXPECT_EQ(g.num_edges(), m->num_nonzeros());
   EXPECT_TRUE(g.HasEdge(0, 1));
   EXPECT_TRUE(g.HasEdge(2, 2));
   EXPECT_FALSE(g.HasEdge(1, 2));
+}
+
+TEST(TransitionMatrixTest, SupportIsComputedOnceAcrossConcurrentFirstCalls) {
+  // Four threads race to the first Support() call of a fresh matrix; all
+  // must get the same graphs object (TSan checks the memo's first touch).
+  auto world = MakeLineWorld(200);
+  auto fresh = std::make_shared<const TransitionMatrix>(
+      world.matrix->Uniformized());
+  std::atomic<int> arrived{0};
+  std::vector<const TransitionMatrix::SupportGraphs*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&, i] {
+      arrived.fetch_add(1);
+      while (arrived.load() < static_cast<int>(seen.size())) {
+        std::this_thread::yield();
+      }
+      seen[i] = &fresh->Support();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto* graphs : seen) EXPECT_EQ(graphs, seen[0]);
+  EXPECT_EQ(seen[0], &fresh->Support());
+  EXPECT_EQ(seen[0]->forward.num_edges(), fresh->num_nonzeros());
+  EXPECT_EQ(seen[0]->reversed.num_edges(), fresh->num_nonzeros());
+  EXPECT_TRUE(seen[0]->self_loops);  // every line state may stay
+
+  // A copy holds the same rows and shares the graphs; a matrix lacking one
+  // self-loop says so.
+  const TransitionMatrix copy = *fresh;
+  EXPECT_EQ(&copy.Support(), seen[0]);
+  auto loopless = MakeMatrix(2, {{{0, 0.5}, {1, 0.5}}, {{0, 1.0}}});
+  EXPECT_FALSE(loopless->Support().self_loops);
 }
 
 TEST(TransitionMatrixTest, UniformizedKeepsSupportFlattensProbs) {

@@ -7,6 +7,7 @@
 
 #include "gen/synthetic.h"
 #include "gen/workload.h"
+#include "graph/reachability.h"
 #include "index/ust_delta.h"
 #include "index/ust_tree.h"
 #include "query/exact.h"
@@ -205,6 +206,82 @@ TEST(UstTreeTest, ContradictingObservationsReported) {
   auto tree = UstTree::Build(db);
   ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kContradiction);
+}
+
+TEST(UstTreeTest, MatrixLackingASelfLoopTakesThePerSliceKernel) {
+  // A 4x4 grid: moves to the 4-neighbours, plus a self-loop on every state
+  // but (1, 1).
+  constexpr StateId kLoopless = 5;
+  std::vector<Point2> coords;
+  std::vector<std::vector<TransitionMatrix::Entry>> rows(16);
+  for (StateId s = 0; s < 16; ++s) {
+    const int x = static_cast<int>(s % 4), y = static_cast<int>(s / 4);
+    coords.push_back({static_cast<double>(x), static_cast<double>(y)});
+    std::vector<StateId> targets;
+    if (x > 0) targets.push_back(s - 1);
+    if (x < 3) targets.push_back(s + 1);
+    if (y > 0) targets.push_back(s - 4);
+    if (y < 3) targets.push_back(s + 4);
+    if (s != kLoopless) targets.push_back(s);
+    for (StateId t : targets) rows[s].push_back({t, 1.0 / targets.size()});
+  }
+  auto matrix = testing::MakeMatrix(16, std::move(rows));
+  const TransitionMatrix::SupportGraphs& support = matrix->Support();
+  ASSERT_FALSE(support.self_loops);
+
+  TrajectoryDatabase db(std::make_shared<const StateSpace>(coords));
+  db.AddObject(Obs({{0, 0}, {3, kLoopless}, {6, 10}}), matrix, /*end_tic=*/9);
+  db.AddObject(Obs({{0, kLoopless}, {2, kLoopless}, {5, 3}}), matrix);
+  db.AddObject(Obs({{2, 6}, {4, 4}}), matrix, /*end_tic=*/5);
+  auto tree = UstTree::Build(db);
+  ASSERT_TRUE(tree.ok());
+
+  // The per-slice kernels, entry by entry: union of the diamond's slices
+  // per segment, of the forward slices for the extension.
+  auto mbr_of = [&](const std::vector<std::vector<StateId>>& slices) {
+    Rect2 mbr;
+    for (const auto& slice : slices) {
+      for (StateId s : slice) mbr.Extend({coords[s].x, coords[s].y});
+    }
+    return mbr;
+  };
+  const std::vector<UstTree::SegmentEntry>& entries = tree.value().entries();
+  size_t next = 0;
+  auto expect_entry = [&](ObjectId id, Tic t_lo, Tic t_hi, const Rect2& mbr) {
+    ASSERT_LT(next, entries.size());
+    const UstTree::SegmentEntry& e = entries[next++];
+    EXPECT_EQ(e.object, id);
+    EXPECT_EQ(e.t_lo, t_lo);
+    EXPECT_EQ(e.t_hi, t_hi);
+    EXPECT_EQ(e.mbr.lo, mbr.lo) << "object " << id << " from " << t_lo;
+    EXPECT_EQ(e.mbr.hi, mbr.hi) << "object " << id << " from " << t_lo;
+  };
+  for (ObjectId id = 0; id < db.size(); ++id) {
+    const UncertainObject& obj = db.object(id);
+    const auto& items = obj.observations().items();
+    for (size_t i = 0; i + 1 < items.size(); ++i) {
+      const int steps = static_cast<int>(items[i + 1].time - items[i].time);
+      expect_entry(id, items[i].time, items[i + 1].time,
+                   mbr_of(DiamondReachability(support.forward,
+                                              support.reversed, items[i].state,
+                                              items[i + 1].state, steps)));
+    }
+    if (obj.last_tic() > items.back().time) {
+      const int steps = static_cast<int>(obj.last_tic() - items.back().time);
+      expect_entry(id, items.back().time, obj.last_tic(),
+                   mbr_of(ForwardReachability(support.forward,
+                                              items.back().state, steps)));
+    }
+  }
+  EXPECT_EQ(next, entries.size());
+
+  // Staying at (1, 1) for a tic needs the missing self-loop. (1, 1) is
+  // within one hop of itself, so only the per-slice kernel sees the
+  // contradiction.
+  db.AddObject(Obs({{0, 4}, {1, kLoopless}, {2, kLoopless}}), matrix);
+  auto contradicting = UstTree::Build(db);
+  ASSERT_FALSE(contradicting.ok());
+  EXPECT_EQ(contradicting.status().code(), StatusCode::kContradiction);
 }
 
 TEST(UstTreeTest, Figure1Pruning) {
