@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "query/world_arena.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace ust {
 
@@ -54,11 +52,8 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const MonteCarloOptions& mc, const PrecisionTarget& precision,
     ThreadPool* pool, WorldSampler::Scratch* scratch,
     std::vector<uint8_t>* rows, const WorldArena* arena, bool* used_arena) {
-  if (precision.mode == PrecisionMode::kFixedWorlds) {
-    return Status::InvalidArgument(
-        "adaptive estimator requires a non-fixed precision mode");
-  }
-  if (precision.delta <= 0.0 || precision.delta >= 1.0) {
+  const bool fixed = precision.mode == PrecisionMode::kFixedWorlds;
+  if (!fixed && (precision.delta <= 0.0 || precision.delta >= 1.0)) {
     return Status::InvalidArgument("delta out of range");
   }
   if (precision.mode == PrecisionMode::kEpsilon && precision.epsilon <= 0.0) {
@@ -75,21 +70,10 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
   if (!target_index.ok()) return target_index.status();
   auto sampler = WorldSampler::Create(db, participants, q, T, mc.k, mc.seed);
   if (!sampler.ok()) return sampler.status();
-  const WorldSampler& ws = sampler.value();
 
   const size_t cap = mc.num_worlds;
   const size_t len = T.length();
   const size_t stride = participants.size() * len;
-  constexpr size_t kChunk = WorldSampler::kWorldChunk;
-
-  // Arena coverage is checked against the *cap*: the prefix property of the
-  // id-keyed streams means an arena holding num_worlds >= cap serves any
-  // early-stopped prefix bit-identically (world w is always the w-th draw).
-  const bool arena_ok = arena != nullptr &&
-                        arena->Matches(T, mc.seed, cap) &&
-                        ws.CoveredBy(*arena);
-  if (used_arena != nullptr) *used_arena = arena_ok;
-
   const size_t num_targets = targets.size();
   const double per_target_delta =
       precision.delta / static_cast<double>(std::max<size_t>(1, num_targets));
@@ -106,7 +90,9 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
   // determinism contract of DESIGN.md section 8. Decisions are sticky: a
   // target decided at one boundary freezes its estimates there and is never
   // re-examined, so later chunks cannot flip an already-published decision.
+  // A fixed count never stops before the cap.
   auto check_stop = [&](size_t worlds) {
+    if (fixed) return false;
     if (precision.mode == PrecisionMode::kThreshold) {
       for (size_t ti = 0; ti < num_targets; ++ti) {
         if (decided[ti]) continue;
@@ -143,91 +129,21 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     return true;
   };
 
-  const size_t num_chunks = (cap + kChunk - 1) / kChunk;
-  size_t worlds = 0;
-  bool stopped = false;
-
-  WorldSampler::Scratch local_scratch;
-  std::vector<uint8_t> local_rows;
-  if (scratch == nullptr) scratch = &local_scratch;
-  if (rows == nullptr) rows = &local_rows;
-
-  const int workers = pool != nullptr ? pool->num_threads() : 1;
-  if (workers > 1 && num_chunks > 1) {
-    // Speculative waves: sample up to one chunk per worker concurrently,
-    // then accumulate and check boundaries serially *in chunk order*.
-    // Chunks past the stop boundary are discarded unaccumulated, so the
-    // published estimates and the stop count match the serial path exactly.
-    // The first wave is a single chunk — easy queries stop right there and
-    // never pay for speculation.
-    const size_t wave_cap = static_cast<size_t>(workers);
-    std::vector<WorldSampler::Scratch> scratches(wave_cap);
-    std::vector<std::vector<uint8_t>> bufs(wave_cap);
-    std::vector<std::vector<Rng>> starts(wave_cap);
-    std::vector<Rng> cursor;
-    if (!arena_ok) cursor = ws.InitialRngs();
-    size_t c = 0;
-    size_t wave_size = 1;
-    while (c < num_chunks && !stopped) {
-      const size_t wave_chunks = std::min(wave_size, num_chunks - c);
-      if (!arena_ok) {
-        // One serial O(W) RNG prefix pass, exactly as the fixed-count
-        // sharded path derives its chunk starts.
-        for (size_t j = 0; j < wave_chunks; ++j) {
-          starts[j] = cursor;
-          const size_t w0 = (c + j) * kChunk;
-          const size_t n = std::min(kChunk, cap - w0);
-          if (c + j + 1 < num_chunks) WorldSampler::AdvanceWorlds(&cursor, n);
-        }
-      }
-      pool->ParallelFor(wave_chunks, [&](size_t j, int) {
-        const size_t w0 = (c + j) * kChunk;
-        const size_t n = std::min(kChunk, cap - w0);
-        bufs[j].resize(n * stride);
-        if (arena_ok) {
-          ws.EvalArenaWorlds(*arena, w0, n, bufs[j].data(), stride,
-                             &scratches[j]);
-        } else {
-          ws.SampleWorldsFrom(starts[j], n, bufs[j].data(), stride,
-                              &scratches[j]);
-        }
-      });
-      for (size_t j = 0; j < wave_chunks && !stopped; ++j) {
-        const size_t w0 = (c + j) * kChunk;
-        const size_t n = std::min(kChunk, cap - w0);
+  const size_t worlds = RunWorldChunks(
+      sampler.value(), cap, arena, used_arena, pool, scratch, rows,
+      [&](size_t, size_t n, const uint8_t* chunk) {
         for (size_t b = 0; b < n; ++b) {
-          Accumulate(bufs[j].data() + b * stride, target_index.value(), len,
+          Accumulate(chunk + b * stride, target_index.value(), len,
                      &forall_hits, &exists_hits);
         }
-        worlds = w0 + n;
-        stopped = check_stop(worlds);
-      }
-      c += wave_chunks;
-      wave_size = wave_cap;
-    }
-  } else {
-    if (!arena_ok) ws.ResetCursor(scratch);
-    rows->resize(std::min(cap, kChunk) * stride);
-    for (size_t w0 = 0; w0 < cap && !stopped; w0 += kChunk) {
-      const size_t n = std::min(kChunk, cap - w0);
-      if (arena_ok) {
-        ws.EvalArenaWorlds(*arena, w0, n, rows->data(), stride, scratch);
-      } else {
-        ws.SampleNext(n, rows->data(), stride, scratch);
-      }
-      for (size_t b = 0; b < n; ++b) {
-        Accumulate(rows->data() + b * stride, target_index.value(), len,
-                   &forall_hits, &exists_hits);
-      }
-      worlds = w0 + n;
-      stopped = check_stop(worlds);
-    }
-  }
+      },
+      check_stop);
 
   // Estimates not frozen by a threshold decision read the stop boundary:
-  // epsilon-mode targets, and threshold targets still straddling tau at the
-  // cap (their qualification falls back to the point estimate, flagged via
-  // `undecided`).
+  // fixed and epsilon-mode targets, and threshold targets still straddling
+  // tau at the cap (their qualification falls back to the point estimate,
+  // flagged via `undecided`). count / W is the very double an NnTable's
+  // popcount reduction gives.
   const double w = static_cast<double>(worlds);
   for (size_t ti = 0; ti < num_targets; ++ti) {
     if (precision.mode == PrecisionMode::kThreshold && decided[ti]) continue;
@@ -236,10 +152,22 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
                             static_cast<double>(exists_hits[ti]) / w};
   }
   result.worlds_used = worlds;
-  result.early_stopped = stopped && worlds < cap;
+  result.early_stopped = worlds < cap;
   result.undecided =
       precision.mode == PrecisionMode::kThreshold ? undecided : 0;
   return result;
+}
+
+Result<std::vector<PnnEstimate>> EstimatePnn(
+    const DbSnapshot& db, const std::vector<ObjectId>& participants,
+    const std::vector<ObjectId>& targets, const QueryTrajectory& q,
+    const TimeInterval& T, const MonteCarloOptions& options, ThreadPool* pool) {
+  auto result = EstimatePnnAdaptive(db, participants, targets, q, T,
+                                    PnnSemantics::kForall, /*tau=*/0.0,
+                                    options, PrecisionTarget{}, pool,
+                                    /*scratch=*/nullptr, /*rows=*/nullptr);
+  if (!result.ok()) return result.status();
+  return std::move(result.value().estimates);
 }
 
 }  // namespace ust

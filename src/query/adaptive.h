@@ -5,11 +5,13 @@
 // orders of magnitude earlier than the worst-case Hoeffding count —
 // probabilities far from tau are decided after a few hundred worlds.
 //
-// EstimatePnnAdaptive is the one entry point: the Monte-Carlo executor
-// (query/executor.cc) routes to it when a QuerySpec carries a non-fixed
-// PrecisionTarget, and standalone callers (benches, examples) call it
-// directly over a DbSnapshot. It is chunk-deterministic, pool-sharded and
-// arena-aware (DESIGN.md section 8).
+// EstimatePnnAdaptive is the one P∀NN/P∃NN estimator. The Monte-Carlo
+// executor (query/executor.cc) routes every sampled P∀NN/P∃NN spec to it
+// (a fixed-count spec is the stop rule that never fires), EstimatePnn is a
+// fixed-mode call of it, and standalone callers (benches, examples) call it
+// directly over a DbSnapshot. It runs on the one chunk loop
+// (RunWorldChunks): chunk-deterministic, pool-sharded and arena-aware
+// (DESIGN.md section 8).
 #pragma once
 
 #include <cstdint>
@@ -47,11 +49,15 @@ struct AdaptivePnnResult {
   size_t undecided = 0;
 };
 
-/// \brief The adaptive estimator: sample worlds in
-/// WorldSampler::kWorldChunk chunks, check the PrecisionTarget's stopping
-/// rule at every chunk boundary *in prefix order*, and stop at the first
-/// boundary where every target is decided (kThreshold) or every estimate is
-/// within epsilon (kEpsilon). `mc.num_worlds` is the hard cap.
+/// \brief The estimator: sample worlds in WorldSampler::kWorldChunk chunks,
+/// count per target the worlds where it is NN at every tic (P∀NN) and at
+/// some tic (P∃NN), check the PrecisionTarget's stopping rule at every chunk
+/// boundary *in prefix order*, and stop at the first boundary where every
+/// target is decided (kThreshold) or every estimate is within epsilon
+/// (kEpsilon). `mc.num_worlds` is the hard cap, and a positive one;
+/// kFixedWorlds never stops before it (and ignores delta, epsilon and tau),
+/// giving estimates bit-identical to NnTable's ForallProb/ExistsProb over
+/// the same worlds.
 ///
 /// Determinism: worlds are the same id-keyed streams ComputeNnTable draws,
 /// chunk boundaries are fixed, and the stopping rule only reads prefix
@@ -64,8 +70,7 @@ struct AdaptivePnnResult {
 /// chunks are *evaluated* against the arena prefix instead of sampled —
 /// bit-identical marks, so identical stop decisions — and `*used_arena` is
 /// set. The arena prefix property makes an arena built for N worlds serve
-/// any early-stopped prefix <= N. `precision.mode` must not be kFixedWorlds
-/// (that is ComputeNnTable's job).
+/// any early-stopped prefix <= N.
 Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const std::vector<ObjectId>& targets, const QueryTrajectory& q,

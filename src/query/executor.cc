@@ -101,44 +101,22 @@ class MonteCarloExecutor : public Executor {
                                             const ExecContext& ctx)
       const override {
     UST_TRACE_SCOPE("exec_mc", task.mc.num_worlds, "worlds");
-    if (task.precision.mode != PrecisionMode::kFixedWorlds) {
-      // Adaptive stopping: the sequential estimator owns the chunk loop and
-      // stops at the first boundary where every target is decided / within
-      // epsilon (query/adaptive.h). Same worlds, same arena contract —
-      // only fewer of them.
-      auto adaptive = EstimatePnnAdaptive(
-          *task.db, *task.participants, *task.targets, *task.q, task.T,
-          task.kind == QueryKind::kExists ? PnnSemantics::kExists
-                                          : PnnSemantics::kForall,
-          task.tau, task.mc, task.precision, ctx.pool, ctx.sampler_scratch,
-          ctx.row_buffer, ctx.arena, ctx.arena_used);
-      if (!adaptive.ok()) return adaptive.status();
-      if (ctx.worlds_used != nullptr) {
-        *ctx.worlds_used = adaptive.value().worlds_used;
-      }
-      if (ctx.early_stopped != nullptr) {
-        *ctx.early_stopped = adaptive.value().early_stopped;
-      }
-      return std::move(adaptive.value().estimates);
+    // One estimator for every precision mode (query/adaptive.h): a fixed
+    // count is the stop rule that never fires.
+    auto estimated = EstimatePnnAdaptive(
+        *task.db, *task.participants, *task.targets, *task.q, task.T,
+        task.kind == QueryKind::kExists ? PnnSemantics::kExists
+                                        : PnnSemantics::kForall,
+        task.tau, task.mc, task.precision, ctx.pool, ctx.sampler_scratch,
+        ctx.row_buffer, ctx.arena, ctx.arena_used);
+    if (!estimated.ok()) return estimated.status();
+    if (ctx.worlds_used != nullptr) {
+      *ctx.worlds_used = estimated.value().worlds_used;
     }
-    if (ctx.worlds_used != nullptr) *ctx.worlds_used = task.mc.num_worlds;
-    if (ctx.early_stopped != nullptr) *ctx.early_stopped = false;
-    auto table = ComputeNnTableScratch(*task.db, *task.participants, *task.q,
-                                       task.T, task.mc, ctx.pool,
-                                       ctx.sampler_scratch, ctx.row_buffer,
-                                       ctx.arena, ctx.arena_used);
-    if (!table.ok()) return table.status();
-    std::vector<PnnEstimate> out;
-    out.reserve(task.targets->size());
-    for (ObjectId t : *task.targets) {
-      const size_t idx = table.value().IndexOf(t);
-      if (idx == NnTable::npos) {
-        return Status::InvalidArgument("target not among participants");
-      }
-      out.push_back({t, table.value().ForallProb(idx),
-                     table.value().ExistsProb(idx)});
+    if (ctx.early_stopped != nullptr) {
+      *ctx.early_stopped = estimated.value().early_stopped;
     }
-    return out;
+    return std::move(estimated.value().estimates);
   }
 };
 

@@ -62,18 +62,20 @@ struct PnnTask {
 };
 
 /// \brief Reusable per-worker resources an executor may draw on. All fields
-/// are optional; executors fall back to private locals.
+/// are optional; executors fall back to private locals. The Monte-Carlo
+/// backend hands the first four to its one chunk loop (RunWorldChunks):
+/// without a pool, every chunk runs on `sampler_scratch` and `row_buffer`.
 struct ExecContext {
   ThreadPool* pool = nullptr;                  ///< world-chunk sharding
   WorldSampler::Scratch* sampler_scratch = nullptr;
-  std::vector<uint8_t>* row_buffer = nullptr;  ///< byte staging for packing
+  std::vector<uint8_t>* row_buffer = nullptr;  ///< one chunk's byte rows
   /// Pre-sampled world arena of the session's (interval, seed) group; the
   /// Monte-Carlo backend evaluates against it when it covers the task
   /// (bit-identical either way) and reports the decision in `arena_used`.
   const WorldArena* arena = nullptr;
   bool* arena_used = nullptr;
-  /// Out-params of the adaptive Monte-Carlo path: worlds actually drawn
-  /// (num_worlds on the fixed path) and whether the stopping rule fired
+  /// Out-params of the Monte-Carlo backend: worlds actually drawn (the cap
+  /// unless an adaptive stopping rule fired) and whether the rule fired
   /// before the cap. Left untouched by the non-sampling backends.
   size_t* worlds_used = nullptr;
   bool* early_stopped = nullptr;

@@ -1,7 +1,7 @@
 #include "query/monte_carlo.h"
 
 #include <algorithm>
-#include <atomic>
+#include <limits>
 
 #include "query/world_arena.h"
 #include "util/check.h"
@@ -142,15 +142,13 @@ Result<WorldSampler> WorldSampler::Create(const DbSnapshot& db,
     }
   }
   WorldSampler sampler;
-  // Monotonic cursor ids (never reused, never 0) back the SampleNext guard.
-  static std::atomic<uint64_t> next_cursor_id{1};
-  sampler.cursor_id_ = next_cursor_id.fetch_add(1, std::memory_order_relaxed);
   sampler.participants_ = std::move(participants);
-  sampler.q_ = q;
   sampler.interval_ = T;
   sampler.k_ = k;
-  sampler.qpts_.reserve(T.length());
-  for (Tic t = T.start; t <= T.end; ++t) sampler.qpts_.push_back(q.At(t));
+  sampler.seed_ = seed;
+  std::vector<Point2> qpts;  // q.At per tic of T, hoisted
+  qpts.reserve(T.length());
+  for (Tic t = T.start; t <= T.end; ++t) qpts.push_back(q.At(t));
   sampler.resolved_.reserve(sampler.participants_.size());
   for (ObjectId id : sampler.participants_) {
     const UncertainObject& obj = db.object(id);
@@ -183,7 +181,7 @@ Result<WorldSampler> WorldSampler::Create(const DbSnapshot& db,
         const PosteriorModel::Slice& slice =
             p.model->SliceAt(p.ws + static_cast<Tic>(r));
         p.dtab_off[r] = cum;
-        const Point2& qt = sampler.qpts_[p.rel0 + r];
+        const Point2& qt = qpts[p.rel0 + r];
         for (StateId s : slice.support) {
           sampler.dtab_.push_back(SquaredDistance(db.space().coord(s), qt));
         }
@@ -193,16 +191,7 @@ Result<WorldSampler> WorldSampler::Create(const DbSnapshot& db,
     }
     sampler.resolved_.push_back(std::move(p));
   }
-  sampler.live_rngs_.reserve(sampler.resolved_.size());
-  for (const Participant& p : sampler.resolved_) {
-    sampler.live_rngs_.push_back(p.rng0);
-  }
   return sampler;
-}
-
-void WorldSampler::SampleWorlds(size_t count, uint8_t* is_nn,
-                                size_t world_stride) {
-  SampleCore(count, is_nn, world_stride, live_rngs_.data(), &scratch_);
 }
 
 std::vector<Rng> WorldSampler::InitialRngs() const {
@@ -220,51 +209,66 @@ void WorldSampler::AdvanceWorlds(std::vector<Rng>* rngs, size_t worlds) {
   }
 }
 
-void WorldSampler::SampleWorldsFrom(const std::vector<Rng>& rng_starts,
-                                    size_t count, uint8_t* is_nn,
-                                    size_t world_stride,
-                                    Scratch* scratch) const {
-  UST_CHECK(rng_starts.size() == resolved_.size());
-  scratch->rngs = rng_starts;
-  // The cursor now holds this sampler's streams; keep the owner tag honest
-  // so a later SampleNext cannot continue foreign positions unchecked.
-  scratch->cursor_owner = cursor_id_;
-  SampleCore(count, is_nn, world_stride, scratch->rngs.data(), scratch);
+namespace {
+
+/// Feeds `visit(w, rel, local)` every support index of one participant's
+/// window in worlds [0, chunk): read from its slab rows (`slab` points at
+/// the chunk's first world), or drawn by the batch walk from `rng`.
+template <typename Visit>
+void VisitWindows(const PosteriorModel& model, Tic ws, Tic we, uint32_t wlen,
+                  const uint32_t* slab, Rng* rng, size_t chunk,
+                  Visit&& visit) {
+  if (slab != nullptr) {
+    for (size_t w = 0; w < chunk; ++w) {
+      const uint32_t* srow = slab + w * wlen;
+      for (uint32_t r = 0; r < wlen; ++r) visit(w, r, srow[r]);
+    }
+    return;
+  }
+  model.SampleWindowBatchVisit(
+      ws, we, chunk, *rng,
+      [visit](size_t w, size_t rel, uint32_t local, StateId) {
+        visit(w, rel, local);
+      });
 }
 
-void WorldSampler::ResetCursor(Scratch* scratch) const {
-  scratch->rngs = InitialRngs();
-  scratch->cursor_owner = cursor_id_;
-}
+}  // namespace
 
-void WorldSampler::SampleNext(size_t count, uint8_t* is_nn,
+void WorldSampler::FillWorlds(size_t w0, size_t count,
+                              const WorldArena* arena,
+                              std::vector<Rng>* cursor, uint8_t* is_nn,
                               size_t world_stride, Scratch* scratch) const {
-  // A cursor positioned on another sampler must not silently continue here:
-  // the worlds would depend on whatever query ran before, not on the seed.
-  UST_CHECK(cursor_id_ != 0 && scratch->cursor_owner == cursor_id_ &&
-            scratch->rngs.size() == resolved_.size());
-  SampleCore(count, is_nn, world_stride, scratch->rngs.data(), scratch);
-}
-
-void WorldSampler::SampleCore(size_t count, uint8_t* is_nn,
-                              size_t world_stride, Rng* rngs,
-                              Scratch* scratch) const {
   const size_t n = resolved_.size();
   const size_t len = interval_.length();
   const double kInf = std::numeric_limits<double>::infinity();
+  UST_CHECK(arena == nullptr || w0 + count <= arena->num_worlds());
+  // Resolve each alive participant's source once per call.
+  std::vector<const uint32_t*>& slabs = scratch->arena_slabs;
+  slabs.assign(n, nullptr);
+  for (size_t i = 0; i < n; ++i) {
+    const Participant& p = resolved_[i];
+    if (!p.alive) continue;
+    const WorldArena::Entry* e =
+        arena != nullptr ? arena->Find(participants_[i]) : nullptr;
+    if (e != nullptr && e->ws == p.ws && e->we == p.we) {
+      slabs[i] = arena->slab(*e) + w0 * p.wlen;
+    } else {
+      UST_CHECK(cursor != nullptr && cursor->size() == n);
+    }
+  }
   std::vector<double>& dist2 = scratch->dist2;
   std::vector<double>& min_scratch = scratch->min_scratch;
-  for (size_t w0 = 0; w0 < count; w0 += kWorldChunk) {
-    const size_t chunk = std::min(kWorldChunk, count - w0);
+  for (size_t c0 = 0; c0 < count; c0 += kWorldChunk) {
+    const size_t chunk = std::min(kWorldChunk, count - c0);
     dist2.resize(total_wlen_ * chunk);
     min_scratch.resize(chunk * len);
     if (k_ == 1) std::fill(min_scratch.begin(), min_scratch.end(), kInf);
     // ---- Phase 1: participant-major sampling straight into distances. ----
-    // One participant's alias tables stay hot across the whole chunk and the
-    // batch sampler keeps several walks in flight; the sampled windows are
-    // converted to squared distances immediately (no trajectory ever escapes
-    // this loop). For k == 1 the chunk's per-tic minima fold into the same
-    // pass while the block is L1-resident.
+    // One participant's alias tables (or slab rows) stay hot across the whole
+    // chunk and the batch sampler keeps several walks in flight; the sampled
+    // windows are converted to squared distances immediately (no trajectory
+    // ever escapes this loop). For k == 1 the chunk's per-tic minima fold
+    // into the same pass while the block is L1-resident.
     for (size_t i = 0; i < n; ++i) {
       const Participant& p = resolved_[i];
       if (!p.alive) continue;
@@ -272,25 +276,26 @@ void WorldSampler::SampleCore(size_t count, uint8_t* is_nn,
       const uint32_t* doff = p.dtab_off.data();
       double* block = dist2.data() + p.doff * chunk;
       const uint32_t wlen = p.wlen;
+      const uint32_t* slab =
+          slabs[i] != nullptr ? slabs[i] + c0 * wlen : nullptr;
+      Rng* rng = slab != nullptr ? nullptr : &(*cursor)[i];
       if (k_ == 1) {
         double* mins = min_scratch.data() + p.rel0;
-        p.model->SampleWindowBatchVisit(
-            p.ws, p.we, chunk, rngs[i],
-            [=](size_t w, size_t rel, uint32_t local, StateId) {
-              const double d = dtab[doff[rel] + local];
-              block[w * wlen + rel] = d;
-              double& m = mins[w * len + rel];
-              if (d < m) m = d;
-            });
+        VisitWindows(*p.model, p.ws, p.we, wlen, slab, rng, chunk,
+                     [=](size_t w, size_t rel, uint32_t local) {
+                       const double d = dtab[doff[rel] + local];
+                       block[w * wlen + rel] = d;
+                       double& m = mins[w * len + rel];
+                       if (d < m) m = d;
+                     });
       } else {
-        p.model->SampleWindowBatchVisit(
-            p.ws, p.we, chunk, rngs[i],
-            [=](size_t w, size_t rel, uint32_t local, StateId) {
-              block[w * wlen + rel] = dtab[doff[rel] + local];
-            });
+        VisitWindows(*p.model, p.ws, p.we, wlen, slab, rng, chunk,
+                     [=](size_t w, size_t rel, uint32_t local) {
+                       block[w * wlen + rel] = dtab[doff[rel] + local];
+                     });
       }
     }
-    ReduceChunk(w0, chunk, is_nn, world_stride, scratch);
+    ReduceChunk(c0, chunk, is_nn, world_stride, scratch);
   }
 }
 
@@ -357,70 +362,87 @@ bool WorldSampler::CoveredBy(const WorldArena& arena) const {
   return true;
 }
 
-void WorldSampler::EvalArenaWorlds(const WorldArena& arena, size_t first_world,
-                                   size_t count, uint8_t* is_nn,
-                                   size_t world_stride,
-                                   Scratch* scratch) const {
-  UST_CHECK(first_world + count <= arena.num_worlds());
-  const size_t n = resolved_.size();
-  const size_t len = interval_.length();
-  const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<const uint32_t*>& slabs = scratch->arena_slabs;
-  slabs.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Participant& p = resolved_[i];
-    if (!p.alive) {
-      slabs[i] = nullptr;
-      continue;
-    }
-    const WorldArena::Entry* e = arena.Find(participants_[i]);
-    UST_CHECK(e != nullptr && e->ws == p.ws && e->we == p.we);
-    slabs[i] = arena.slab(*e);
+size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
+                      const WorldArena* arena, bool* used_arena,
+                      ThreadPool* pool, WorldSampler::Scratch* scratch,
+                      std::vector<uint8_t>* rows, const WorldChunkFn& consume,
+                      const WorldStopFn& stop) {
+  constexpr size_t kChunk = WorldSampler::kWorldChunk;
+  if (arena != nullptr &&
+      !(arena->Matches(sampler.interval(), sampler.seed(), num_worlds) &&
+        sampler.CoveredBy(*arena))) {
+    arena = nullptr;
   }
-  std::vector<double>& dist2 = scratch->dist2;
-  std::vector<double>& min_scratch = scratch->min_scratch;
-  // Same chunk structure as SampleCore, with phase 1's alias walk replaced
-  // by slab reads: the slab holds the exact support indices the walk would
-  // have produced, the distance lookups and the min fold are the same
-  // operations on the same values, and ReduceChunk is shared — so the
-  // emitted rows are bit-identical to sampling these worlds live.
-  for (size_t w0 = 0; w0 < count; w0 += kWorldChunk) {
-    const size_t chunk = std::min(kWorldChunk, count - w0);
-    dist2.resize(total_wlen_ * chunk);
-    min_scratch.resize(chunk * len);
-    if (k_ == 1) std::fill(min_scratch.begin(), min_scratch.end(), kInf);
-    for (size_t i = 0; i < n; ++i) {
-      const Participant& p = resolved_[i];
-      if (!p.alive) continue;
-      const double* dtab = dtab_.data() + p.dbase;
-      const uint32_t* doff = p.dtab_off.data();
-      double* block = dist2.data() + p.doff * chunk;
-      const uint32_t wlen = p.wlen;
-      const uint32_t* slab = slabs[i] + (first_world + w0) * wlen;
-      if (k_ == 1) {
-        double* mins = min_scratch.data() + p.rel0;
-        for (size_t w = 0; w < chunk; ++w) {
-          const uint32_t* srow = slab + w * wlen;
-          double* brow = block + w * wlen;
-          double* mrow = mins + w * len;
-          for (uint32_t r = 0; r < wlen; ++r) {
-            const double d = dtab[doff[r] + srow[r]];
-            brow[r] = d;
-            if (d < mrow[r]) mrow[r] = d;
-          }
-        }
-      } else {
-        for (size_t w = 0; w < chunk; ++w) {
-          const uint32_t* srow = slab + w * wlen;
-          double* brow = block + w * wlen;
-          for (uint32_t r = 0; r < wlen; ++r) {
-            brow[r] = dtab[doff[r] + srow[r]];
-          }
+  if (used_arena != nullptr) *used_arena = arena != nullptr;
+  const size_t stride =
+      sampler.num_participants() * sampler.interval().length();
+  const size_t num_chunks = (num_worlds + kChunk - 1) / kChunk;
+  // Arena evaluation reads slab rows at any world offset: no cursor needed.
+  std::vector<Rng> cursor;
+  if (arena == nullptr) cursor = sampler.InitialRngs();
+  std::vector<Rng>* live = arena == nullptr ? &cursor : nullptr;
+
+  if (pool == nullptr || pool->num_threads() <= 1 || num_chunks <= 1) {
+    // Serial: chunk after chunk on the caller's scratch, the cursor simply
+    // continuing (no RNG prefix pass).
+    WorldSampler::Scratch local_scratch;
+    std::vector<uint8_t> local_rows;
+    if (scratch == nullptr) scratch = &local_scratch;
+    if (rows == nullptr) rows = &local_rows;
+    rows->resize(std::min(num_worlds, kChunk) * stride);
+    for (size_t w0 = 0; w0 < num_worlds; w0 += kChunk) {
+      const size_t n = std::min(kChunk, num_worlds - w0);
+      sampler.FillWorlds(w0, n, arena, live, rows->data(), stride, scratch);
+      consume(w0, n, rows->data());
+      if (stop && stop(w0 + n)) return w0 + n;
+    }
+    return num_worlds;
+  }
+
+  // Pool: waves of chunks filled concurrently. Chunk boundaries are fixed
+  // multiples of kChunk (itself a multiple of 64, so packed-bitmap words
+  // never straddle chunks) and every chunk's cursor comes from one serial
+  // O(W) prefix pass, so the rows are those of the serial loop at any thread
+  // count, without each chunk replaying its streams from world 0. Without a
+  // stop rule a worker consumes the chunks it filled (slot = worker); with
+  // one, the wave's chunks keep their own buffers (slot = chunk) until the
+  // caller has consumed and checked them in order. The first speculative
+  // wave is a single chunk, so a query that stops there speculates nothing.
+  const size_t slots = static_cast<size_t>(pool->num_threads());
+  std::vector<WorldSampler::Scratch> scratches(slots);
+  std::vector<std::vector<uint8_t>> bufs(slots);
+  std::vector<std::vector<Rng>> starts;
+  size_t wave = stop ? 1 : num_chunks;
+  for (size_t c = 0; c < num_chunks; c += wave, wave = slots) {
+    const size_t wave_chunks = std::min(wave, num_chunks - c);
+    if (live != nullptr) {
+      starts.resize(wave_chunks);
+      for (size_t j = 0; j < wave_chunks; ++j) {
+        starts[j] = cursor;
+        if (c + j + 1 < num_chunks) {
+          WorldSampler::AdvanceWorlds(&cursor, kChunk);
         }
       }
     }
-    ReduceChunk(w0, chunk, is_nn, world_stride, scratch);
+    pool->ParallelFor(wave_chunks, [&](size_t j, int worker) {
+      const size_t slot = stop ? j : static_cast<size_t>(worker);
+      const size_t w0 = (c + j) * kChunk;
+      const size_t n = std::min(kChunk, num_worlds - w0);
+      std::vector<uint8_t>& buf = bufs[slot];
+      buf.resize(n * stride);
+      sampler.FillWorlds(w0, n, arena, live != nullptr ? &starts[j] : nullptr,
+                         buf.data(), stride, &scratches[slot]);
+      if (!stop) consume(w0, n, buf.data());
+    });
+    if (!stop) continue;
+    for (size_t j = 0; j < wave_chunks; ++j) {
+      const size_t w0 = (c + j) * kChunk;
+      const size_t n = std::min(kChunk, num_worlds - w0);
+      consume(w0, n, bufs[j].data());
+      if (stop(w0 + n)) return w0 + n;
+    }
   }
+  return num_worlds;
 }
 
 Result<NnTable> ComputeNnTable(const DbSnapshot& db,
@@ -441,120 +463,16 @@ Result<NnTable> ComputeNnTableScratch(
   auto sampler =
       WorldSampler::Create(db, participants, q, T, options.k, options.seed);
   if (!sampler.ok()) return sampler.status();
-  const WorldSampler& ws = sampler.value();
   NnTable table(participants, T, options.num_worlds);
   const size_t stride = participants.size() * T.length();
-  const bool arena_ok = arena != nullptr &&
-                        arena->Matches(T, options.seed, options.num_worlds) &&
-                        ws.CoveredBy(*arena);
-  if (used_arena != nullptr) *used_arena = arena_ok;
-  if (arena_ok) {
-    if (pool != nullptr && pool->num_threads() > 1 &&
-        options.num_worlds > WorldSampler::kWorldChunk) {
-      // Evaluation needs no RNG prefix pass: any world range reads its
-      // slab rows directly, so sharding is embarrassingly parallel and
-      // still byte-identical (disjoint 64-aligned packing, as below).
-      const int workers = pool->num_threads();
-      std::vector<WorldSampler::Scratch> scratches(workers);
-      std::vector<std::vector<uint8_t>> bufs(workers);
-      NnTable* table_ptr = &table;
-      pool->ParallelForChunked(
-          options.num_worlds, WorldSampler::kWorldChunk,
-          [&, table_ptr](size_t begin, size_t end, int worker) {
-            std::vector<uint8_t>& buf = bufs[worker];
-            buf.resize((end - begin) * stride);
-            ws.EvalArenaWorlds(*arena, begin, end - begin, buf.data(),
-                               stride, &scratches[worker]);
-            table_ptr->PackWorlds(begin, end - begin, buf.data(), stride);
-          });
-    } else {
-      WorldSampler::Scratch local_scratch;
-      std::vector<uint8_t> local_rows;
-      if (scratch == nullptr) scratch = &local_scratch;
-      if (rows == nullptr) rows = &local_rows;
-      rows->resize(std::min(options.num_worlds, WorldSampler::kWorldChunk) *
-                   stride);
-      for (size_t w0 = 0; w0 < options.num_worlds;
-           w0 += WorldSampler::kWorldChunk) {
-        const size_t chunk =
-            std::min(WorldSampler::kWorldChunk, options.num_worlds - w0);
-        ws.EvalArenaWorlds(*arena, w0, chunk, rows->data(), stride, scratch);
-        table.PackWorlds(w0, chunk, rows->data(), stride);
-      }
-    }
-    return table;
-  }
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      options.num_worlds > WorldSampler::kWorldChunk) {
-    // Shard world chunks across the pool. Chunk boundaries are fixed
-    // (multiples of kWorldChunk, itself a multiple of 64), shards pack into
-    // disjoint bitmap words, and every chunk starts from an RNG state
-    // precomputed by one serial O(W) prefix pass below — so the table is
-    // bit-identical to serial at any thread count, without each shard
-    // replaying the stream from world 0 (which would be O(W²) overall).
-    const size_t num_chunks =
-        (options.num_worlds + WorldSampler::kWorldChunk - 1) /
-        WorldSampler::kWorldChunk;
-    std::vector<std::vector<Rng>> chunk_rngs(num_chunks);
-    std::vector<Rng> cursor = ws.InitialRngs();
-    for (size_t c = 0; c < num_chunks; ++c) {
-      chunk_rngs[c] = cursor;
-      if (c + 1 < num_chunks) {
-        WorldSampler::AdvanceWorlds(&cursor, WorldSampler::kWorldChunk);
-      }
-    }
-    const int workers = pool->num_threads();
-    std::vector<WorldSampler::Scratch> scratches(workers);
-    std::vector<std::vector<uint8_t>> bufs(workers);
-    NnTable* table_ptr = &table;
-    pool->ParallelForChunked(
-        options.num_worlds, WorldSampler::kWorldChunk,
-        [&, table_ptr](size_t begin, size_t end, int worker) {
-          std::vector<uint8_t>& buf = bufs[worker];
-          buf.resize((end - begin) * stride);
-          ws.SampleWorldsFrom(chunk_rngs[begin / WorldSampler::kWorldChunk],
-                              end - begin, buf.data(), stride,
-                              &scratches[worker]);
-          table_ptr->PackWorlds(begin, end - begin, buf.data(), stride);
-        });
-  } else {
-    // Serial: sample chunk-wise into a reused byte buffer, then pack. The
-    // stream continues across chunks (no repositioning cost).
-    WorldSampler::Scratch local_scratch;
-    std::vector<uint8_t> local_rows;
-    if (scratch == nullptr) scratch = &local_scratch;
-    if (rows == nullptr) rows = &local_rows;
-    ws.ResetCursor(scratch);
-    rows->resize(std::min(options.num_worlds, WorldSampler::kWorldChunk) *
-                 stride);
-    for (size_t w0 = 0; w0 < options.num_worlds;
-         w0 += WorldSampler::kWorldChunk) {
-      const size_t chunk =
-          std::min(WorldSampler::kWorldChunk, options.num_worlds - w0);
-      ws.SampleNext(chunk, rows->data(), stride, scratch);
-      table.PackWorlds(w0, chunk, rows->data(), stride);
-    }
-  }
+  // Chunks pack into disjoint 64-aligned words, so workers may pack
+  // concurrently.
+  RunWorldChunks(sampler.value(), options.num_worlds, arena, used_arena, pool,
+                 scratch, rows,
+                 [&table, stride](size_t w0, size_t n, const uint8_t* chunk) {
+                   table.PackWorlds(w0, n, chunk, stride);
+                 });
   return table;
-}
-
-Result<std::vector<PnnEstimate>> EstimatePnn(
-    const DbSnapshot& db, const std::vector<ObjectId>& participants,
-    const std::vector<ObjectId>& targets, const QueryTrajectory& q,
-    const TimeInterval& T, const MonteCarloOptions& options, ThreadPool* pool) {
-  auto table_result = ComputeNnTable(db, participants, q, T, options, pool);
-  if (!table_result.ok()) return table_result.status();
-  const NnTable& table = table_result.value();
-  std::vector<PnnEstimate> estimates;
-  estimates.reserve(targets.size());
-  for (ObjectId o : targets) {
-    size_t idx = table.IndexOf(o);
-    if (idx == NnTable::npos) {
-      return Status::InvalidArgument("target not among participants");
-    }
-    estimates.push_back({o, table.ForallProb(idx), table.ExistsProb(idx)});
-  }
-  return estimates;
 }
 
 }  // namespace ust

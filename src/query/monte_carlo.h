@@ -1,11 +1,14 @@
 // Monte-Carlo estimation of PNN probabilities (Section 5): sample W possible
 // worlds from the objects' a-posteriori models, run the certain-trajectory
-// NN kernel in each world, and average. The per-world per-tic indicator table
-// is kept so that P∃NN, P∀NN, P∀kNN, P∃kNN and every PCNN validation reuse
-// the same W worlds (one consistent sample of possible worlds per query).
+// NN kernel in each world, and average. Every sampled query runs through one
+// chunk loop (RunWorldChunks) over one fill (WorldSampler::FillWorlds):
+// P∀NN/P∃NN count hits per target chunk by chunk (query/adaptive.h), and
+// PCNN packs the per-world per-tic indicators into an NnTable so that every
+// timestamp-set validation of Algorithm 1 reuses the same W worlds.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "model/db_snapshot.h"
@@ -154,37 +157,32 @@ class NnTable {
 
 /// \brief Batched possible-world sampler: draws worlds (a trajectory per
 /// participant, restricted to T) and marks which participants are (k)NNs of
-/// q at each tic. ComputeNnTable and the sequential estimators
-/// (query/adaptive.h) share this machinery.
+/// q at each tic. FillWorlds is its one primitive; RunWorldChunks drives it.
 ///
 /// Worlds are drawn participant-major in chunks: each posterior's alias
 /// tables stay cache-hot across the whole chunk instead of being re-fetched
 /// per world, and sampled states are converted to squared distances on the
 /// spot (the NN decision never materializes trajectories). Each participant
-/// owns a forked RNG stream, so the sampled worlds are independent of the
+/// owns an id-keyed RNG stream, so the sampled worlds are independent of the
 /// chunking and of the participant interleaving.
 ///
 /// Worlds are also *position-addressable*: world w consumes exactly one draw
 /// of each participant's stream, so InitialRngs + AdvanceWorlds rebuild the
-/// stream state of any world index, and SampleWorldsFrom samples a range
-/// from there. That is what lets a thread pool shard one query's worlds
-/// across workers and still produce bit-identical tables (DESIGN.md §4).
+/// stream cursor of any world index. That is what lets a thread pool fill
+/// one query's chunks on several workers and still produce bit-identical
+/// rows (DESIGN.md §4.3).
 class WorldSampler {
  public:
-  /// Per-shard scratch: distance blocks, per-tic minima, and the advanced
-  /// RNG copies. One per worker thread; reused across calls (and across
-  /// samplers — ResetCursor rebinds it).
+  /// Per-worker scratch: distance blocks, per-tic minima and the resolved
+  /// per-participant sources. It carries no stream state, so one scratch
+  /// serves any sampler and any query; reuse it across calls to stay
+  /// allocation-free.
   struct Scratch {
     std::vector<double> dist2;        // [participant block][world][rel - rel0]
     std::vector<double> min_scratch;  // per-(world, rel) k-th distance
     std::vector<double> kth_scratch;  // k>1: per-tic alive distances
-    std::vector<Rng> rngs;            // per-participant stream positions
-    /// EvalArenaWorlds: resolved per-participant arena slab pointers.
+    /// Per-participant arena slab, or nullptr for a live alias walk.
     std::vector<const uint32_t*> arena_slabs;
-    /// Id of the sampler the cursor is positioned on (0 = none). An id, not
-    /// a pointer: ids are never reused, so a scratch outliving its sampler
-    /// cannot false-match a new sampler allocated at the same address.
-    uint64_t cursor_owner = 0;
   };
 
   /// Validates inputs (including every sampling window), resolves the
@@ -195,65 +193,40 @@ class WorldSampler {
                                      const TimeInterval& T, int k,
                                      uint64_t seed);
 
-  /// Samples `count` worlds continuing the sampler's own stream; world w's
-  /// marks go to `is_nn + w * world_stride` (participant-major row, size
-  /// num_participants() * interval().length(); layout as
-  /// MarkNearestNeighbors). Allocation-free in steady state.
-  void SampleWorlds(size_t count, uint8_t* is_nn, size_t world_stride);
-
-  /// Samples the next single world (SampleWorlds of count 1).
-  void NextWorld(uint8_t* is_nn) { SampleWorlds(1, is_nn, 0); }
-
-  /// Per-participant stream states at world 0 (the positions SampleWorlds
-  /// starts from on a fresh sampler).
+  /// Stream cursor at world 0: one state per participant, aligned with
+  /// participants().
   std::vector<Rng> InitialRngs() const;
 
-  /// Advance per-participant stream states by `worlds` worlds (one raw draw
-  /// per world per stream — the per-world fork in the batch walk). Shards
-  /// derive their start states this way: one serial O(W) prefix pass, then
-  /// SampleWorldsFrom per shard — bit-identical to one serial pass.
+  /// Advance a stream cursor by `worlds` worlds (one raw draw per world per
+  /// stream — the per-world fork in the batch walk). A pool derives its chunk
+  /// starts this way: one serial O(W) prefix pass, then one fill per chunk —
+  /// bit-identical to one serial pass.
   static void AdvanceWorlds(std::vector<Rng>* rngs, size_t worlds);
 
-  /// Sample `count` worlds starting from explicit stream states (as built by
-  /// InitialRngs + AdvanceWorlds). `rng_starts` is not modified; the cursor
-  /// advances in `scratch`. Safe concurrently with distinct scratches.
-  void SampleWorldsFrom(const std::vector<Rng>& rng_starts, size_t count,
-                        uint8_t* is_nn, size_t world_stride,
-                        Scratch* scratch) const;
-
-  /// Rewind `scratch`'s cursor to this sampler's world 0. Required before
-  /// the first SampleNext on this sampler — SampleNext refuses a cursor
-  /// positioned on a different sampler (a reused scratch must never leak a
-  /// stale stream position into a new query).
-  void ResetCursor(Scratch* scratch) const;
-
-  /// Continuation variant on caller-owned scratch: each call continues
-  /// where the previous one left off (no repositioning cost). Streams are
-  /// tracked in `scratch`, so distinct scratches hold independent cursors
-  /// over the same sampler.
-  void SampleNext(size_t count, uint8_t* is_nn, size_t world_stride,
-                  Scratch* scratch) const;
+  /// The one fill: writes worlds [w0, w0 + count) as byte indicator rows,
+  /// world w0 + j at `is_nn + j * world_stride` (participant-major row of
+  /// num_participants() * interval().length() bytes; layout as
+  /// MarkNearestNeighbors). Each alive participant reads its support indices
+  /// from `arena`'s slab when the arena realizes it over the same window,
+  /// and otherwise walks its alias tables from `(*cursor)[i]`, which must
+  /// stand at world w0 and is advanced by `count` worlds. The slab holds the
+  /// very indices the walk would have drawn, so both sources give the same
+  /// bytes. `arena` may be null (every participant walks); `cursor` may be
+  /// null when the arena realizes every alive participant. Safe concurrently
+  /// with distinct scratches and cursors.
+  void FillWorlds(size_t w0, size_t count, const WorldArena* arena,
+                  std::vector<Rng>* cursor, uint8_t* is_nn,
+                  size_t world_stride, Scratch* scratch) const;
 
   /// True when `arena` realizes every alive participant of this sampler over
   /// the exact sampling window (same interval, same seed-keyed streams are
   /// the arena's responsibility — this checks object coverage and windows).
   bool CoveredBy(const WorldArena& arena) const;
 
-  /// Evaluate worlds [first_world, first_world + count) against `arena`
-  /// instead of sampling them: per-world marks are bit-identical to
-  /// Sample* of the same worlds (the arena stores the very state indices
-  /// the batch walk would have produced), but the alias-walk cost is gone —
-  /// only distance lookups and the NN reduction remain. Requires
-  /// CoveredBy(arena) and first_world + count <= arena.num_worlds().
-  /// Output layout matches SampleWorldsFrom; safe concurrently with
-  /// distinct scratches.
-  void EvalArenaWorlds(const WorldArena& arena, size_t first_world,
-                       size_t count, uint8_t* is_nn, size_t world_stride,
-                       Scratch* scratch) const;
-
   size_t num_participants() const { return participants_.size(); }
   const std::vector<ObjectId>& participants() const { return participants_; }
   const TimeInterval& interval() const { return interval_; }
+  uint64_t seed() const { return seed_; }
 
   /// Worlds per sampling chunk. Shard boundaries must be multiples of this
   /// (it is a multiple of 64, so packed-bitmap words never straddle shards).
@@ -274,55 +247,77 @@ class WorldSampler {
     std::vector<uint32_t> dtab_off;  // size wlen + 1
   };
 
-  /// Shared core of both entry points: samples `count` worlds advancing
-  /// `rngs` (aligned with participants), writing marks through `is_nn`.
-  void SampleCore(size_t count, uint8_t* is_nn, size_t world_stride, Rng* rngs,
-                  Scratch* scratch) const;
-
   /// Phase 2 + marking of one chunk: turns the distance blocks and (k == 1)
   /// folded minima already in `scratch` into indicator rows for worlds
-  /// [row0, row0 + chunk) of `is_nn`. Shared by the sampling and the
-  /// arena-evaluation paths — identical bytes by construction.
+  /// [row0, row0 + chunk) of `is_nn`.
   void ReduceChunk(size_t row0, size_t chunk, uint8_t* is_nn,
                    size_t world_stride, Scratch* scratch) const;
 
   std::vector<ObjectId> participants_;
   std::vector<Participant> resolved_;
-  QueryTrajectory q_ = QueryTrajectory::FromPoint({0, 0});
   TimeInterval interval_{0, 0};
   int k_ = 1;
-  std::vector<Point2> qpts_;        // q.At per tic of T, hoisted
+  uint64_t seed_ = 0;
   size_t total_wlen_ = 0;           // sum of alive windows, per world
   std::vector<double> dtab_;        // support-state-to-q distance tables
-  std::vector<Rng> live_rngs_;      // stream positions of SampleWorlds
-  Scratch scratch_;                 // scratch of the mutating entry point
-  uint64_t cursor_id_ = 0;          // unique per Create; 0 = not created
 };
 
+/// Consumer of one filled chunk: worlds [w0, w0 + n), world w0 + j's row at
+/// `rows + j * num_participants * |T|`.
+using WorldChunkFn =
+    std::function<void(size_t w0, size_t n, const uint8_t* rows)>;
+/// Stop rule read at a chunk boundary after `worlds` worlds (a prefix);
+/// returning true ends the run there.
+using WorldStopFn = std::function<bool(size_t worlds)>;
+
+/// \brief The one Monte-Carlo chunk loop: fills worlds [0, num_worlds) in
+/// WorldSampler::kWorldChunk chunks and hands each to `consume`. Returns
+/// the worlds consumed: num_worlds, or the first chunk boundary where
+/// `stop` fired.
+///
+/// When `arena` matches (interval, seed, num_worlds) and covers every alive
+/// participant, chunks are evaluated against its slabs instead of sampled —
+/// the same bytes — and `*used_arena` (if given) says which source ran. An
+/// arena built for N worlds serves any prefix <= N (DESIGN.md §7.2).
+///
+/// Without a pool the chunks run in order on `scratch` and `rows` (either
+/// may be null), the stream cursor continuing from chunk to chunk. With a
+/// pool of several workers the chunks run in waves, their cursors taken
+/// from one serial RNG prefix pass:
+/// - without a stop rule one wave covers every chunk, and `consume` runs on
+///   the workers, concurrently for distinct chunks;
+/// - with one, the first wave is one chunk and later waves one chunk per
+///   worker; the caller consumes and checks them in chunk order, and chunks
+///   past the stop boundary are discarded unconsumed.
+/// Either way the consumed worlds, and so any result built from them, are
+/// identical at every thread count.
+size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
+                      const WorldArena* arena, bool* used_arena,
+                      ThreadPool* pool, WorldSampler::Scratch* scratch,
+                      std::vector<uint8_t>* rows, const WorldChunkFn& consume,
+                      const WorldStopFn& stop = nullptr);
+
 /// \brief Sample `options.num_worlds` possible worlds over `participants` and
-/// fill the NN indicator table.
+/// fill the NN indicator table (Algorithm 1's shared world sample).
 ///
 /// Participants not alive at any tic of T are kept in the table but never
 /// marked. Fails when a posterior model cannot be built (contradicting
 /// observations) or T is invalid.
 ///
-/// With a `pool`, world chunks are sharded across its workers; the table is
-/// bit-identical at any thread count (chunk boundaries are fixed and every
-/// shard re-derives its RNG position from the world index).
+/// With a `pool`, world chunks are filled and packed on its workers; the
+/// table is bit-identical at any thread count (RunWorldChunks).
 Result<NnTable> ComputeNnTable(const DbSnapshot& db,
                                const std::vector<ObjectId>& participants,
                                const QueryTrajectory& q, const TimeInterval& T,
                                const MonteCarloOptions& options,
                                ThreadPool* pool = nullptr);
 
-/// \brief ComputeNnTable with caller-owned scratch: on the serial path
-/// (no pool, or num_worlds within one chunk) `scratch` and `rows` (the byte
-/// staging buffer) are reused across calls, so a session running many
-/// queries allocates the sampling scratch once per worker lane instead of
-/// once per query. The world-sharded path allocates its per-worker scratch
-/// internally (amortized over the multi-chunk sampling it implies). Either
-/// pointer may be nullptr (private locals are used). The result is
-/// identical to ComputeNnTable.
+/// \brief ComputeNnTable with caller-owned scratch: without a pool (or with
+/// num_worlds within one chunk) `scratch` and `rows` (the byte staging
+/// buffer) are reused across calls, so a session running many queries
+/// allocates the sampling scratch once per worker lane instead of once per
+/// query; a pool's workers use their own. Either pointer may be nullptr
+/// (private locals are used). The result is identical to ComputeNnTable.
 ///
 /// When `arena` is non-null, covers this query's (interval, seed,
 /// num_worlds) and all alive participants, the worlds are *evaluated*
@@ -345,7 +340,9 @@ struct PnnEstimate {
 };
 
 /// \brief Estimate P∀NN and P∃NN for every object in `targets`, sampling
-/// worlds over `participants` (targets ⊆ participants required).
+/// worlds over `participants` (targets ⊆ participants required): a
+/// fixed-count EstimatePnnAdaptive (query/adaptive.h, where it is defined).
+/// `options.num_worlds` must be positive.
 Result<std::vector<PnnEstimate>> EstimatePnn(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const std::vector<ObjectId>& targets, const QueryTrajectory& q,

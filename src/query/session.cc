@@ -22,6 +22,11 @@ Status ValidateSpec(const QuerySpec& spec) {
     return Status::InvalidArgument(
         "query trajectory does not cover the query interval");
   }
+  // Every kind and backend: zero worlds would report 0/0 as probability 0,
+  // and the degrade regime may rewrite a fixed spec to an adaptive one.
+  if (spec.mc.num_worlds == 0) {
+    return Status::InvalidArgument("num_worlds must be positive");
+  }
   return Status::OK();
 }
 

@@ -121,7 +121,7 @@ struct QueryOutcome {
   bool used_arena = false;
   /// Worlds the Monte-Carlo backend actually drew (mc.num_worlds on the
   /// fixed path, the chunk-aligned stop count on the adaptive path; 0 for
-  /// the non-sampling backends and pruned-empty queries).
+  /// the non-sampling backends, pruned-empty queries and failed estimates).
   size_t worlds_used = 0;
   /// The adaptive stopping rule fired before the num_worlds cap.
   bool early_stopped = false;
@@ -170,8 +170,7 @@ class QuerySession {
   /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
   /// world-sampler buffers + the byte staging rows. A serving-tier lane owns
   /// one and reuses it across every morsel, group and session it executes —
-  /// scratch is session-portable by construction (the sampler cursor rebinds
-  /// per query).
+  /// scratch is session-portable by construction (it holds no stream state).
   struct ExecScratch {
     WorldSampler::Scratch sampler;
     std::vector<uint8_t> rows;

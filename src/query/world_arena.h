@@ -10,8 +10,10 @@
 // from the object's id-keyed stream (WorldStreamSeed). Because streams are
 // keyed by object id, not by participant position, the slab holds exactly
 // the indices any spec's batch walk would have produced — a spec over any
-// pruned subset of the arena's objects evaluates bit-identically against it
-// (WorldSampler::EvalArenaWorlds).
+// pruned subset of the arena's objects evaluates bit-identically against it:
+// WorldSampler::FillWorlds reads a participant's indices from its slab
+// instead of walking its alias tables, and nothing else in the fill
+// changes.
 //
 // Slabs store support indices, not distances: indices are q-independent
 // (one arena serves every query trajectory) and k-independent (k only

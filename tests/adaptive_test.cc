@@ -104,9 +104,13 @@ TEST(AdaptiveEpsilonTest, InvalidOptionsRejected) {
   EXPECT_FALSE(
       Adaptive(world, {world.o1}, kForall, 0, kEps, 0.1, 100, 1.5).ok());
   EXPECT_FALSE(Adaptive(world, {world.o1}, kForall, 0, kEps, 0.1, 0).ok());
-  EXPECT_FALSE(Adaptive(world, {world.o1}, kForall, 0,
-                        PrecisionMode::kFixedWorlds, 0.1, 100)
-                   .ok());
+  // A fixed count is the stop rule that never fires: it runs to the cap.
+  auto fixed =
+      Adaptive(world, {world.o1}, kForall, 0, PrecisionMode::kFixedWorlds,
+               0.1, 100);
+  ASSERT_TRUE(fixed.ok());
+  EXPECT_EQ(fixed.value().worlds_used, 100u);
+  EXPECT_FALSE(fixed.value().early_stopped);
   EXPECT_FALSE(Adaptive(world, {world.o1}, kForall, 1.5,
                         PrecisionMode::kThreshold, 0.1, 100)
                    .ok());

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "gen/synthetic.h"
+#include "gen/workload.h"
+#include "query/adaptive.h"
 #include "query/exact.h"
 #include "query/monte_carlo.h"
+#include "query/world_arena.h"
 #include "test_world.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace ust {
 namespace {
@@ -187,6 +192,68 @@ TEST(NnTableTest, AccessorsAndSubsetProbabilities) {
   EXPECT_LE(t.ExistsProb(1, {2}), t.ExistsProb(1, {2, 3}));
   // P∀NN(o2, {2,3}) = 0.125 from the worked example.
   EXPECT_NEAR(t.ForallProb(1, {2, 3}), 0.125, HoeffdingEpsilon(5000, 0.01));
+}
+
+TEST(MonteCarloTest, FixedEstimatesEqualTableReductionsBitForBit) {
+  // The one P∀NN/P∃NN estimator counts hits per target; the packed table
+  // pops them from its bitmap. Over the same worlds the counts, and so the
+  // doubles, must agree exactly — live or against an arena, serial or on a
+  // pool's waves — at a partial word (300), a partial chunk (1000) and
+  // several chunks (1500).
+  SyntheticConfig config;
+  config.num_states = 600;
+  config.num_objects = 30;
+  config.lifetime = 24;
+  config.obs_interval = 6;
+  config.horizon = 40;
+  config.seed = 31;
+  auto world = GenerateSyntheticWorld(config);
+  ASSERT_TRUE(world.ok());
+  const DbSnapshot db(*world.value().db);
+  const TimeInterval T = BusiestInterval(*world.value().db, 6);
+  const std::vector<ObjectId> participants = db.AliveSometime(T.start, T.end);
+  ASSERT_GE(participants.size(), 10u);
+  Rng rng(8);
+  const QueryTrajectory q = RandomQueryState(*world.value().space, rng);
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  for (size_t worlds : {size_t{300}, size_t{1000}, size_t{1500}}) {
+    for (int k : {1, 2}) {
+      const MonteCarloOptions mc = Opts(worlds, 97, k);
+      auto table = ComputeNnTable(db, participants, q, T, mc);
+      ASSERT_TRUE(table.ok());
+      auto arena = WorldArena::Build(db, participants, T, mc.seed, worlds);
+      ASSERT_TRUE(arena.ok());
+      const std::vector<const WorldArena*> sources = {nullptr, &arena.value()};
+      for (const WorldArena* source : sources) {
+        for (ThreadPool* pool : std::vector<ThreadPool*>{nullptr, &pool2,
+                                                         &pool4}) {
+          const std::string where =
+              "W=" + std::to_string(worlds) + " k=" + std::to_string(k) +
+              " arena=" + std::to_string(source != nullptr) + " threads=" +
+              std::to_string(pool != nullptr ? pool->num_threads() : 1);
+          bool used_arena = false;
+          auto est = EstimatePnnAdaptive(
+              db, participants, participants, q, T, PnnSemantics::kForall,
+              /*tau=*/0.0, mc, PrecisionTarget{}, pool, nullptr, nullptr,
+              source, &used_arena);
+          ASSERT_TRUE(est.ok()) << where;
+          EXPECT_EQ(used_arena, source != nullptr) << where;
+          EXPECT_EQ(est.value().worlds_used, worlds) << where;
+          EXPECT_FALSE(est.value().early_stopped) << where;
+          ASSERT_EQ(est.value().estimates.size(), participants.size());
+          for (size_t i = 0; i < participants.size(); ++i) {
+            const PnnEstimate& e = est.value().estimates[i];
+            EXPECT_EQ(e.object, participants[i]) << where;
+            EXPECT_EQ(e.forall_prob, table.value().ForallProb(i))
+                << where << " object " << i;
+            EXPECT_EQ(e.exists_prob, table.value().ExistsProb(i))
+                << where << " object " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MonteCarloTest, MovingQueryTrajectory) {

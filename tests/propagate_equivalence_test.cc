@@ -216,23 +216,29 @@ TEST(PropagateEquivalenceTest, EstimatePnnSameSeedIsDeterministic) {
 }
 
 TEST(PropagateEquivalenceTest, BatchedWorldsMatchWorldAtATime) {
-  // The batched chunked path and the one-world-at-a-time path must produce
-  // the *same* worlds (per-participant RNG streams are chunk-independent).
+  // One batched fill and one-world-at-a-time fills from one cursor must
+  // produce the *same* worlds (per-participant RNG streams are
+  // chunk-independent).
   Figure1World w = MakeFigure1World();
   std::vector<ObjectId> all = {w.o1, w.o2};
   const size_t num_worlds = 700;  // exercises a partial trailing chunk
   const size_t stride = all.size() * w.T.length();
 
-  auto batched = WorldSampler::Create(*w.db, all, w.q, w.T, 1, 4242);
-  ASSERT_TRUE(batched.ok());
+  auto sampler = WorldSampler::Create(*w.db, all, w.q, w.T, 1, 4242);
+  ASSERT_TRUE(sampler.ok());
+  WorldSampler::Scratch scratch;
+  std::vector<Rng> batched_cursor = sampler.value().InitialRngs();
   std::vector<uint8_t> batched_bits(num_worlds * stride);
-  batched.value().SampleWorlds(num_worlds, batched_bits.data(), stride);
+  sampler.value().FillWorlds(0, num_worlds, /*arena=*/nullptr,
+                             &batched_cursor, batched_bits.data(), stride,
+                             &scratch);
 
-  auto stepped = WorldSampler::Create(*w.db, all, w.q, w.T, 1, 4242);
-  ASSERT_TRUE(stepped.ok());
+  std::vector<Rng> stepped_cursor = sampler.value().InitialRngs();
   std::vector<uint8_t> stepped_bits(num_worlds * stride);
   for (size_t world = 0; world < num_worlds; ++world) {
-    stepped.value().NextWorld(stepped_bits.data() + world * stride);
+    sampler.value().FillWorlds(world, 1, /*arena=*/nullptr, &stepped_cursor,
+                               stepped_bits.data() + world * stride, stride,
+                               &scratch);
   }
   EXPECT_EQ(batched_bits, stepped_bits);
 }

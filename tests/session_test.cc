@@ -432,6 +432,7 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
     int k;
     QueryTrajectory q;
     const char* message;
+    size_t num_worlds = 200;
   };
   const std::vector<Case> cases = {
       {"inverted interval", {10, 5}, 1, point, "empty query interval"},
@@ -445,6 +446,7 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
        "query trajectory does not cover the query interval"},
       {"q ends before T", T_, 1, QueryTrajectory::FromPoints(T_.start, {p}),
        "query trajectory does not cover the query interval"},
+      {"zero worlds", T_, 1, point, "num_worlds must be positive", 0},
   };
   const auto check = [](const TrajectoryDatabase& db, const UstTree* index,
                         const QuerySpec& spec, const std::string& what,
@@ -473,13 +475,13 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
       spec.T = c.T;
       spec.tau = 0.1;
       spec.mc.k = c.k;
-      spec.mc.num_worlds = 200;
+      spec.mc.num_worlds = c.num_worlds;
       check(*world_->db, index_.get(), spec,
             std::string(kind_name) + " / " + c.name, c.message);
     }
   }
   // On the Figure 1 world the planner routes P∀/P∃NN to enumeration, whose
-  // kernel requires k >= 1.
+  // kernel requires k >= 1 and never reads num_worlds.
   auto fig = MakeFigure1World();
   auto fig_index = UstTree::Build(*fig.db);
   ASSERT_TRUE(fig_index.ok());
@@ -494,6 +496,14 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
             std::string("figure 1 / ") + kind_name + " / k=" + std::to_string(k),
             "k must be >= 1");
     }
+    QuerySpec spec;
+    spec.kind = kind;
+    spec.q = fig.q;
+    spec.T = fig.T;
+    spec.mc.num_worlds = 0;
+    check(*fig.db, &fig_index.value(), spec,
+          std::string("figure 1 / ") + kind_name + " / zero worlds",
+          "num_worlds must be positive");
   }
 }
 
