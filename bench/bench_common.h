@@ -4,6 +4,7 @@
 // scale (see DESIGN.md for the mapping).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -77,6 +78,16 @@ inline void PrintConfig(const std::string& figure, const Flags& flags,
   std::printf("# (defaults are scaled for CI; see DESIGN.md section 2 for "
               "the paper-scale flags)\n");
   (void)flags;
+}
+
+/// Median of `values` (non-empty): the mean of the two middle values for an
+/// even count.
+inline double Median(std::vector<double> values) {
+  UST_CHECK(!values.empty());
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 }  // namespace ust::bench

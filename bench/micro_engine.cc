@@ -30,10 +30,12 @@
 //
 // --arena {on,off} gates the shared-world-arena phase (on by default, mc
 // executor only): a hot spec stream — every query sharing one
-// (interval, seed) group — is evaluated twice, arenas disabled vs enabled,
-// both warmed by an untimed pass. The arena run must reproduce the live
-// sampling bytes exactly; emits qps_arena_on / qps_arena_off /
+// (interval, seed) group — is evaluated twice, world columns disabled vs
+// enabled, both warmed by an untimed pass. The column run must reproduce
+// the live sampling bytes exactly; emits qps_arena_on / qps_arena_off /
 // arena_speedup (the skip-the-alias-walk amortization under measurement).
+// qps_session_batch, qps_arena_off and qps_arena_on each time the median
+// of 5 passes.
 //
 // --adaptive {on,off} gates the adaptive-precision phase (on by default, mc
 // executor only): the query stream re-cast as tau = 0.5 threshold decisions
@@ -168,6 +170,20 @@ int main(int argc, char** argv) {
     warm_engine_seconds = t.Seconds();
   }
 
+  // The gated session and arena throughputs are each the median time of
+  // kTimedPasses passes: one 25-spec pass takes 3-17 ms at the CI flags, so
+  // a single pass lets one host hiccup move the gate.
+  constexpr int kTimedPasses = 5;
+  const auto median_pass_seconds = [](const auto& pass) {
+    std::vector<double> seconds;
+    for (int i = 0; i < kTimedPasses; ++i) {
+      Timer t;
+      pass();
+      seconds.push_back(t.Seconds());
+    }
+    return Median(seconds);
+  };
+
   // ---- Mode 3: QuerySession batch. Prepare (the one-time warm-up) is
   // timed separately — the warm-engine mode gets its posteriors for free
   // outside its timer, so the symmetric comparison is RunAll vs the warm
@@ -179,13 +195,16 @@ int main(int argc, char** argv) {
     db.InvalidatePosteriors();  // the session rebuilds its own shared state
     SessionOptions options;
     options.threads = threads;
+    // Every pass samples live, as the QueryEngine modes do: the repeated
+    // passes would otherwise turn each spec's group hot from the second on.
+    // The arena phase below measures world columns.
+    options.arena_min_uses = 0;
     QuerySession session(db, &tree.value(), options);
     Timer prep;
     UST_CHECK(session.Prepare().ok());
     session_prepare_seconds = prep.Seconds();
-    Timer t;
-    session_results = session.RunAll(specs);
-    session_seconds = t.Seconds();
+    session_seconds =
+        median_pass_seconds([&] { session_results = session.RunAll(specs); });
   }
 
   // The three modes must agree bit for bit (same seeds, same backend):
@@ -270,8 +289,9 @@ int main(int argc, char** argv) {
   // The hot stream reuses the query points above but shares a single seed,
   // so every spec keys the same arena group — the serving tier's hot-group
   // shape. Both sessions are warmed by an untimed RunAll (the off pass gets
-  // warm samplers, the on pass gets its arena built), so the timed passes
-  // compare steady-state throughput: alias-walk sampling vs arena lookup.
+  // warm samplers, the on pass gets its world columns built), so the timed
+  // passes compare steady-state throughput: alias-walk sampling vs column
+  // reads.
   double qps_arena_on = 0.0;
   double qps_arena_off = 0.0;
   if (run_arena) {
@@ -285,9 +305,9 @@ int main(int argc, char** argv) {
       QuerySession session(db, &tree.value(), options);
       UST_CHECK(session.Prepare().ok());
       session.RunAll(hot);  // warm-up, untimed
-      Timer t;
-      off_results = session.RunAll(hot);
-      qps_arena_off = static_cast<double>(hot.size()) / t.Seconds();
+      qps_arena_off =
+          static_cast<double>(hot.size()) /
+          median_pass_seconds([&] { off_results = session.RunAll(hot); });
       UST_CHECK(session.arena_stats().builds == 0);
     }
     {
@@ -296,15 +316,16 @@ int main(int argc, char** argv) {
       options.arena_min_uses = 1;  // build on first use
       QuerySession session(db, &tree.value(), options);
       UST_CHECK(session.Prepare().ok());
-      session.RunAll(hot);  // warm-up: builds the arena, untimed
-      Timer t;
-      on_results = session.RunAll(hot);
-      qps_arena_on = static_cast<double>(hot.size()) / t.Seconds();
+      session.RunAll(hot);  // warm-up: builds the columns, untimed
+      const uint64_t warm_bytes = session.arena_stats().bytes;
+      qps_arena_on =
+          static_cast<double>(hot.size()) /
+          median_pass_seconds([&] { on_results = session.RunAll(hot); });
       const ArenaStats stats = session.arena_stats();
       UST_CHECK(stats.builds == 1);
-      // The timed pass ran entirely against the built arena.
-      UST_CHECK(stats.spec_reuses >= hot.size());
-      UST_CHECK(stats.bytes > 0);
+      // The timed passes ran entirely against the built columns.
+      UST_CHECK(stats.spec_reuses >= kTimedPasses * hot.size());
+      UST_CHECK(stats.bytes > 0 && stats.bytes == warm_bytes);
       for (const QueryOutcome& out : on_results) UST_CHECK(out.used_arena);
     }
     // The arena determinism contract: evaluate-against-arena reproduces
@@ -325,8 +346,9 @@ int main(int argc, char** argv) {
   // with 95% confidence?") under a deliberately oversized world cap: the
   // fixed pass draws every one of the --adaptive_worlds worlds, the adaptive
   // pass stops at the first 512-world chunk boundary where every target's
-  // Wilson interval clears tau. Per-spec seeds stay unique so no arena group
-  // goes hot — the phase measures the stopping rule, not arena reuse. A
+  // Wilson interval clears tau. World columns are off in both timed
+  // sessions (the warm-up pass would make every group hot for the timed
+  // one) — the phase measures the stopping rule, not arena reuse. A
   // 1-thread re-run pins the determinism contract: identical stop decisions
   // and bits at any pool size.
   double qps_adaptive_on = 0.0;
@@ -350,6 +372,7 @@ int main(int argc, char** argv) {
     {
       SessionOptions options;
       options.threads = threads;
+      options.arena_min_uses = 0;
       QuerySession session(db, &tree.value(), options);
       UST_CHECK(session.Prepare().ok());
       session.RunAll(fixed);  // warm-up, untimed
@@ -364,6 +387,7 @@ int main(int argc, char** argv) {
     {
       SessionOptions options;
       options.threads = threads;
+      options.arena_min_uses = 0;
       QuerySession session(db, &tree.value(), options);
       UST_CHECK(session.Prepare().ok());
       session.RunAll(easy);  // warm-up, untimed

@@ -57,9 +57,10 @@
 //
 // The *traced* phase (PR 8) re-runs the mixed stream at --lanes lanes with
 // the event tracer recording (ServerOptions::trace): qps_trace_on and the
-// ratio trace_overhead = qps_server / qps_trace_on gate the cost of a live
-// probe (≤10%; tracing-off probes are a single branch and are covered by
-// the qps_server band itself). --trace=<path> additionally exports the
+// ratio trace_overhead — the median over 5 (traced, untraced) pairs of run
+// time, alternating which runs first — gate the cost of a live probe
+// (≤10%; tracing-off probes are a single branch and are covered by the
+// qps_server band itself). --trace=<path> additionally exports the
 // recorded events as Chrome trace_event JSON (chrome://tracing,
 // ui.perfetto.dev).
 #include <algorithm>
@@ -287,9 +288,11 @@ int main(int argc, char** argv) {
   // needs a measurement tighter than the mixed stream alone can give: at
   // smoke scale a run is ~10 ms and one flush deadline (~delay_ms) landing
   // differently swings it by 20%. So the overhead pair runs the mixed
-  // stream repeated 3x (one deadline is noise against ~30 ms), takes
-  // best-of-two per side, and interleaves the runs (traced, plain, traced,
-  // plain) so process-lifetime drift penalizes both sides equally.
+  // stream repeated 3x (one deadline is noise against ~30 ms), and the
+  // ratio is the median over kOverheadPairs (traced, plain) pairs, the
+  // side that runs first alternating from pair to pair: with a fixed order
+  // the ratio reads process-lifetime drift (warming caches, a neighbour's
+  // load) as much as tracing, while alternation charges it to both sides.
   std::vector<QuerySpec> overhead_specs;
   std::vector<QueryOutcome> overhead_reference;
   overhead_specs.reserve(3 * specs.size());
@@ -300,21 +303,23 @@ int main(int argc, char** argv) {
       overhead_reference.push_back(runall_results[i]);
     }
   }
-  const ServerRun traced_a =
-      run_server(overhead_specs, overhead_reference, lanes, morsel_specs, 2,
-                 true);
-  const ServerRun plain_a =
-      run_server(overhead_specs, overhead_reference, lanes, morsel_specs, 2);
-  const ServerRun traced_b =
-      run_server(overhead_specs, overhead_reference, lanes, morsel_specs, 2,
-                 true);
-  const ServerRun plain_b =
-      run_server(overhead_specs, overhead_reference, lanes, morsel_specs, 2);
-  const double traced_seconds = std::min(traced_a.seconds, traced_b.seconds);
-  const double plain_seconds = std::min(plain_a.seconds, plain_b.seconds);
-  // The last traced run's rings survive the trailing untraced run (its
-  // probes are disabled, never clearing), so --trace dumps traced_b.
-  const ServerRun& lane_traced = traced_b;
+  constexpr int kOverheadPairs = 5;  // odd: the last pair runs traced first
+  std::vector<double> overhead_ratios, traced_runs;
+  ServerRun lane_traced;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    const bool traced_first = pair % 2 == 0;
+    ServerRun first = run_server(overhead_specs, overhead_reference, lanes,
+                                 morsel_specs, 2, traced_first);
+    ServerRun second = run_server(overhead_specs, overhead_reference, lanes,
+                                  morsel_specs, 2, !traced_first);
+    ServerRun& traced = traced_first ? first : second;
+    const ServerRun& plain = traced_first ? second : first;
+    overhead_ratios.push_back(traced.seconds / plain.seconds);
+    traced_runs.push_back(traced.seconds);
+    // Enabling the tracer clears its rings, and an untraced run never
+    // touches them, so --trace dumps the last traced run.
+    lane_traced = std::move(traced);
+  }
   // Cross-check the mixed stream against the cold per-request mode too.
   for (size_t i = 0; i < num_queries; ++i) {
     CheckSameOutcome(runall_results[i], cold_results[i]);
@@ -483,12 +488,11 @@ int main(int argc, char** argv) {
   const double qps_server_1lane = n / lane1.seconds;
   const double qps_server = n / laneN.seconds;
   // >1 means tracing cost throughput; gated at 10% (tools/check_bench.py).
-  // Both sides best-of-two on the tripled stream (see the overhead pair
-  // comment above).
+  // Medians over the alternating pairs on the tripled stream (see the
+  // overhead pair comment above).
   const double qps_trace_on =
-      static_cast<double>(overhead_specs.size()) / traced_seconds;
-  const double trace_overhead =
-      plain_seconds > 0.0 ? traced_seconds / plain_seconds : 1.0;
+      static_cast<double>(overhead_specs.size()) / Median(traced_runs);
+  const double trace_overhead = Median(overhead_ratios);
   const auto p_ms = [](const ServerRun& run, double q) {
     return run.stats.latency_micros.Quantile(q) / 1000.0;
   };

@@ -52,15 +52,18 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const MonteCarloOptions& mc, const PrecisionTarget& precision,
     ThreadPool* pool, WorldSampler::Scratch* scratch,
     std::vector<uint8_t>* rows, const WorldArena* arena, bool* used_arena) {
+  // Each check states the valid range, so a NaN (false under every
+  // comparison) is rejected rather than let through to the stop rule.
   const bool fixed = precision.mode == PrecisionMode::kFixedWorlds;
-  if (!fixed && (precision.delta <= 0.0 || precision.delta >= 1.0)) {
+  if (!fixed && !(precision.delta > 0.0 && precision.delta < 1.0)) {
     return Status::InvalidArgument("delta out of range");
   }
-  if (precision.mode == PrecisionMode::kEpsilon && precision.epsilon <= 0.0) {
+  if (precision.mode == PrecisionMode::kEpsilon &&
+      !(precision.epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be positive");
   }
   if (precision.mode == PrecisionMode::kThreshold &&
-      (tau < 0.0 || tau > 1.0)) {
+      !(tau >= 0.0 && tau <= 1.0)) {
     return Status::InvalidArgument("tau out of [0, 1]");
   }
   if (mc.num_worlds == 0) {

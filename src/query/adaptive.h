@@ -66,11 +66,12 @@ struct AdaptivePnnResult {
 /// speculatively (waves of one chunk per worker); chunks past the stop
 /// boundary are discarded unaccumulated.
 ///
-/// When `arena` covers (T, seed, num_worlds) and every alive participant,
-/// chunks are *evaluated* against the arena prefix instead of sampled —
-/// bit-identical marks, so identical stop decisions — and `*used_arena` is
-/// set. The arena prefix property makes an arena built for N worlds serve
-/// any early-stopped prefix <= N.
+/// When `arena` matches (T, seed, num_worlds), the participants it holds
+/// columns for are *evaluated* against their column prefixes instead of
+/// sampled — bit-identical marks, so identical stop decisions — and
+/// `*used_arena` says whether every alive participant read a column. The
+/// prefix property makes a column of N worlds serve any early-stopped
+/// prefix <= N.
 Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const std::vector<ObjectId>& targets, const QueryTrajectory& q,

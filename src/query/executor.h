@@ -69,9 +69,11 @@ struct ExecContext {
   ThreadPool* pool = nullptr;                  ///< world-chunk sharding
   WorldSampler::Scratch* sampler_scratch = nullptr;
   std::vector<uint8_t>* row_buffer = nullptr;  ///< one chunk's byte rows
-  /// Pre-sampled world arena of the session's (interval, seed) group; the
-  /// Monte-Carlo backend evaluates against it when it covers the task
-  /// (bit-identical either way) and reports the decision in `arena_used`.
+  /// Pre-sampled world columns of the task's participants (a ColumnStore
+  /// view, query/world_arena.h); the Monte-Carlo backend reads each
+  /// participant's column when the arena holds one and walks the rest live
+  /// (bit-identical either way), and says in `arena_used` whether every
+  /// alive participant read a column.
   const WorldArena* arena = nullptr;
   bool* arena_used = nullptr;
   /// Out-params of the Monte-Carlo backend: worlds actually drawn (the cap

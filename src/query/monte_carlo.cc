@@ -212,15 +212,15 @@ void WorldSampler::AdvanceWorlds(std::vector<Rng>* rngs, size_t worlds) {
 namespace {
 
 /// Feeds `visit(w, rel, local)` every support index of one participant's
-/// window in worlds [0, chunk): read from its slab rows (`slab` points at
-/// the chunk's first world), or drawn by the batch walk from `rng`.
+/// window in worlds [0, chunk): read from its column rows (`column` points
+/// at the chunk's first world), or drawn by the batch walk from `rng`.
 template <typename Visit>
 void VisitWindows(const PosteriorModel& model, Tic ws, Tic we, uint32_t wlen,
-                  const uint32_t* slab, Rng* rng, size_t chunk,
+                  const uint32_t* column, Rng* rng, size_t chunk,
                   Visit&& visit) {
-  if (slab != nullptr) {
+  if (column != nullptr) {
     for (size_t w = 0; w < chunk; ++w) {
-      const uint32_t* srow = slab + w * wlen;
+      const uint32_t* srow = column + w * wlen;
       for (uint32_t r = 0; r < wlen; ++r) visit(w, r, srow[r]);
     }
     return;
@@ -234,26 +234,28 @@ void VisitWindows(const PosteriorModel& model, Tic ws, Tic we, uint32_t wlen,
 
 }  // namespace
 
-void WorldSampler::FillWorlds(size_t w0, size_t count,
-                              const WorldArena* arena,
-                              std::vector<Rng>* cursor, uint8_t* is_nn,
-                              size_t world_stride, Scratch* scratch) const {
+size_t WorldSampler::FillWorlds(size_t w0, size_t count,
+                                const WorldArena* arena,
+                                std::vector<Rng>* cursor, uint8_t* is_nn,
+                                size_t world_stride, Scratch* scratch) const {
   const size_t n = resolved_.size();
   const size_t len = interval_.length();
   const double kInf = std::numeric_limits<double>::infinity();
   UST_CHECK(arena == nullptr || w0 + count <= arena->num_worlds());
   // Resolve each alive participant's source once per call.
-  std::vector<const uint32_t*>& slabs = scratch->arena_slabs;
-  slabs.assign(n, nullptr);
+  std::vector<const uint32_t*>& columns = scratch->columns;
+  columns.assign(n, nullptr);
+  size_t walked = 0;
   for (size_t i = 0; i < n; ++i) {
     const Participant& p = resolved_[i];
     if (!p.alive) continue;
-    const WorldArena::Entry* e =
+    const WorldColumn* c =
         arena != nullptr ? arena->Find(participants_[i]) : nullptr;
-    if (e != nullptr && e->ws == p.ws && e->we == p.we) {
-      slabs[i] = arena->slab(*e) + w0 * p.wlen;
+    if (c != nullptr && c->ws == p.ws && c->we == p.we) {
+      columns[i] = c->indices.data() + w0 * p.wlen;
     } else {
       UST_CHECK(cursor != nullptr && cursor->size() == n);
+      ++walked;
     }
   }
   std::vector<double>& dist2 = scratch->dist2;
@@ -264,7 +266,7 @@ void WorldSampler::FillWorlds(size_t w0, size_t count,
     min_scratch.resize(chunk * len);
     if (k_ == 1) std::fill(min_scratch.begin(), min_scratch.end(), kInf);
     // ---- Phase 1: participant-major sampling straight into distances. ----
-    // One participant's alias tables (or slab rows) stay hot across the whole
+    // One participant's alias tables (or column rows) stay hot across the whole
     // chunk and the batch sampler keeps several walks in flight; the sampled
     // windows are converted to squared distances immediately (no trajectory
     // ever escapes this loop). For k == 1 the chunk's per-tic minima fold
@@ -276,12 +278,12 @@ void WorldSampler::FillWorlds(size_t w0, size_t count,
       const uint32_t* doff = p.dtab_off.data();
       double* block = dist2.data() + p.doff * chunk;
       const uint32_t wlen = p.wlen;
-      const uint32_t* slab =
-          slabs[i] != nullptr ? slabs[i] + c0 * wlen : nullptr;
-      Rng* rng = slab != nullptr ? nullptr : &(*cursor)[i];
+      const uint32_t* column =
+          columns[i] != nullptr ? columns[i] + c0 * wlen : nullptr;
+      Rng* rng = column != nullptr ? nullptr : &(*cursor)[i];
       if (k_ == 1) {
         double* mins = min_scratch.data() + p.rel0;
-        VisitWindows(*p.model, p.ws, p.we, wlen, slab, rng, chunk,
+        VisitWindows(*p.model, p.ws, p.we, wlen, column, rng, chunk,
                      [=](size_t w, size_t rel, uint32_t local) {
                        const double d = dtab[doff[rel] + local];
                        block[w * wlen + rel] = d;
@@ -289,7 +291,7 @@ void WorldSampler::FillWorlds(size_t w0, size_t count,
                        if (d < m) m = d;
                      });
       } else {
-        VisitWindows(*p.model, p.ws, p.we, wlen, slab, rng, chunk,
+        VisitWindows(*p.model, p.ws, p.we, wlen, column, rng, chunk,
                      [=](size_t w, size_t rel, uint32_t local) {
                        block[w * wlen + rel] = dtab[doff[rel] + local];
                      });
@@ -297,6 +299,7 @@ void WorldSampler::FillWorlds(size_t w0, size_t count,
     }
     ReduceChunk(c0, chunk, is_nn, world_stride, scratch);
   }
+  return walked;
 }
 
 void WorldSampler::ReduceChunk(size_t row0, size_t chunk, uint8_t* is_nn,
@@ -352,16 +355,6 @@ void WorldSampler::ReduceChunk(size_t row0, size_t chunk, uint8_t* is_nn,
   }
 }
 
-bool WorldSampler::CoveredBy(const WorldArena& arena) const {
-  for (size_t i = 0; i < resolved_.size(); ++i) {
-    const Participant& p = resolved_[i];
-    if (!p.alive) continue;  // never sampled, nothing to cover
-    const WorldArena::Entry* e = arena.Find(participants_[i]);
-    if (e == nullptr || e->ws != p.ws || e->we != p.we) return false;
-  }
-  return true;
-}
-
 size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
                       const WorldArena* arena, bool* used_arena,
                       ThreadPool* pool, WorldSampler::Scratch* scratch,
@@ -369,25 +362,28 @@ size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
                       const WorldStopFn& stop) {
   constexpr size_t kChunk = WorldSampler::kWorldChunk;
   if (arena != nullptr &&
-      !(arena->Matches(sampler.interval(), sampler.seed(), num_worlds) &&
-        sampler.CoveredBy(*arena))) {
+      !arena->Matches(sampler.interval(), sampler.seed(), num_worlds)) {
     arena = nullptr;
   }
-  if (used_arena != nullptr) *used_arena = arena != nullptr;
   const size_t stride =
       sampler.num_participants() * sampler.interval().length();
   const size_t num_chunks = (num_worlds + kChunk - 1) / kChunk;
-  // Arena evaluation reads slab rows at any world offset: no cursor needed.
-  std::vector<Rng> cursor;
-  if (arena == nullptr) cursor = sampler.InitialRngs();
-  std::vector<Rng>* live = arena == nullptr ? &cursor : nullptr;
+  // Every chunk resolves the same per-participant sources; a zero-world
+  // fill resolves them up front without drawing. Columns are read at any
+  // world offset, so the stream cursor serves only the participants that
+  // walk — none, when every alive participant reads a column.
+  WorldSampler::Scratch local_scratch;
+  if (scratch == nullptr) scratch = &local_scratch;
+  std::vector<Rng> cursor = sampler.InitialRngs();
+  const size_t walkers =
+      sampler.FillWorlds(0, 0, arena, &cursor, nullptr, stride, scratch);
+  if (used_arena != nullptr) *used_arena = arena != nullptr && walkers == 0;
+  std::vector<Rng>* live = walkers > 0 ? &cursor : nullptr;
 
   if (pool == nullptr || pool->num_threads() <= 1 || num_chunks <= 1) {
     // Serial: chunk after chunk on the caller's scratch, the cursor simply
     // continuing (no RNG prefix pass).
-    WorldSampler::Scratch local_scratch;
     std::vector<uint8_t> local_rows;
-    if (scratch == nullptr) scratch = &local_scratch;
     if (rows == nullptr) rows = &local_rows;
     rows->resize(std::min(num_worlds, kChunk) * stride);
     for (size_t w0 = 0; w0 < num_worlds; w0 += kChunk) {

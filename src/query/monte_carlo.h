@@ -28,8 +28,8 @@ class WorldArena;
 /// Keyed by the object id — not by the participant's *position* in the list —
 /// so the worlds an object realizes are a pure function of (seed, id): two
 /// queries over different participant subsets still sample identical
-/// trajectories for their common objects, which is what lets one shared
-/// world arena (query/world_arena.h) serve any pruned subset bit-identically.
+/// trajectories for their common objects, which is what lets one world
+/// column per object (query/world_arena.h) serve any spec bit-identically.
 /// splitmix64 finalizer over seed + golden-ratio stride: consecutive ids and
 /// seeds land on decorrelated xoshiro seedings.
 inline uint64_t WorldStreamSeed(uint64_t seed, ObjectId id) {
@@ -181,8 +181,8 @@ class WorldSampler {
     std::vector<double> dist2;        // [participant block][world][rel - rel0]
     std::vector<double> min_scratch;  // per-(world, rel) k-th distance
     std::vector<double> kth_scratch;  // k>1: per-tic alive distances
-    /// Per-participant arena slab, or nullptr for a live alias walk.
-    std::vector<const uint32_t*> arena_slabs;
+    /// Per-participant column rows, or nullptr for a live alias walk.
+    std::vector<const uint32_t*> columns;
   };
 
   /// Validates inputs (including every sampling window), resolves the
@@ -206,22 +206,18 @@ class WorldSampler {
   /// The one fill: writes worlds [w0, w0 + count) as byte indicator rows,
   /// world w0 + j at `is_nn + j * world_stride` (participant-major row of
   /// num_participants() * interval().length() bytes; layout as
-  /// MarkNearestNeighbors). Each alive participant reads its support indices
-  /// from `arena`'s slab when the arena realizes it over the same window,
-  /// and otherwise walks its alias tables from `(*cursor)[i]`, which must
-  /// stand at world w0 and is advanced by `count` worlds. The slab holds the
-  /// very indices the walk would have drawn, so both sources give the same
-  /// bytes. `arena` may be null (every participant walks); `cursor` may be
-  /// null when the arena realizes every alive participant. Safe concurrently
-  /// with distinct scratches and cursors.
-  void FillWorlds(size_t w0, size_t count, const WorldArena* arena,
-                  std::vector<Rng>* cursor, uint8_t* is_nn,
-                  size_t world_stride, Scratch* scratch) const;
-
-  /// True when `arena` realizes every alive participant of this sampler over
-  /// the exact sampling window (same interval, same seed-keyed streams are
-  /// the arena's responsibility — this checks object coverage and windows).
-  bool CoveredBy(const WorldArena& arena) const;
+  /// MarkNearestNeighbors). Each alive participant picks its own source: it
+  /// reads its support indices from `arena`'s column when the arena
+  /// realizes it over the same window, and otherwise walks its alias tables
+  /// from `(*cursor)[i]`, which must stand at world w0 and is advanced by
+  /// `count` worlds. A column holds the very indices the walk would have
+  /// drawn, so both sources give the same bytes. `arena` may be null (every
+  /// participant walks); `cursor` may be null when the arena realizes every
+  /// alive participant. Returns the number of alive participants that
+  /// walked. Safe concurrently with distinct scratches and cursors.
+  size_t FillWorlds(size_t w0, size_t count, const WorldArena* arena,
+                    std::vector<Rng>* cursor, uint8_t* is_nn,
+                    size_t world_stride, Scratch* scratch) const;
 
   size_t num_participants() const { return participants_.size(); }
   const std::vector<ObjectId>& participants() const { return participants_; }
@@ -275,10 +271,11 @@ using WorldStopFn = std::function<bool(size_t worlds)>;
 /// the worlds consumed: num_worlds, or the first chunk boundary where
 /// `stop` fired.
 ///
-/// When `arena` matches (interval, seed, num_worlds) and covers every alive
-/// participant, chunks are evaluated against its slabs instead of sampled —
-/// the same bytes — and `*used_arena` (if given) says which source ran. An
-/// arena built for N worlds serves any prefix <= N (DESIGN.md §7.2).
+/// When `arena` matches (interval, seed, num_worlds), every alive
+/// participant it realizes reads its column and the others walk live — the
+/// same bytes either way — and `*used_arena` (if given) says whether every
+/// alive participant read a column. An arena of N worlds serves any prefix
+/// <= N (DESIGN.md §7.2).
 ///
 /// Without a pool the chunks run in order on `scratch` and `rows` (either
 /// may be null), the stream cursor continuing from chunk to chunk. With a
@@ -319,12 +316,11 @@ Result<NnTable> ComputeNnTable(const DbSnapshot& db,
 /// query; a pool's workers use their own. Either pointer may be nullptr
 /// (private locals are used). The result is identical to ComputeNnTable.
 ///
-/// When `arena` is non-null, covers this query's (interval, seed,
-/// num_worlds) and all alive participants, the worlds are *evaluated*
-/// against the arena instead of sampled — same bytes, no alias walk — and
-/// `*used_arena` (if given) is set to true. Otherwise the call falls back
-/// to live sampling and sets `*used_arena` to false; the result is
-/// identical either way.
+/// When `arena` is non-null and matches this query's (interval, seed,
+/// num_worlds), the participants it realizes are *evaluated* against their
+/// columns instead of sampled — same bytes, no alias walk — and the rest are
+/// sampled live; `*used_arena` (if given) says whether every alive
+/// participant read a column. The result is identical either way.
 Result<NnTable> ComputeNnTableScratch(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const QueryTrajectory& q, const TimeInterval& T,

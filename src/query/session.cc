@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/fault.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -27,6 +26,23 @@ Status ValidateSpec(const QuerySpec& spec) {
   if (spec.mc.num_worlds == 0) {
     return Status::InvalidArgument("num_worlds must be positive");
   }
+  // The precision fields, NaN-safe: every comparison with a NaN is false,
+  // so each check states the valid range and rejects what falls outside.
+  if (!std::isfinite(spec.tau)) {
+    return Status::InvalidArgument("tau must be finite");
+  }
+  const PrecisionTarget& precision = spec.precision;
+  if (precision.mode != PrecisionMode::kFixedWorlds &&
+      !(precision.delta > 0.0 && precision.delta < 1.0)) {
+    return Status::InvalidArgument("delta out of range");
+  }
+  if (precision.mode == PrecisionMode::kEpsilon && !(precision.epsilon > 0.0)) {
+    return Status::InvalidArgument("epsilon must be positive");
+  }
+  if (precision.mode == PrecisionMode::kThreshold &&
+      !(spec.tau >= 0.0 && spec.tau <= 1.0)) {
+    return Status::InvalidArgument("tau out of [0, 1]");
+  }
   return Status::OK();
 }
 
@@ -46,6 +62,10 @@ QuerySession::QuerySession(DbSnapshot db, const UstTree* index,
     : db_(std::move(db)), index_(index), options_(options),
       pool_(options.threads),
       scratch_(static_cast<size_t>(pool_.num_threads())) {
+  if (options_.column_store == nullptr) {
+    own_store_ = std::make_unique<ColumnStore>(ColumnStore::kBudgetBytes);
+  }
+  store_ = own_store_ != nullptr ? own_store_.get() : options_.column_store;
   // An index over another epoch prunes against the wrong object set. Patch
   // the gap with a delta over the change log when possible; otherwise (the
   // log no longer reaches back to the index, the index is newer than this
@@ -165,96 +185,10 @@ std::vector<QueryOutcome> QuerySession::RunAll(
   return outcomes;
 }
 
-ArenaStats QuerySession::arena_stats() const {
-  ArenaStats s;
-  s.builds = own_arena_counters_.builds.value();
-  s.spec_reuses = own_arena_counters_.spec_reuses.value();
-  s.bytes = own_arena_counters_.bytes.value();
-  return s;
-}
-
-void QuerySession::NoteArenaUse() const {
-  own_arena_counters_.spec_reuses.Increment();
-  if (options_.arena_counters != nullptr) {
-    options_.arena_counters->spec_reuses.Increment();
-  }
-}
-
-std::shared_ptr<const WorldArena> QuerySession::ArenaFor(
-    const TimeInterval& T, uint64_t seed, size_t num_worlds,
-    ThreadPool* pool) const {
-  if (options_.arena_min_uses <= 0 || !T.valid() || num_worlds == 0) {
-    return nullptr;
-  }
-  if (fault::ShouldFail("alloc_limit")) {
-    // Injected allocation refusal: behave as if the slab could not be
-    // materialized — specs sample live, bit-identically, just unamortized.
-    return nullptr;
-  }
-  size_t build_worlds = 0;
-  {
-    std::lock_guard<std::mutex> lock(arena_mu_);
-    ArenaSlot* slot = nullptr;
-    for (ArenaSlot& s : arena_slots_) {
-      if (s.T.start == T.start && s.T.end == T.end && s.seed == seed) {
-        slot = &s;
-        break;
-      }
-    }
-    if (slot == nullptr) {
-      // Bound the group list: drop idle (non-building) groups front-first.
-      // Handed-out arenas survive any trim — callers hold shared_ptrs.
-      constexpr size_t kMaxArenaSlots = 16;
-      if (arena_slots_.size() >= kMaxArenaSlots) {
-        for (auto it = arena_slots_.begin(); it != arena_slots_.end();) {
-          if (!it->building && arena_slots_.size() >= kMaxArenaSlots) {
-            it = arena_slots_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      arena_slots_.push_back(ArenaSlot{T, seed, 0, 0, false, nullptr});
-      slot = &arena_slots_.back();
-    }
-    slot->uses += 1;
-    slot->max_worlds = std::max(slot->max_worlds, num_worlds);
-    if (slot->arena != nullptr) return slot->arena;
-    if (slot->building ||
-        slot->uses < static_cast<uint32_t>(options_.arena_min_uses)) {
-      return nullptr;  // cold, or another lane is building: sample live
-    }
-    slot->building = true;
-    build_worlds = slot->max_worlds;
-  }
-  // Build outside the lock: sampling the whole group must not serialize the
-  // other lanes (they sample live meanwhile — same bytes, the contract).
-  // The group superset is everything alive within T: pruning only ever
-  // yields subsets of it, so the arena covers any spec of the group.
-  Result<WorldArena> built = [&] {
-    UST_TRACE_SCOPE("arena_build", static_cast<uint64_t>(build_worlds),
-                    "worlds");
-    return WorldArena::Build(db_, db_.AliveSometime(T.start, T.end), T, seed,
-                             build_worlds, pool);
-  }();
-  std::lock_guard<std::mutex> lock(arena_mu_);
-  // Re-find by key: the slot vector may have been trimmed or reallocated
-  // while we sampled.
-  for (ArenaSlot& s : arena_slots_) {
-    if (s.T.start == T.start && s.T.end == T.end && s.seed == seed) {
-      s.building = false;
-      if (!built.ok()) return nullptr;  // group unbuildable: stay live
-      s.arena = std::make_shared<const WorldArena>(built.MoveValue());
-      own_arena_counters_.builds.Increment();
-      own_arena_counters_.bytes.Increment(s.arena->bytes());
-      if (options_.arena_counters != nullptr) {
-        options_.arena_counters->builds.Increment();
-        options_.arena_counters->bytes.Increment(s.arena->bytes());
-      }
-      return s.arena;
-    }
-  }
-  return nullptr;  // slot trimmed mid-build: drop the arena
+std::optional<WorldArena> QuerySession::ColumnView(
+    const QuerySpec& spec, const std::vector<ObjectId>& participants) const {
+  return store_->View(db_, participants, spec.T, spec.mc.seed,
+                      spec.mc.num_worlds, options_.arena_min_uses);
 }
 
 void QuerySession::RunMorsel(const std::vector<QuerySpec>& specs,
@@ -344,13 +278,13 @@ void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
   ctx.row_buffer = &scratch->rows;
   ctx.worlds_used = &out->worlds_used;
   ctx.early_stopped = &out->early_stopped;
-  // Monte-Carlo specs consult the session's shared arena; the shared_ptr
-  // keeps it alive for the whole estimate even if the cache trims it.
-  std::shared_ptr<const WorldArena> arena;
+  // Monte-Carlo specs read their participants' world columns; the view
+  // shares them, so store eviction never frees one mid-estimate.
+  std::optional<WorldArena> view;
   bool used_arena = false;
   if (choice == ExecutorKind::kMonteCarlo) {
-    arena = ArenaFor(spec.T, spec.mc.seed, spec.mc.num_worlds, world_pool);
-    ctx.arena = arena.get();
+    view = ColumnView(spec, participants);
+    ctx.arena = view ? &*view : nullptr;
     ctx.arena_used = &used_arena;
   }
   auto estimates = GetExecutor(choice).Estimate(task, ctx);
@@ -359,8 +293,8 @@ void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
     // The planner under-estimated the enumeration cross product (it only
     // sees set sizes, not per-object world counts): fall back to sampling.
     choice = ExecutorKind::kMonteCarlo;
-    arena = ArenaFor(spec.T, spec.mc.seed, spec.mc.num_worlds, world_pool);
-    ctx.arena = arena.get();
+    view = ColumnView(spec, participants);
+    ctx.arena = view ? &*view : nullptr;
     ctx.arena_used = &used_arena;
     estimates = GetExecutor(choice).Estimate(task, ctx);
   }
@@ -370,7 +304,7 @@ void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
   }
   out->executor = choice;
   out->used_arena = used_arena;
-  if (used_arena) NoteArenaUse();
+  if (used_arena) store_->NoteSpecReuse();
   for (const PnnEstimate& e : estimates.value()) {
     const double p = forall ? e.forall_prob : e.exists_prob;
     if (p >= spec.tau) out->pnn.results.push_back({e.object, p});
@@ -405,12 +339,12 @@ void QuerySession::RunContinuous(const QuerySpec& spec,
 
   Timer sample_timer;
   out->executor = ExecutorKind::kMonteCarlo;
-  std::shared_ptr<const WorldArena> arena =
-      ArenaFor(spec.T, spec.mc.seed, spec.mc.num_worlds, world_pool);
+  const std::optional<WorldArena> view = ColumnView(spec, pruned.influencers);
   bool used_arena = false;
   auto table = ComputeNnTableScratch(db_, pruned.influencers, spec.q, spec.T,
                                      spec.mc, world_pool, &scratch->sampler,
-                                     &scratch->rows, arena.get(), &used_arena);
+                                     &scratch->rows, view ? &*view : nullptr,
+                                     &used_arena);
   if (!table.ok()) {
     out->status = table.status();
     return;
@@ -419,7 +353,7 @@ void QuerySession::RunContinuous(const QuerySpec& spec,
   // PCNN ignores any precision target: Algorithm 1 validates timestamp sets
   // against the one shared world table, which must be complete.
   out->worlds_used = spec.mc.num_worlds;
-  if (used_arena) NoteArenaUse();
+  if (used_arena) store_->NoteSpecReuse();
   auto pcnn = PcnnOnTable(table.value(), pruned.candidates, spec.tau);
   if (!pcnn.ok()) {
     out->status = pcnn.status();

@@ -20,7 +20,7 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "index/ust_delta.h"
@@ -36,24 +36,6 @@
 #include "util/thread_pool.h"
 
 namespace ust {
-
-/// \brief Cross-session tally of world-arena activity (Counter instruments:
-/// sessions are driven concurrently by serving-tier lanes). The serving tier
-/// owns one, injects it via SessionOptions, and registers the instruments
-/// with its MetricRegistry so they self-enumerate as arena_builds /
-/// arena_spec_reuses / arena_bytes.
-struct ArenaCounters {
-  Counter builds;       ///< arenas materialized
-  Counter spec_reuses;  ///< specs evaluated against an arena
-  Counter bytes;        ///< slab bytes across built arenas
-};
-
-/// \brief Plain snapshot of one session's own arena activity.
-struct ArenaStats {
-  uint64_t builds = 0;
-  uint64_t spec_reuses = 0;
-  uint64_t bytes = 0;
-};
 
 /// \brief One qualifying object with its estimated probability.
 struct PnnResultEntry {
@@ -115,7 +97,7 @@ struct QueryOutcome {
   QueryKind kind = QueryKind::kForall;
   /// Backend that actually refined the query (after planning + fallback).
   ExecutorKind executor = ExecutorKind::kMonteCarlo;
-  /// Whether the worlds were evaluated against the session's shared arena
+  /// Whether every alive participant's worlds were read from a world column
   /// instead of sampled live. Purely observational: outcomes are
   /// bit-identical either way (the arena determinism contract).
   bool used_arena = false;
@@ -135,16 +117,18 @@ struct SessionOptions {
   /// Prepare's parallel posterior adaptation. 1 = fully serial.
   int threads = 1;
   PlannerOptions planner;
-  /// Shared world arena policy: build the arena of a (interval, seed) group
-  /// once this many Monte-Carlo specs have hit it. 0 disables arenas
-  /// entirely; 1 builds on first use (benches, tests); the default 2 means
-  /// a group pays the build only once it has proven hot — a stream of
-  /// unique (interval, seed) keys never regresses.
+  /// World-column policy (query/world_arena.h): an (interval, seed) group
+  /// caches its participants' columns from its arena_min_uses-th
+  /// Monte-Carlo spec on. 0 never uses or builds columns; 1 caches from the
+  /// first use (benches, tests); the default 2 means a group pays for
+  /// columns only once it has proven hot — a stream of unique (interval,
+  /// seed) keys never regresses.
   int arena_min_uses = 2;
-  /// Optional external tally (the serving tier's SessionCache injects one
-  /// shared across its sessions); may be nullptr. The session also keeps
-  /// its own ArenaStats either way.
-  ArenaCounters* arena_counters = nullptr;
+  /// The column store the session reads and builds into; may be nullptr,
+  /// and then the session owns one. The serving tier's SessionCache injects
+  /// its own, shared by every session it builds, so columns (and their
+  /// counters) outlive sessions and epochs.
+  ColumnStore* column_store = nullptr;
   /// Optional tally of stale indexes this session had to drop (no delta
   /// possible or delta build failed); may be nullptr.
   Counter* stale_index_drops = nullptr;
@@ -170,7 +154,8 @@ class QuerySession {
   /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
   /// world-sampler buffers + the byte staging rows. A serving-tier lane owns
   /// one and reuses it across every morsel, group and session it executes —
-  /// scratch is session-portable by construction (it holds no stream state).
+  /// scratch is session-portable by construction (it holds no stream state,
+  /// and no world column: a spec's column view lives on its own stack).
   struct ExecScratch {
     WorldSampler::Scratch sampler;
     std::vector<uint8_t> rows;
@@ -203,17 +188,18 @@ class QuerySession {
   /// resources — `pool` (may be nullptr: serial) shards each query's world
   /// chunks, `scratch` holds the sampling buffers. Run, RunAll and every
   /// serving-tier lane execute through it. A spec with an empty interval,
-  /// k < 1, or a query trajectory not covering its interval resolves to
-  /// InvalidArgument before pruning, with or without an index.
+  /// k < 1, a query trajectory not covering its interval, a non-finite tau
+  /// or out-of-range precision fields resolves to InvalidArgument before
+  /// pruning, with or without an index.
   ///
-  /// It reads exclusively immutable session state (the snapshot, the index
-  /// and its delta) and never touches the session's own pool or scratch
-  /// lanes, so several lanes may call it *concurrently* on one shared
-  /// session under the lease contract: the session is Prepare()d (every
-  /// posterior warm or deterministically failing, so no lane ever
-  /// cold-writes shared caches). Outcomes are bit-identical at any pool
-  /// size, so any morsel partition of a batch reassembles the exact serial
-  /// RunAll bytes.
+  /// It reads only immutable session state (the snapshot, the index and its
+  /// delta) besides the thread-safe column store, and never touches the
+  /// session's own pool or scratch lanes, so several lanes may call it
+  /// *concurrently* on one shared session under the lease contract: the
+  /// session is Prepare()d (every posterior warm or deterministically
+  /// failing, so no lane ever cold-writes shared caches). Outcomes are
+  /// bit-identical at any pool size, so any morsel partition of a batch
+  /// reassembles the exact serial RunAll bytes.
   void RunMorsel(const std::vector<QuerySpec>& specs, size_t begin,
                  size_t end, QueryOutcome* outcomes, ThreadPool* pool,
                  ExecScratch* scratch) const;
@@ -221,8 +207,10 @@ class QuerySession {
   const SessionOptions& options() const { return options_; }
   const DbSnapshot& db() const { return db_; }
 
-  /// Snapshot of this session's own arena activity (thread-safe).
-  ArenaStats arena_stats() const;
+  /// Snapshot of the world-column activity of the store this session reads
+  /// (its own, or the injected one shared with other sessions).
+  /// Thread-safe.
+  ArenaStats arena_stats() const { return store_->stats(); }
 
   /// Objects the attached delta carries (0 = probing the base alone).
   size_t delta_depth() const { return delta_.depth(); }
@@ -260,30 +248,11 @@ class QuerySession {
   void RunContinuous(const QuerySpec& spec, ThreadPool* world_pool,
                      ExecScratch* scratch, QueryOutcome* out) const;
 
-  /// One (interval, seed) arena group and its build state. `building` is
-  /// the non-blocking in-flight marker: while a build runs outside the
-  /// lock, concurrent callers get nullptr and sample live — still
-  /// bit-identical, just not yet amortized.
-  struct ArenaSlot {
-    TimeInterval T{0, 0};
-    uint64_t seed = 0;
-    size_t max_worlds = 0;  ///< largest num_worlds requested so far
-    uint32_t uses = 0;      ///< Monte-Carlo specs seen for this key
-    bool building = false;
-    std::shared_ptr<const WorldArena> arena;
-  };
-
-  /// The shared arena serving (T, seed, num_worlds), building it (on the
-  /// calling thread, `pool`-sharded) once the group reached arena_min_uses.
-  /// Returns nullptr while cold, disabled, or mid-build by another lane.
-  /// Thread-safe (the morsel path calls it concurrently); the returned
-  /// shared_ptr keeps the arena alive past any cache trim or session churn.
-  std::shared_ptr<const WorldArena> ArenaFor(const TimeInterval& T,
-                                             uint64_t seed, size_t num_worlds,
-                                             ThreadPool* pool) const;
-
-  /// Tally one spec evaluated against an arena (own stats + injected).
-  void NoteArenaUse() const;
+  /// The column view a Monte-Carlo spec reads for `participants` (nullopt
+  /// while its group is cold or columns are off): ColumnStore::View under
+  /// this session's snapshot and policy. Thread-safe.
+  std::optional<WorldArena> ColumnView(
+      const QuerySpec& spec, const std::vector<ObjectId>& participants) const;
 
   DbSnapshot db_;
   const UstTree* index_;
@@ -296,12 +265,11 @@ class QuerySession {
   std::vector<ExecScratch> scratch_;  // one per worker
   bool prepared_ = false;
   Status prepare_status_;
-  /// Arena groups; mutable because arenas are a cache — RunMorsel is const
-  /// and concurrent, so access is serialized by arena_mu_ (builds happen
-  /// outside the lock; see ArenaFor).
-  mutable std::mutex arena_mu_;
-  mutable std::vector<ArenaSlot> arena_slots_;
-  mutable ArenaCounters own_arena_counters_;
+  /// The store of options_.column_store, or of own_store_ when none was
+  /// injected. A cache: the const, concurrent morsel path builds into it
+  /// (ColumnStore is thread-safe).
+  std::unique_ptr<ColumnStore> own_store_;
+  ColumnStore* store_;
   /// Observed difficulty of this session's adaptive queries: EWMA of
   /// worlds_used / num_worlds, starting at 1.0 (assume worst case until
   /// evidence). Written only by NoteAdaptiveOutcome (the Run path).

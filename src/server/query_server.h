@@ -85,11 +85,12 @@ struct ServerOptions {
   size_t queue_capacity = 4096;
   /// LRU capacity of the (epoch, interval) session cache.
   size_t session_cache_capacity = 8;
-  /// Shared world-arena policy handed to every session (see
-  /// SessionOptions::arena_min_uses): a hot (interval, seed) group's worlds
-  /// are materialized once and every later Monte-Carlo spec on the group
-  /// evaluates against them — bit-identically — instead of re-sampling.
-  /// 0 disables arenas; the default 2 builds once a group proved hot.
+  /// World-column policy handed to every session (see
+  /// SessionOptions::arena_min_uses): a hot (interval, seed) group's
+  /// participants' worlds are materialized once per object in the server's
+  /// column store, and every later Monte-Carlo spec reads them —
+  /// bit-identically — instead of re-sampling, across epochs too. 0
+  /// disables columns; the default 2 caches once a group proved hot.
   int arena_min_uses = 2;
   /// Enable the process-wide event tracer (util/trace.h) for this server's
   /// lifetime: every request is followed admission-to-finalize by the span
@@ -126,8 +127,9 @@ struct LaneStats {
   uint64_t requests = 0;  ///< specs this lane executed
   uint64_t morsels = 0;   ///< morsels this lane executed
   uint64_t steals = 0;    ///< half-ranges this lane stole when idle
-  /// Specs this lane evaluated against a shared world arena instead of
-  /// sampling live (QueryOutcome::used_arena).
+  /// Specs this lane evaluated with every alive participant's worlds read
+  /// from a world column instead of sampled live
+  /// (QueryOutcome::used_arena).
   uint64_t arena_hits = 0;
   /// Monte-Carlo worlds this lane actually drew or evaluated
   /// (QueryOutcome::worlds_used summed over its specs) — with adaptive
@@ -349,9 +351,10 @@ class QueryServer {
   OverloadController overload_;
 
   /// The server's instruments (DESIGN.md section 9). Lifecycle counters and
-  /// histograms live here instead of ad-hoc struct fields; the cache and
-  /// arena tallies register into the same registry, so Stats()/ToJson
-  /// enumerate every signal of the serving tier from one place.
+  /// histograms live here instead of ad-hoc struct fields; the cache's and
+  /// its column store's tallies register into the same registry, so
+  /// Stats()/ToJson enumerate every signal of the serving tier from one
+  /// place.
   MetricRegistry metrics_;
   Counter* c_submitted_;
   Counter* c_admitted_;

@@ -34,10 +34,11 @@ void SessionCache::Lease::Release() {
 
 SessionCache::SessionCache(size_t capacity, SessionOptions session_options)
     : capacity_(std::max<size_t>(1, capacity)),
+      column_store_(ColumnStore::kBudgetBytes),
       session_options_(session_options) {
-  // Every session built by this cache tallies its arena activity here, so
-  // stats() reports group sharing across session churn and eviction.
-  session_options_.arena_counters = &arena_counters_;
+  // Every session built by this cache reads and builds columns here, so
+  // columns (and stats()) carry across session churn, eviction and epochs.
+  session_options_.column_store = &column_store_;
   session_options_.stale_index_drops = &c_stale_index_drops_;
 }
 
@@ -176,9 +177,10 @@ SessionCacheStats SessionCache::stats() const {
   s.shared_joins = c_shared_joins_.value();
   s.evictions_lru = c_evictions_lru_.value();
   s.evictions_stale = c_evictions_stale_.value();
-  s.arena_builds = arena_counters_.builds.value();
-  s.arena_spec_reuses = arena_counters_.spec_reuses.value();
-  s.arena_bytes = arena_counters_.bytes.value();
+  const ArenaStats arena = column_store_.stats();
+  s.arena_builds = arena.builds;
+  s.arena_spec_reuses = arena.spec_reuses;
+  s.arena_bytes = arena.bytes;
   s.stale_index_drops = c_stale_index_drops_.value();
   s.build_failures = c_build_failures_.value();
   return s;
@@ -190,9 +192,7 @@ void SessionCache::RegisterMetrics(MetricRegistry* registry) const {
   registry->RegisterCounter("cache_shared_joins", &c_shared_joins_);
   registry->RegisterCounter("cache_evictions_lru", &c_evictions_lru_);
   registry->RegisterCounter("cache_evictions_stale", &c_evictions_stale_);
-  registry->RegisterCounter("arena_builds", &arena_counters_.builds);
-  registry->RegisterCounter("arena_spec_reuses", &arena_counters_.spec_reuses);
-  registry->RegisterCounter("arena_bytes", &arena_counters_.bytes);
+  column_store_.RegisterMetrics(registry);
   registry->RegisterCounter("stale_index_drops", &c_stale_index_drops_);
   registry->RegisterCounter("session_build_failures", &c_build_failures_);
 }

@@ -11,6 +11,13 @@
 // caches live on the shared UncertainObjects, a new epoch's session re-adapts
 // only the objects that actually changed — warming is incremental.
 //
+// The cache also owns the server's world-column store (query/world_arena.h)
+// and injects it into every session it builds. The store outlives sessions
+// and epochs: its columns are keyed by posterior-model instance, and an
+// object a write did not touch keeps its model, so a new epoch's session
+// reads the columns the previous epochs built, and a write costs one column
+// build for the object it changed.
+//
 // Checkout protocol (the execution-lane contract, DESIGN.md section 5.5):
 // Checkout hands out a refcounted Lease, and later callers on the same key
 // JOIN a live lease instead of building a duplicate — several lanes
@@ -51,11 +58,12 @@ struct SessionCacheStats {
                                 ///< instead of building a duplicate
   uint64_t evictions_lru = 0;   ///< dropped for capacity
   uint64_t evictions_stale = 0; ///< dropped because their epoch passed
-  // World-arena activity across every session this cache built (the
-  // injected ArenaCounters; see query/session.h).
-  uint64_t arena_builds = 0;       ///< arenas materialized
-  uint64_t arena_spec_reuses = 0;  ///< specs evaluated against an arena
-  uint64_t arena_bytes = 0;        ///< slab bytes across built arenas
+  // World-column activity across every session this cache built (its
+  // ColumnStore; see query/world_arena.h).
+  uint64_t arena_builds = 0;       ///< (interval, seed) groups turned hot
+  uint64_t arena_spec_reuses = 0;  ///< specs whose every alive participant
+                                   ///< read a column
+  uint64_t arena_bytes = 0;        ///< column bytes built into the store
   uint64_t stale_index_drops = 0;  ///< sessions that had to drop a stale
                                    ///< index (no delta patch possible)
   uint64_t build_failures = 0;     ///< session builds that failed outright
@@ -102,7 +110,9 @@ class SessionCache {
     std::shared_ptr<QuerySession> session_;
   };
 
-  /// `capacity` >= 1; `session_options` is applied to every built session.
+  /// `capacity` >= 1; `session_options` is applied to every built session,
+  /// with its column_store replaced by the cache's own (budget
+  /// ColumnStore::kBudgetBytes).
   SessionCache(size_t capacity, SessionOptions session_options);
 
   /// Lease on the session for (snapshot.version(), T): joins a live lease
@@ -127,8 +137,8 @@ class SessionCache {
   size_t capacity() const { return capacity_; }
   SessionCacheStats stats() const;
 
-  /// Register this cache's instruments (cache_* and the injected arena_*
-  /// tallies) with `registry`; the cache must outlive it. How the serving
+  /// Register this cache's instruments (cache_* and its column store's
+  /// arena_*) with `registry`; the cache must outlive it. How the serving
   /// tier folds cache activity into its self-enumerating stats dump.
   void RegisterMetrics(MetricRegistry* registry) const;
 
@@ -160,10 +170,11 @@ class SessionCache {
   void ReleaseLease(LeasedEntry* entry);
 
   const size_t capacity_;
-  /// Not const: the constructor points its arena_counters at the cache's
-  /// own tally below, so every session built here reports into it.
+  /// Declared before every session holder, so it outlives them all.
+  ColumnStore column_store_;
+  /// Not const: the constructor points its column_store at the cache's own
+  /// store above, so every session built here shares it.
   SessionOptions session_options_;
-  ArenaCounters arena_counters_;
 
   mutable std::mutex mu_;
   /// Serializes session warm-up (the single-warmer contract of

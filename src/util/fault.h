@@ -26,9 +26,9 @@
 //   "compaction"     — QueryServer::CompactOnce fails before publishing:
 //                      the previous base stays live, compaction_failures
 //                      counts it, and serving is unaffected.
-//   "alloc_limit"    — QuerySession::ArenaFor refuses to materialize a
-//                      world arena (as if the slab allocation were denied):
-//                      specs sample live — bit-identical, just slower.
+//   "alloc_limit"    — ColumnStore::View refuses to build a world column
+//                      (as if its allocation were denied): the participant
+//                      samples live — bit-identical, just slower.
 //   "deadline_skew"  — deadline expiry checks read now + `skew_ns`:
 //                      simulates clock skew, forcing requests to expire in
 //                      the queue / at morsel boundaries on demand.

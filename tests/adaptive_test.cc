@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "query/adaptive.h"
 #include "test_world.h"
 #include "util/stats.h"
@@ -116,6 +118,18 @@ TEST(AdaptiveEpsilonTest, InvalidOptionsRejected) {
                    .ok());
   const ObjectId stranger = world.o2 + 1;  // not a participant
   EXPECT_FALSE(Adaptive(world, {stranger}, kForall, 0, kEps, 0.1, 100).ok());
+  // NaN is false under every comparison: each check must be a range check.
+  // A NaN delta used to reach the Hoeffding/Wilson bounds and abort; a NaN
+  // epsilon used to stop at the first chunk; a NaN tau never decided.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const PrecisionMode kThr = PrecisionMode::kThreshold;
+  for (const auto& result :
+       {Adaptive(world, {world.o1}, kForall, 0, kEps, 0.1, 2048, kNaN),
+        Adaptive(world, {world.o1}, kForall, 0.5, kThr, 0.1, 2048, kNaN),
+        Adaptive(world, {world.o1}, kForall, 0, kEps, kNaN, 2048),
+        Adaptive(world, {world.o1}, kForall, kNaN, kThr, 0.1, 2048)}) {
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AdaptiveThresholdTest, ClearCasesDecideEarly) {

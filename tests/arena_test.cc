@@ -4,10 +4,14 @@
 // bit-identical to live per-spec sampling at any thread count, any
 // {lanes, morsel_specs} schedule, and any SIMD dispatch level. The arena is
 // purely an amortization: `used_arena` and the counters are the only
-// observable difference.
+// observable difference. The column store under it (ColumnStore) keeps
+// columns within a byte budget and never serves the column of an expired
+// model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -246,6 +250,83 @@ TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderLease) {
   const SessionCacheStats after = cache.stats();
   EXPECT_EQ(after.arena_builds, mid.arena_builds);
   EXPECT_GE(after.evictions_stale, 1u);
+}
+
+TEST_F(ArenaTest, SmallBudgetEvictsLruColumnsButNeverAHeldOne) {
+  // A store whose byte budget holds about three columns: every spec's
+  // participants overflow it, so publishing evicts least-recently-used
+  // columns — but never one a live view still reads, and whatever was
+  // evicted is rebuilt with the same bytes.
+  const std::vector<QuerySpec> specs = MakeHotSpecs(8);
+  const std::vector<QueryOutcome> expected = Reference(specs);
+  const DbSnapshot snap = db().Snapshot();
+  const std::vector<ObjectId> alive = snap.AliveSometime(T_.start, T_.end);
+  ASSERT_GE(alive.size(), 4u);
+  const size_t worlds = specs[0].mc.num_worlds;
+  ColumnStore store(3 * worlds * T_.length() * sizeof(uint32_t));
+
+  // A view held across the whole run, over the two lowest ids: their
+  // columns are the least recently used of the group once the specs run.
+  const std::vector<ObjectId> held_ids = {alive[0], alive[1]};
+  const std::optional<WorldArena> held =
+      store.View(snap, held_ids, T_, specs[0].mc.seed, worlds, 1);
+  ASSERT_TRUE(held.has_value());
+  ASSERT_EQ(held->num_objects(), held_ids.size());
+
+  SessionOptions options;
+  options.arena_min_uses = 1;
+  options.column_store = &store;
+  QuerySession session(snap, index_.get(), options);
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<QueryOutcome> outcomes = session.RunAll(specs);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].status.ok()) << outcomes[i].status.ToString();
+      EXPECT_TRUE(SameOutcome(outcomes[i], expected[i]))
+          << "pass " << pass << " spec " << i;
+    }
+  }
+  const ArenaStats stats = store.stats();
+  EXPECT_EQ(stats.builds, 1u);  // one hot group
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LT(stats.resident_bytes, stats.bytes);
+
+  // The held columns were never evicted: the store still serves these very
+  // instances, without building anything.
+  const std::optional<WorldArena> again =
+      store.View(snap, held_ids, T_, specs[0].mc.seed, worlds, 1);
+  ASSERT_TRUE(again.has_value());
+  for (ObjectId id : held_ids) {
+    ASSERT_NE(held->Find(id), nullptr);
+    EXPECT_EQ(again->Find(id), held->Find(id)) << "object " << id;
+  }
+  EXPECT_EQ(store.stats().bytes, stats.bytes);
+}
+
+TEST_F(ArenaTest, ColumnOfAnExpiredModelIsNeverServedAndIsDropped) {
+  // Columns are keyed by the posterior-model instance and hold it weakly:
+  // once the model is gone, its column is never served again — the next
+  // view builds a fresh one (the same bytes: the object's stream did not
+  // change) — and the stale column leaves the store.
+  const DbSnapshot snap = db().Snapshot();
+  const std::vector<ObjectId> alive = snap.AliveSometime(T_.start, T_.end);
+  ASSERT_FALSE(alive.empty());
+  const std::vector<ObjectId> ids = {alive[0]};
+  ColumnStore store(ColumnStore::kBudgetBytes);
+  const std::optional<WorldArena> first = store.View(snap, ids, T_, 7, 300, 1);
+  ASSERT_TRUE(first.has_value());
+  const WorldColumn* stale = first->Find(ids[0]);
+  ASSERT_NE(stale, nullptr);
+
+  db().InvalidatePosteriors();  // the only owner of the model lets it go
+  const std::optional<WorldArena> second =
+      store.View(snap, ids, T_, 7, 300, 1);
+  ASSERT_TRUE(second.has_value());
+  const WorldColumn* fresh = second->Find(ids[0]);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_NE(fresh, stale);
+  EXPECT_TRUE(fresh->indices == stale->indices);
+  EXPECT_EQ(store.stats().resident_bytes, fresh->bytes());
+  EXPECT_EQ(store.stats().bytes, stale->bytes() + fresh->bytes());
 }
 
 }  // namespace

@@ -364,6 +364,106 @@ TEST_F(IngestTest, ServerCompactsInBackgroundAndMatchesSerialReference) {
   EXPECT_NE(json.find("\"stale_index_drops\""), std::string::npos);
 }
 
+TEST_F(IngestTest, WritesRebuildOnlyTheColumnsOfTheObjectsTheyChanged) {
+  // One hot (T, seed) group served by two lanes across writes. The server's
+  // column store outlives epochs and keys columns by posterior-model
+  // instance, so each epoch's session reads the columns earlier epochs
+  // built for every object no write touched: arena_bytes grows by exactly
+  // the written objects' columns — and every outcome stays bitwise equal
+  // to a live serial session at its epoch. No index, so every spec's
+  // participants are all objects alive in T and each write lands on them.
+  constexpr size_t kWorlds = 200;
+  Rng rng(9);
+  std::vector<QuerySpec> specs;
+  for (size_t i = 0; i < 8; ++i) {
+    QuerySpec spec;
+    spec.kind = i % 3 == 0   ? QueryKind::kForall
+                : i % 3 == 1 ? QueryKind::kExists
+                             : QueryKind::kContinuous;
+    spec.q = RandomQueryState(*world_->space, rng);
+    spec.T = T_;
+    spec.tau = spec.kind == QueryKind::kContinuous ? 0.3 : 0.05;
+    spec.backend = ExecutorKind::kMonteCarlo;
+    spec.mc.num_worlds = kWorlds;
+    spec.mc.seed = 4242;
+    specs.push_back(spec);
+  }
+  ServerOptions options;
+  options.lanes = 2;
+  options.morsel_specs = 2;
+  options.arena_min_uses = 1;
+  options.max_batch_size = specs.size();
+  QueryServer server(db(), /*index=*/nullptr, options);
+
+  const auto column_bytes = [&](ObjectId id) -> uint64_t {
+    const UncertainObject& object = db().object(id);
+    const Tic ws = std::max(T_.start, object.first_tic());
+    const Tic we = std::min(T_.end, object.last_tic());
+    if (ws > we) return 0;
+    return kWorlds * static_cast<uint64_t>(we - ws + 1) * sizeof(uint32_t);
+  };
+  // Serves the specs at the live epoch, checks them against a live serial
+  // session at that epoch, and returns the bytes of columns built so far.
+  const auto serve = [&](const char* epoch) -> uint64_t {
+    SessionOptions live;
+    live.arena_min_uses = 0;
+    QuerySession reference(db().Snapshot(), nullptr, live);
+    const std::vector<QueryOutcome> expected = reference.RunAll(specs);
+    server.Pause();
+    std::vector<std::future<QueryOutcome>> futures;
+    for (const QuerySpec& spec : specs) futures.push_back(server.Submit(spec));
+    server.Resume();
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const QueryOutcome out = futures[i].get();
+      EXPECT_TRUE(testing::SameOutcome(out, expected[i]))
+          << epoch << " spec " << i;
+      EXPECT_TRUE(out.used_arena) << epoch << " spec " << i;
+    }
+    return server.Stats().cache.arena_bytes;
+  };
+
+  uint64_t bytes = serve("epoch 0");
+  EXPECT_GT(bytes, 0u);
+
+  // An appended object whose lifetime ends inside T.
+  const ObjectId added = AddObjectAt(T_.start, T_.start + 2);
+  uint64_t next = serve("after AddObject");
+  EXPECT_EQ(next - bytes, column_bytes(added));
+  bytes = next;
+
+  // A lifetime extension of an existing participant that leaves its
+  // window within T unchanged: its model is new, so its column is too.
+  ObjectId beyond = 0;
+  bool found = false;
+  for (ObjectId id = 0; id < added && !found; ++id) {
+    const UncertainObject& object = db().object(id);
+    if (object.first_tic() <= T_.end && object.last_tic() > T_.end) {
+      beyond = id;
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found) << "no object outlives T";
+  const uint64_t window_bytes = column_bytes(beyond);
+  ASSERT_TRUE(
+      db().ExtendLifetime(beyond, db().object(beyond).last_tic() + 3).ok());
+  ASSERT_EQ(column_bytes(beyond), window_bytes);
+  next = serve("after ExtendLifetime, same window");
+  EXPECT_EQ(next - bytes, window_bytes);
+  bytes = next;
+
+  // Two writes between batches: an extension that grows the appended
+  // object's window to all of T, and another appended object.
+  ASSERT_TRUE(db().ExtendLifetime(added, T_.end + 2).ok());
+  const ObjectId added_again = AddObjectAt(T_.start, T_.end);
+  next = serve("after two writes");
+  EXPECT_EQ(next - bytes, column_bytes(added) + column_bytes(added_again));
+  server.Stop();
+
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.cache.arena_builds, 1u);  // one group turned hot, once
+  EXPECT_EQ(stats.arena_hits(), stats.completed);
+}
+
 TEST_F(IngestTest, UstDeltaBuildRecordsChangedObjectsInIdOrder) {
   const uint64_t v0 = db().version();
   const ObjectId added = AddObjectAt(T_.start, T_.end);

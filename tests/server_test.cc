@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -401,6 +402,26 @@ TEST_F(ServerTest, InvalidSpecResolvesAndTheServerKeepsServing) {
   EXPECT_TRUE(SameOutcome(good_out, serial.Run(good)));
 }
 
+TEST_F(ServerTest, NanPrecisionSpecResolvesAndTheServerKeepsServing) {
+  // A NaN delta used to pass the estimator's limit checks and abort the
+  // process in the Hoeffding bound, taking every lane with it. It must
+  // resolve InvalidArgument on its lane; the next spec is served.
+  QueryServer server(db(), index_.get());
+  QuerySpec bad = MakeSpecs(1)[0];
+  bad.backend = ExecutorKind::kMonteCarlo;
+  bad.mc.num_worlds = 2048;
+  bad.precision.mode = PrecisionMode::kEpsilon;
+  bad.precision.delta = std::numeric_limits<double>::quiet_NaN();
+  const QueryOutcome bad_out = server.Submit(bad).get();
+  EXPECT_EQ(bad_out.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_out.status.message(), "delta out of range");
+  const QuerySpec good = MakeSpecs(1)[0];
+  const QueryOutcome good_out = server.Submit(good).get();
+  ASSERT_TRUE(good_out.status.ok()) << good_out.status.ToString();
+  QuerySession serial(db(), index_.get());
+  EXPECT_TRUE(SameOutcome(good_out, serial.Run(good)));
+}
+
 TEST_F(ServerTest, StopDrainsEveryAdmittedRequest) {
   const std::vector<QuerySpec> specs = MakeSpecs(10);
   ServerOptions options;
@@ -644,6 +665,7 @@ TEST_F(ServerTest, StatsRenderAsJson) {
         "\"queue_us\":", "\"p50\":", "\"p99\":", "\"lane_queue_depth\":",
         "\"lane_queue_peak\":", "\"lane_steals\":", "\"morsels_executed\":",
         "\"arena_builds\":", "\"arena_spec_reuses\":", "\"arena_bytes\":",
+        "\"arena_resident_bytes\":", "\"arena_evictions\":",
         "\"early_stops\":", "\"worlds_saved\":", "\"worlds_sampled\":",
         "\"trace_dropped\":", "\"lane_idle_us\":",
         "\"lanes\":[{", "\"exec_us\":", "\"morsels\":", "\"steals\":",

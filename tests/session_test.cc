@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -433,8 +434,35 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
     QueryTrajectory q;
     const char* message;
     size_t num_worlds = 200;
+    double tau = 0.1;
+    PrecisionTarget precision = {};
   };
-  const std::vector<Case> cases = {
+  // Hostile precision fields: a NaN is false under every comparison, so
+  // each must be rejected by a range check, not slip past a limit check
+  // (a NaN delta used to abort the process in the stop rule).
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const PrecisionMode kEps = PrecisionMode::kEpsilon;
+  const PrecisionMode kThr = PrecisionMode::kThreshold;
+  struct PrecisionCase {
+    const char* name;
+    double tau;
+    PrecisionTarget precision;
+    const char* message;
+  };
+  const std::vector<PrecisionCase> precision_cases = {
+      {"NaN tau", kNaN, {}, "tau must be finite"},
+      {"infinite tau", kInf, {}, "tau must be finite"},
+      {"NaN tau, threshold", kNaN, {kThr, 0.01, 0.05}, "tau must be finite"},
+      {"NaN delta, epsilon", 0.1, {kEps, 0.01, kNaN}, "delta out of range"},
+      {"NaN delta, threshold", 0.1, {kThr, 0.01, kNaN}, "delta out of range"},
+      {"delta = 1, epsilon", 0.1, {kEps, 0.01, 1.0}, "delta out of range"},
+      {"NaN epsilon", 0.1, {kEps, kNaN, 0.05}, "epsilon must be positive"},
+      {"zero epsilon", 0.1, {kEps, 0.0, 0.05}, "epsilon must be positive"},
+      {"tau above 1, threshold", 1.5, {kThr, 0.01, 0.05},
+       "tau out of [0, 1]"},
+  };
+  std::vector<Case> cases = {
       {"inverted interval", {10, 5}, 1, point, "empty query interval"},
       {"interval ending before it starts", {10, 9}, 1, point,
        "empty query interval"},
@@ -448,6 +476,10 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
        "query trajectory does not cover the query interval"},
       {"zero worlds", T_, 1, point, "num_worlds must be positive", 0},
   };
+  for (const PrecisionCase& c : precision_cases) {
+    cases.push_back({c.name, T_, 1, point, c.message, 200, c.tau,
+                     c.precision});
+  }
   const auto check = [](const TrajectoryDatabase& db, const UstTree* index,
                         const QuerySpec& spec, const std::string& what,
                         const char* message) {
@@ -473,7 +505,8 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
       spec.kind = kind;
       spec.q = c.q;
       spec.T = c.T;
-      spec.tau = 0.1;
+      spec.tau = c.tau;
+      spec.precision = c.precision;
       spec.mc.k = c.k;
       spec.mc.num_worlds = c.num_worlds;
       check(*world_->db, index_.get(), spec,
@@ -504,6 +537,21 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
     check(*fig.db, &fig_index.value(), spec,
           std::string("figure 1 / ") + kind_name + " / zero worlds",
           "num_worlds must be positive");
+    // Forced Monte-Carlo at 2 048 worlds: past the first 512-world chunk,
+    // where the stop rule would read the precision fields.
+    for (const PrecisionCase& c : precision_cases) {
+      QuerySpec forced;
+      forced.kind = kind;
+      forced.q = fig.q;
+      forced.T = fig.T;
+      forced.tau = c.tau;
+      forced.precision = c.precision;
+      forced.mc.num_worlds = 2048;
+      forced.backend = ExecutorKind::kMonteCarlo;
+      check(*fig.db, &fig_index.value(), forced,
+            std::string("figure 1 / ") + kind_name + " / " + c.name,
+            c.message);
+    }
   }
 }
 
