@@ -97,8 +97,8 @@ double NnTable::ProbAt(size_t obj_index, Tic t) const {
   UST_CHECK(obj_index < objects_.size());
   UST_DCHECK(interval_.Contains(t));
   if (num_worlds_ == 0) return 0.0;
-  const uint64_t count =
-      PopcountWords(TicWords(obj_index, RelTic(t)), words_per_tic_);
+  const uint64_t* row = TicWords(obj_index, RelTic(t));
+  const uint64_t count = AndRowsPopcount(&row, 1, words_per_tic_);
   return static_cast<double>(count) / static_cast<double>(num_worlds_);
 }
 

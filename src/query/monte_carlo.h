@@ -14,7 +14,6 @@
 #include "model/db_snapshot.h"
 #include "query/nn_kernel.h"
 #include "query/query.h"
-#include "util/aligned.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -39,6 +38,12 @@ inline uint64_t WorldStreamSeed(uint64_t seed, ObjectId id) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+
+/// Largest `num_worlds` a query may ask for (QuerySession rejects more):
+/// 2^24, far above the largest count a bench or example draws (2 x 10^5)
+/// and far below the counts at which num_worlds times a window or a
+/// participant count wraps.
+inline constexpr size_t kMaxWorlds = size_t{1} << 24;
 
 /// \brief Options of the Monte-Carlo engine.
 struct MonteCarloOptions {
@@ -148,9 +153,7 @@ class NnTable {
   TimeInterval interval_;
   size_t num_worlds_;
   size_t words_per_tic_;
-  // 32-byte-aligned so the SIMD word sweeps (util/simd.h) never straddle the
-  // allocation: a 256-bit load starting inside the buffer stays inside it.
-  AlignedVector<uint64_t> bits_;  // [object][rel tic][world word]
+  std::vector<uint64_t> bits_;  // [object][rel tic][world word]
   /// (object id, position in objects_) sorted by id, for O(log n) IndexOf.
   std::vector<std::pair<ObjectId, uint32_t>> sorted_index_;
 };

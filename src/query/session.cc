@@ -26,6 +26,11 @@ Status ValidateSpec(const QuerySpec& spec) {
   if (spec.mc.num_worlds == 0) {
     return Status::InvalidArgument("num_worlds must be positive");
   }
+  // Per-world buffers are sized num_worlds times a window or a participant
+  // count; past the cap that product can wrap.
+  if (spec.mc.num_worlds > kMaxWorlds) {
+    return Status::InvalidArgument("num_worlds exceeds 2^24");
+  }
   // The precision fields, NaN-safe: every comparison with a NaN is false,
   // so each check states the valid range and rejects what falls outside.
   if (!std::isfinite(spec.tau)) {
@@ -120,40 +125,7 @@ PruneResult QuerySession::Prune(const QueryTrajectory& q, const TimeInterval& T,
 }
 
 QueryOutcome QuerySession::Run(const QuerySpec& spec) {
-  QueryOutcome out = std::move(RunAll({spec}).front());
-  NoteAdaptiveOutcome(spec, out);
-  return out;
-}
-
-size_t QuerySession::ExpectedWorlds(size_t cap) const {
-  constexpr size_t kChunk = WorldSampler::kWorldChunk;
-  const double fraction = planner_fraction_.load(std::memory_order_relaxed);
-  // Round the scaled cap up to a chunk boundary (stops only land there) and
-  // never predict below one chunk — the adaptive path always samples at
-  // least min(cap, kChunk) worlds.
-  const double scaled = fraction * static_cast<double>(cap);
-  size_t expected = static_cast<size_t>(
-                        std::ceil(scaled / static_cast<double>(kChunk))) *
-                    kChunk;
-  expected = std::max(expected, std::min(cap, kChunk));
-  return std::min(expected, cap);
-}
-
-void QuerySession::NoteAdaptiveOutcome(const QuerySpec& spec,
-                                       const QueryOutcome& out) {
-  if (spec.precision.mode == PrecisionMode::kFixedWorlds) return;
-  if (!out.status.ok() || out.executor != ExecutorKind::kMonteCarlo ||
-      out.kind == QueryKind::kContinuous || spec.mc.num_worlds == 0 ||
-      out.worlds_used == 0) {
-    return;
-  }
-  // EWMA over the observed stop fractions: alpha 0.3 adapts within a handful
-  // of queries yet smooths over one unusually hard (or easy) outlier.
-  constexpr double kAlpha = 0.3;
-  const double fraction = static_cast<double>(out.worlds_used) /
-                          static_cast<double>(spec.mc.num_worlds);
-  difficulty_ewma_ = (1.0 - kAlpha) * difficulty_ewma_ + kAlpha * fraction;
-  planner_fraction_.store(difficulty_ewma_, std::memory_order_relaxed);
+  return std::move(RunAll({spec}).front());
 }
 
 std::vector<QueryOutcome> QuerySession::RunAll(
@@ -251,17 +223,11 @@ void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
                       options_.planner.force != ExecutorKind::kAuto;
   ExecutorKind choice = spec.backend;
   if (choice == ExecutorKind::kAuto) {
-    // Adaptive specs are costed at their *expected* world count (the
-    // session's difficulty EWMA scaled onto the cap), not the worst-case
-    // cap: a stream of easy early-stopping queries shifts the exact/MC
-    // crossover toward sampling, because sampling got genuinely cheaper.
-    const size_t plan_worlds =
-        spec.precision.mode == PrecisionMode::kFixedWorlds
-            ? spec.mc.num_worlds
-            : ExpectedWorlds(spec.mc.num_worlds);
+    // Every spec plans at its cap, adaptive or not: the plan depends on the
+    // spec alone, never on what earlier queries of the session did.
     choice = PlanExecutor(spec.kind, pruned.candidates.size(),
                           participants.size(), spec.T.length(),
-                          plan_worlds, spec.mc.k, options_.planner);
+                          spec.mc.num_worlds, spec.mc.k, options_.planner);
   }
   if (!GetExecutor(choice).Supports(spec.kind, task)) {
     if (forced) {

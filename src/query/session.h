@@ -18,7 +18,6 @@
 // occupy disjoint slots.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -172,8 +171,7 @@ class QuerySession {
   /// so call Prepare() up front to warm the whole database explicitly.
   Status Prepare();
 
-  /// Evaluate one query: a one-spec RunAll, plus the difficulty-EWMA update
-  /// the planner's adaptive cost model learns from.
+  /// Evaluate one query: a one-spec RunAll.
   QueryOutcome Run(const QuerySpec& spec);
 
   /// Evaluate a batch through RunMorsel with the session's own pool and
@@ -188,9 +186,10 @@ class QuerySession {
   /// resources — `pool` (may be nullptr: serial) shards each query's world
   /// chunks, `scratch` holds the sampling buffers. Run, RunAll and every
   /// serving-tier lane execute through it. A spec with an empty interval,
-  /// k < 1, a query trajectory not covering its interval, a non-finite tau
-  /// or out-of-range precision fields resolves to InvalidArgument before
-  /// pruning, with or without an index.
+  /// k < 1, a query trajectory not covering its interval, num_worlds
+  /// outside [1, kMaxWorlds], a non-finite tau or out-of-range precision
+  /// fields resolves to InvalidArgument before pruning, with or without an
+  /// index.
   ///
   /// It reads only immutable session state (the snapshot, the index and its
   /// delta) besides the thread-safe column store, and never touches the
@@ -223,19 +222,6 @@ class QuerySession {
   /// index, degenerates to alive-time filtering.
   PruneResult Prune(const QueryTrajectory& q, const TimeInterval& T, int k,
                     bool forall) const;
-
-  /// Expected world count of an *adaptive* spec with cap `cap`: the frozen
-  /// difficulty fraction scaled onto the cap, rounded up to a chunk and
-  /// clamped to [min(cap, kWorldChunk), cap]. The planner's cost input
-  /// (DESIGN.md section 8) — fixed-mode specs never go through this.
-  size_t ExpectedWorlds(size_t cap) const;
-
-  /// Feed one adaptive Monte-Carlo outcome into the difficulty EWMA. Called
-  /// ONLY from Run() — never from RunAll or the const morsel path — so the
-  /// fraction sequence is deterministic at any thread count, and the
-  /// serving tier (which only ever calls RunMorsel) plans with the frozen
-  /// initial fraction regardless of its lane/morsel schedule.
-  void NoteAdaptiveOutcome(const QuerySpec& spec, const QueryOutcome& out);
 
   /// The per-query execution core, called only by RunMorsel: pure reads of
   /// session state plus writes to the caller's scratch and outcome — const
@@ -270,15 +256,6 @@ class QuerySession {
   /// (ColumnStore is thread-safe).
   std::unique_ptr<ColumnStore> own_store_;
   ColumnStore* store_;
-  /// Observed difficulty of this session's adaptive queries: EWMA of
-  /// worlds_used / num_worlds, starting at 1.0 (assume worst case until
-  /// evidence). Written only by NoteAdaptiveOutcome (the Run path).
-  double difficulty_ewma_ = 1.0;
-  /// The fraction the planner reads (ExpectedWorlds). Atomic because the
-  /// const morsel path loads it concurrently; stores happen only on the
-  /// Run path, so readers always see a value frozen before their batch —
-  /// plans stay a pure function of (spec, frozen fraction).
-  std::atomic<double> planner_fraction_{1.0};
 };
 
 }  // namespace ust

@@ -1,6 +1,7 @@
 #include "query/world_arena.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "model/posterior_model.h"
 #include "query/monte_carlo.h"
@@ -19,6 +20,7 @@ std::shared_ptr<const WorldColumn> WorldColumn::Sample(
   column->we = we;
   column->wlen = static_cast<uint32_t>(we - ws) + 1;
   column->num_worlds = num_worlds;
+  UST_CHECK(num_worlds <= SIZE_MAX / sizeof(uint32_t) / column->wlen);
   column->indices.assign(num_worlds * column->wlen, 0);
   uint32_t* out = column->indices.data();
   const uint32_t wlen = column->wlen;
@@ -211,6 +213,10 @@ std::optional<WorldArena> ColumnStore::View(
       // bit-identically, just unamortized.
       if (fault::ShouldFail("alloc_limit")) continue;
       const Want& want = wants[missing[m]];
+      // A column larger than the whole budget could never stay resident:
+      // its participant samples live instead (the same bytes).
+      const size_t wlen = static_cast<size_t>(want.key.we - want.key.ws) + 1;
+      if (build_worlds > budget_bytes_ / sizeof(uint32_t) / wlen) continue;
       built[m] = WorldColumn::Sample(*want.model, want.key.id, want.key.ws,
                                      want.key.we, seed, build_worlds);
     }

@@ -35,7 +35,6 @@
 
 #include "model/db_snapshot.h"
 #include "query/query.h"
-#include "util/aligned.h"
 #include "util/metrics.h"
 #include "util/status.h"
 
@@ -50,9 +49,7 @@ struct WorldColumn {
   Tic ws = 0, we = 0;     // sampling window = alive span ∩ T
   uint32_t wlen = 0;      // we - ws + 1
   size_t num_worlds = 0;
-  // [world][rel], world-major; 32-byte aligned, so vectorized consumers
-  // never straddle the allocation.
-  AlignedVector<uint32_t> indices;
+  std::vector<uint32_t> indices;  // [world][rel], world-major
 
   size_t bytes() const { return indices.size() * sizeof(uint32_t); }
 

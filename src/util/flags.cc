@@ -1,9 +1,22 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 namespace ust {
+
+namespace {
+
+[[noreturn]] void ExitBadValue(const std::string& name,
+                               const std::string& value, const char* want) {
+  std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
+               name.c_str(), value.c_str(), want);
+  std::exit(2);
+}
+
+}  // namespace
 
 Flags Flags::Parse(int argc, char** argv) {
   Flags flags;
@@ -30,13 +43,27 @@ bool Flags::Has(const std::string& name) const {
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    ExitBadValue(name, it->second, "an integer");
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    ExitBadValue(name, it->second, "a number");
+  }
+  return value;
 }
 
 std::string Flags::GetString(const std::string& name,

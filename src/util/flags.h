@@ -11,7 +11,10 @@ namespace ust {
 /// \brief Parsed --key=value command line flags.
 ///
 /// Unknown flags are retained (benchmark binaries forward the rest to
-/// google-benchmark); malformed arguments are reported via ok()/error().
+/// google-benchmark). GetInt and GetDouble exit the process with status 2
+/// and a usage error naming the flag when its value does not parse in full
+/// or is out of range: `--worlds=1e4` or `--worlds=abc` never runs with a
+/// silently truncated count.
 class Flags {
  public:
   /// Parse argv. Positional (non `--`) arguments are ignored.

@@ -1,14 +1,9 @@
-// Runtime-dispatched vector kernels for the word-packed world-set
-// reductions (NnTable / Pcnn). The kernels are pure popcount folds over
-// uint64 words, so every implementation returns the exact same integer —
-// dispatch is a performance decision, never a numerical one.
-//
-// Dispatch policy (DESIGN.md section 7.3): the best level supported by the
-// running CPU is detected once, on first use, and cached in a function-table
-// singleton. A build-time default can narrow the choice (-DUST_SIMD=scalar
-// pins the reference path, e.g. for sanitizer jobs), and tests may force a
-// level explicitly via ForceSimdLevel to cover the vector paths on machines
-// where autodetection would pick scalar.
+// The two word-packed world-set reductions of NnTable (PCNN's Algorithm 1):
+// AND or OR a few rows of uint64 world words, then popcount. Each has a
+// portable scalar reference and an AVX2 version, picked once at first use
+// by what the running CPU supports. Both sum integer popcounts, so they
+// return the exact same count — dispatch is a speed decision, never a
+// numerical one (DESIGN.md section 7.3).
 #pragma once
 
 #include <cstddef>
@@ -18,32 +13,17 @@ namespace ust {
 
 enum class SimdLevel {
   kScalar = 0,  // portable reference; always available
-  kNeon = 1,    // aarch64 baseline (128-bit)
-  kAvx2 = 2,    // x86-64 with AVX2 (256-bit)
+  kAvx2 = 1,    // x86-64 with AVX2 (256-bit)
 };
 
-/// Best level the running CPU supports (ignores the build-time default).
+/// Best level the running CPU supports; the level the kernels run at
+/// unless a test forces another.
 SimdLevel DetectSimdLevel();
 
-/// Level the dispatched kernels currently run at. Resolved on first call:
-/// min(DetectSimdLevel(), build-time UST_SIMD default), then cached.
-SimdLevel ActiveSimdLevel();
-
-/// Test hook: re-point the kernel table at `level`. Returns false (and
-/// leaves the table unchanged) when the CPU does not support `level`.
-/// Not thread-safe against concurrent kernel calls — call from test setup.
+/// Test hook: run the kernels at `level`. Returns false (and changes
+/// nothing) when the CPU does not support `level`. Not thread-safe against
+/// concurrent kernel calls — call from test setup.
 bool ForceSimdLevel(SimdLevel level);
-
-const char* SimdLevelName(SimdLevel level);
-
-/// sum over i of popcount(a[i] & b[i]) — the P(forall)-style reduction.
-uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b, size_t n);
-
-/// sum over i of popcount(a[i] | b[i]) — the P(exists)-style reduction.
-uint64_t OrPopcountWords(const uint64_t* a, const uint64_t* b, size_t n);
-
-/// sum over i of popcount(a[i]).
-uint64_t PopcountWords(const uint64_t* a, size_t n);
 
 /// Multi-row AND fold: acc[i] over rows, then popcount. `rows` holds
 /// `num_rows` pointers, each to `n` words; equivalent to popcounting

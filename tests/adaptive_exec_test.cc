@@ -3,7 +3,7 @@
 // QuerySession and QueryServer, the revised determinism contract (identical
 // stop decisions — and identical bytes — at any thread count, lane count or
 // morsel schedule), arena-prefix serving of early-stopped specs, the
-// undecided-near-tau fallback, and the planner's expected-worlds crossover.
+// undecided-near-tau fallback, and plans that ignore earlier runs.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -249,14 +249,13 @@ TEST_F(AdaptiveExecTest, UndecidedNearTauFallsBackToCap) {
   ExpectSameOutcome(a, f, 0);
 }
 
-TEST_F(AdaptiveExecTest, PlannerCrossoverShiftsWithExpectedWorlds) {
-  // The planner costs an adaptive spec at its *expected* world count, not
-  // its cap. Figure 1 is enumeration-friendly (2 candidates, |T| = 3), and
-  // with exact_min_precision = 2048 a 4096-cap spec initially plans exact
-  // (expected = cap while the difficulty EWMA sits at its worst-case 1.0).
-  // A run of easy adaptive Monte-Carlo queries that stop at the first chunk
-  // drags the EWMA down until the expected count drops below the bar — the
-  // same spec then crosses over to sampling.
+TEST_F(AdaptiveExecTest, PlanDoesNotDependOnEarlierRuns) {
+  // A result is a pure function of (database, spec), so the planner costs
+  // every spec at its cap, whatever earlier queries of the session did.
+  // Figure 1 is enumeration-friendly (2 candidates, |T| = 3): with
+  // exact_min_precision = 2048 a 4096-cap adaptive spec plans exact, and
+  // still does after a run of easy adaptive Monte-Carlo queries that each
+  // stop at the first chunk — bit-identical to a fresh session's answer.
   Figure1World world = MakeFigure1World();
   SessionOptions options;
   options.planner.exact_min_precision = 2048;
@@ -276,8 +275,8 @@ TEST_F(AdaptiveExecTest, PlannerCrossoverShiftsWithExpectedWorlds) {
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(before.executor, ExecutorKind::kExact);
 
-  // Warm the difficulty EWMA: pinned-backend runs (the planner stays out of
-  // the loop) that each stop at the first 512-world boundary.
+  // Pinned-backend runs (the planner stays out of the loop) that each stop
+  // at the first 512-world boundary.
   QuerySpec easy = spec;
   easy.backend = ExecutorKind::kMonteCarlo;
   for (int i = 0; i < 6; ++i) {
@@ -289,8 +288,11 @@ TEST_F(AdaptiveExecTest, PlannerCrossoverShiftsWithExpectedWorlds) {
 
   const QueryOutcome after = session.Run(spec);
   ASSERT_TRUE(after.status.ok());
-  EXPECT_EQ(after.executor, ExecutorKind::kMonteCarlo);
-  EXPECT_TRUE(after.early_stopped);
+  EXPECT_EQ(after.executor, ExecutorKind::kExact);
+  QuerySession fresh(*world.db, nullptr, options);
+  const QueryOutcome reference = fresh.Run(spec);
+  ExpectSameOutcome(after, reference, 0);
+  ExpectSameOutcome(before, reference, 0);
 }
 
 }  // namespace

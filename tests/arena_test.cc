@@ -302,6 +302,50 @@ TEST_F(ArenaTest, SmallBudgetEvictsLruColumnsButNeverAHeldOne) {
   EXPECT_EQ(store.stats().bytes, stats.bytes);
 }
 
+TEST_F(ArenaTest, OverBudgetColumnIsServedLive) {
+  // A column larger than the store's whole budget could never stay
+  // resident: the store never builds it, and its participant samples live —
+  // the same bytes. With a budget one byte short of a one-tic column nothing
+  // is built; with one short of a full-interval column only the objects
+  // whose alive span clips the interval get columns.
+  const std::vector<QuerySpec> specs = MakeHotSpecs(8);
+  const std::vector<QueryOutcome> expected = Reference(specs);
+  const DbSnapshot snap = db().Snapshot();
+  const std::vector<ObjectId> alive = snap.AliveSometime(T_.start, T_.end);
+  const size_t worlds = specs[0].mc.num_worlds;
+  const uint32_t full = static_cast<uint32_t>(T_.length());
+  for (uint32_t budget_tics : {1u, full}) {
+    ColumnStore store(budget_tics * worlds * sizeof(uint32_t) - 1);
+    SessionOptions options;
+    options.arena_min_uses = 1;
+    options.column_store = &store;
+    QuerySession session(snap, index_.get(), options);
+    const std::vector<QueryOutcome> outcomes = session.RunAll(specs);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].status.ok()) << outcomes[i].status.ToString();
+      EXPECT_TRUE(SameOutcome(outcomes[i], expected[i]))
+          << "budget " << budget_tics << " tics, spec " << i;
+    }
+    const ArenaStats stats = store.stats();
+    EXPECT_EQ(stats.builds, 1u);  // the group turned hot all the same
+    EXPECT_LE(stats.resident_bytes, store.budget_bytes());
+    if (budget_tics == 1) {
+      EXPECT_EQ(stats.bytes, 0u);
+      EXPECT_EQ(stats.spec_reuses, 0u);
+      for (const QueryOutcome& out : outcomes) EXPECT_FALSE(out.used_arena);
+    }
+    const std::optional<WorldArena> view =
+        store.View(snap, alive, T_, specs[0].mc.seed, worlds, 1);
+    ASSERT_TRUE(view.has_value());
+    for (ObjectId id : alive) {
+      const WorldColumn* column = view->Find(id);
+      if (column != nullptr) {
+        EXPECT_LT(column->wlen, budget_tics) << id;
+      }
+    }
+  }
+}
+
 TEST_F(ArenaTest, ColumnOfAnExpiredModelIsNeverServedAndIsDropped) {
   // Columns are keyed by the posterior-model instance and hold it weakly:
   // once the model is gone, its column is never served again — the next

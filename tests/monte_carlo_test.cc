@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gen/synthetic.h"
 #include "gen/workload.h"
 #include "query/adaptive.h"
@@ -7,6 +10,7 @@
 #include "query/monte_carlo.h"
 #include "query/world_arena.h"
 #include "test_world.h"
+#include "util/simd.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -192,6 +196,96 @@ TEST(NnTableTest, AccessorsAndSubsetProbabilities) {
   EXPECT_LE(t.ExistsProb(1, {2}), t.ExistsProb(1, {2, 3}));
   // P∀NN(o2, {2,3}) = 0.125 from the worked example.
   EXPECT_NEAR(t.ForallProb(1, {2, 3}), 0.125, HoeffdingEpsilon(5000, 0.01));
+}
+
+TEST(NnTableTest, ReductionsMatchTheirDefinitionAtBothKernelLevels) {
+  // The table reduces with AND/OR + popcount over packed world words
+  // (util/simd.h). Pin every reduction to its definition — the fraction of
+  // worlds where IsNn holds at every / some tic of the set — at the scalar
+  // level and the detected one, with world counts that fill whole words, end
+  // mid-word, need one word or 157, and tic sets from empty to the full
+  // 70-tic interval (past the 64-row stack of the row gather).
+  const TimeInterval T{5, 74};
+  const size_t len = T.length();
+  const std::vector<ObjectId> objects = {7, 2, 5};
+  // Per-object indicator density: a near-certain NN keeps long ANDs
+  // non-empty, a rare one keeps long ORs short of every world.
+  const double density[] = {0.98, 0.5, 0.02};
+  Rng rng(2024);
+  std::vector<std::vector<Tic>> sets = {{}, {T.start}, {T.end}};
+  std::vector<Tic> all;
+  for (Tic t = T.start; t <= T.end; ++t) all.push_back(t);
+  sets.push_back(all);
+  for (size_t size : {2u, 5u, 64u, 65u}) {
+    std::vector<Tic> subset;
+    for (size_t i = 0; i < size; ++i) {
+      subset.push_back(T.start + static_cast<Tic>(rng.UniformInt(len)));
+    }
+    sets.push_back(subset);
+  }
+  for (size_t num_worlds : {1u, 63u, 64u, 65u, 1000u, 10000u}) {
+    const size_t row_len = objects.size() * len;
+    std::vector<uint8_t> rows(num_worlds * row_len);
+    for (size_t w = 0; w < num_worlds; ++w) {
+      for (size_t i = 0; i < objects.size(); ++i) {
+        for (size_t rel = 0; rel < len; ++rel) {
+          rows[w * row_len + i * len + rel] = rng.Bernoulli(density[i]);
+        }
+      }
+    }
+    NnTable table(objects, T, num_worlds);
+    // Two packs, the second starting at a word boundary.
+    const size_t split = num_worlds / 2 / 64 * 64;
+    table.PackWorlds(0, split, rows.data(), row_len);
+    table.PackWorlds(split, num_worlds - split, rows.data() + split * row_len,
+                     row_len);
+    for (size_t i = 0; i < objects.size(); ++i) {
+      for (size_t w = 0; w < num_worlds; ++w) {
+        for (size_t rel = 0; rel < len; ++rel) {
+          ASSERT_EQ(table.IsNn(i, w, T.start + static_cast<Tic>(rel)),
+                    rows[w * row_len + i * len + rel] != 0);
+        }
+      }
+    }
+    const auto fraction = [num_worlds](size_t count) {
+      return static_cast<double>(count) / static_cast<double>(num_worlds);
+    };
+    // Worlds where object i is NN at every (forall) / some tic of `tics`.
+    const auto defined = [&](size_t i, const std::vector<Tic>& tics,
+                             bool forall) {
+      size_t count = 0;
+      for (size_t w = 0; w < num_worlds; ++w) {
+        bool every = true, some = false;
+        for (Tic t : tics) {
+          const bool nn = table.IsNn(i, w, t);
+          every = every && nn;
+          some = some || nn;
+        }
+        count += forall ? every : some;
+      }
+      return fraction(count);
+    };
+    for (SimdLevel level : {SimdLevel::kScalar, DetectSimdLevel()}) {
+      ASSERT_TRUE(ForceSimdLevel(level));
+      const std::string at = "W=" + std::to_string(num_worlds) + " level " +
+                             std::to_string(static_cast<int>(level));
+      for (size_t i = 0; i < objects.size(); ++i) {
+        for (const std::vector<Tic>& tics : sets) {
+          EXPECT_EQ(table.ForallProb(i, tics), defined(i, tics, true))
+              << at << " object " << i << " |tics| " << tics.size();
+          EXPECT_EQ(table.ExistsProb(i, tics), defined(i, tics, false))
+              << at << " object " << i << " |tics| " << tics.size();
+        }
+        EXPECT_EQ(table.ForallProb(i), defined(i, all, true)) << at;
+        EXPECT_EQ(table.ExistsProb(i), defined(i, all, false)) << at;
+        for (Tic t : {T.start, T.start + 33, T.end}) {
+          EXPECT_EQ(table.ProbAt(i, t), defined(i, {t}, true))
+              << at << " object " << i << " tic " << t;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(ForceSimdLevel(DetectSimdLevel()));
 }
 
 TEST(MonteCarloTest, FixedEstimatesEqualTableReductionsBitForBit) {

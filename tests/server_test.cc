@@ -422,6 +422,30 @@ TEST_F(ServerTest, NanPrecisionSpecResolvesAndTheServerKeepsServing) {
   EXPECT_TRUE(SameOutcome(good_out, serial.Run(good)));
 }
 
+TEST_F(ServerTest, OversizedWorldCountResolvesAndTheServerKeepsServing) {
+  // A world count whose column size wraps (num_worlds * |window| mod 2^64
+  // is tiny) used to overrun a column on the first Monte-Carlo spec of a
+  // group, and to walk its lane forever when the group was still cold. Both
+  // such specs must resolve InvalidArgument on their lane; the next spec is
+  // served.
+  ServerOptions options;
+  options.arena_min_uses = 1;
+  QueryServer server(db(), index_.get(), options);
+  for (size_t worlds : {kMaxWorlds + 1, size_t{6148914691236517206u}}) {
+    QuerySpec bad = MakeSpecs(1)[0];
+    bad.backend = ExecutorKind::kMonteCarlo;
+    bad.mc.num_worlds = worlds;
+    const QueryOutcome bad_out = server.Submit(bad).get();
+    EXPECT_EQ(bad_out.status.code(), StatusCode::kInvalidArgument) << worlds;
+    EXPECT_EQ(bad_out.status.message(), "num_worlds exceeds 2^24");
+  }
+  const QuerySpec good = MakeSpecs(1)[0];
+  const QueryOutcome good_out = server.Submit(good).get();
+  ASSERT_TRUE(good_out.status.ok()) << good_out.status.ToString();
+  QuerySession serial(db(), index_.get());
+  EXPECT_TRUE(SameOutcome(good_out, serial.Run(good)));
+}
+
 TEST_F(ServerTest, StopDrainsEveryAdmittedRequest) {
   const std::vector<QuerySpec> specs = MakeSpecs(10);
   ServerOptions options;

@@ -440,6 +440,9 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
   // Hostile precision fields: a NaN is false under every comparison, so
   // each must be rejected by a range check, not slip past a limit check
   // (a NaN delta used to abort the process in the stop rule).
+  // num_worlds * 3 wraps to 2: a column over a 3-tic window used to be
+  // sized 2 and overrun by its batch walk.
+  const size_t kWrappingWorlds = 6148914691236517206u;
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();
   const PrecisionMode kEps = PrecisionMode::kEpsilon;
@@ -475,6 +478,10 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
       {"q ends before T", T_, 1, QueryTrajectory::FromPoints(T_.start, {p}),
        "query trajectory does not cover the query interval"},
       {"zero worlds", T_, 1, point, "num_worlds must be positive", 0},
+      {"worlds past the cap", T_, 1, point, "num_worlds exceeds 2^24",
+       kMaxWorlds + 1},
+      {"worlds wrapping a column's size", T_, 1, point,
+       "num_worlds exceeds 2^24", kWrappingWorlds},
   };
   for (const PrecisionCase& c : precision_cases) {
     cases.push_back({c.name, T_, 1, point, c.message, 200, c.tau,
@@ -482,10 +489,12 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
   }
   const auto check = [](const TrajectoryDatabase& db, const UstTree* index,
                         const QuerySpec& spec, const std::string& what,
-                        const char* message) {
+                        const char* message, int arena_min_uses = 2) {
     std::string statuses[2];
     for (bool with_index : {false, true}) {
-      QuerySession session(db, with_index ? index : nullptr);
+      SessionOptions options;
+      options.arena_min_uses = arena_min_uses;
+      QuerySession session(db, with_index ? index : nullptr, options);
       const QueryOutcome out = session.Run(spec);
       EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument)
           << what << " index=" << with_index << ": " << out.status.ToString();
@@ -537,6 +546,17 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
     check(*fig.db, &fig_index.value(), spec,
           std::string("figure 1 / ") + kind_name + " / zero worlds",
           "num_worlds must be positive");
+    // Forced Monte-Carlo with columns from the first use: the column build
+    // is where num_worlds * |window| wrapped.
+    for (size_t worlds : {kMaxWorlds + 1, kWrappingWorlds}) {
+      QuerySpec huge = spec;
+      huge.mc.num_worlds = worlds;
+      huge.backend = ExecutorKind::kMonteCarlo;
+      check(*fig.db, &fig_index.value(), huge,
+            std::string("figure 1 / ") + kind_name + " / " +
+                std::to_string(worlds) + " worlds",
+            "num_worlds exceeds 2^24", /*arena_min_uses=*/1);
+    }
     // Forced Monte-Carlo at 2 048 worlds: past the first 512-world chunk,
     // where the stop rule would read the precision fields.
     for (const PrecisionCase& c : precision_cases) {

@@ -5,8 +5,8 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <vector>
 
-#include "util/aligned.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -214,6 +214,29 @@ TEST(FlagsTest, TypedGetters) {
   EXPECT_FALSE(flags.Has("other"));
 }
 
+TEST(FlagsDeathTest, MalformedNumbersExitNamingTheFlag) {
+  // A value that does not parse in full, or overflows, is a usage error:
+  // strtoll would read "1e4" as 1 and "abc" as 0 and run on silently.
+  const char* argv[] = {"prog",           "--worlds=1e4",
+                        "--objects=abc",  "--states=",
+                        "--seed=99999999999999999999",
+                        "--tau=0.5x",     "--seconds=1e999",
+                        "--lanes=2",      "--delta=1e-3"};
+  Flags flags = Flags::Parse(9, const_cast<char**>(argv));
+  const auto exits = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(flags.GetInt("worlds", 0), exits,
+              "invalid value for --worlds: '1e4'");
+  EXPECT_EXIT(flags.GetInt("objects", 0), exits, "--objects: 'abc'");
+  EXPECT_EXIT(flags.GetInt("states", 0), exits, "--states: ''");
+  EXPECT_EXIT(flags.GetInt("seed", 0), exits, "--seed");
+  EXPECT_EXIT(flags.GetDouble("tau", 0.0), exits, "--tau: '0.5x'");
+  EXPECT_EXIT(flags.GetDouble("seconds", 0.0), exits, "--seconds");
+  // Well-formed values still parse, in either getter's syntax.
+  EXPECT_EQ(flags.GetInt("lanes", 0), 2);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("delta", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("lanes", 0.0), 2.0);
+}
+
 // ------------------------------------------------------------------- Csv ---
 
 TEST(CsvTest, PrintsHeaderAndRows) {
@@ -280,34 +303,7 @@ TEST(LatencyHistogramTest, ClampsGarbageAndMerges) {
   EXPECT_NEAR(a.mean(), 75.0, 1e-9);
 }
 
-// --------------------------------------------------------------- Aligned ---
-
-TEST(AlignedTest, VectorDataIs32ByteAligned) {
-  // The SIMD kernels assume nothing (unaligned loads), but the arena and
-  // NnTable storage promise 32-byte slabs anyway — pin the promise.
-  for (size_t n : {1u, 7u, 64u, 1000u}) {
-    AlignedVector<uint64_t> words(n, 0);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(words.data()) % 32, 0u) << n;
-    AlignedVector<uint32_t> locals(n, 0);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(locals.data()) % 32, 0u) << n;
-  }
-  // Growth reallocations keep the alignment.
-  AlignedVector<uint64_t> grow;
-  for (int i = 0; i < 100; ++i) {
-    grow.push_back(static_cast<uint64_t>(i));
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(grow.data()) % 32, 0u);
-  }
-}
-
 // ------------------------------------------------------------------ Simd ---
-
-TEST(SimdTest, DetectedLevelIsActiveByDefault) {
-  // UST_SIMD=scalar builds cap the default below the detected level; either
-  // way the active level never exceeds what the CPU supports.
-  EXPECT_LE(static_cast<int>(ActiveSimdLevel()),
-            static_cast<int>(DetectSimdLevel()));
-  EXPECT_NE(SimdLevelName(ActiveSimdLevel()), nullptr);
-}
 
 TEST(SimdTest, ForceRejectsUnsupportedLevels) {
   // Forcing scalar always works; forcing the detected level always works;
@@ -321,33 +317,31 @@ TEST(SimdTest, ForceRejectsUnsupportedLevels) {
 }
 
 TEST(SimdTest, KernelsBitwiseEqualAcrossLevels) {
-  // Popcount sums are integers, so every dispatch level must agree exactly
-  // — including ragged tails that exercise the vector/scalar seam.
+  // Popcount sums are integers, so both levels must agree exactly — at 1 to
+  // 3 rows and ragged word counts that exercise the vector/scalar seam.
   Rng rng(1234);
   for (size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 13u, 31u, 64u, 100u}) {
-    AlignedVector<uint64_t> a(n), b(n);
+    std::vector<std::vector<uint64_t>> words(3, std::vector<uint64_t>(n));
     for (size_t i = 0; i < n; ++i) {
-      a[i] = rng() | (rng() << 1);
-      b[i] = rng() ^ (rng() >> 3);
+      words[0][i] = rng() | (rng() << 1);
+      words[1][i] = rng() ^ (rng() >> 3);
+      words[2][i] = rng() | rng();
     }
-    std::vector<const uint64_t*> rows = {a.data(), b.data()};
-    ASSERT_TRUE(ForceSimdLevel(SimdLevel::kScalar));
-    const uint64_t pop_s = PopcountWords(a.data(), n);
-    const uint64_t and_s = AndPopcountWords(a.data(), b.data(), n);
-    const uint64_t or_s = OrPopcountWords(a.data(), b.data(), n);
-    const uint64_t andr_s = AndRowsPopcount(rows.data(), rows.size(), n);
-    const uint64_t orr_s = OrRowsPopcount(rows.data(), rows.size(), n);
-    ASSERT_TRUE(ForceSimdLevel(DetectSimdLevel()));
-    EXPECT_EQ(PopcountWords(a.data(), n), pop_s) << n;
-    EXPECT_EQ(AndPopcountWords(a.data(), b.data(), n), and_s) << n;
-    EXPECT_EQ(OrPopcountWords(a.data(), b.data(), n), or_s) << n;
-    EXPECT_EQ(AndRowsPopcount(rows.data(), rows.size(), n), andr_s) << n;
-    EXPECT_EQ(OrRowsPopcount(rows.data(), rows.size(), n), orr_s) << n;
+    const std::vector<const uint64_t*> rows = {
+        words[0].data(), words[1].data(), words[2].data()};
+    for (size_t num_rows = 1; num_rows <= rows.size(); ++num_rows) {
+      ASSERT_TRUE(ForceSimdLevel(SimdLevel::kScalar));
+      const uint64_t and_s = AndRowsPopcount(rows.data(), num_rows, n);
+      const uint64_t or_s = OrRowsPopcount(rows.data(), num_rows, n);
+      ASSERT_TRUE(ForceSimdLevel(DetectSimdLevel()));
+      EXPECT_EQ(AndRowsPopcount(rows.data(), num_rows, n), and_s) << n;
+      EXPECT_EQ(OrRowsPopcount(rows.data(), num_rows, n), or_s) << n;
+    }
   }
 }
 
 TEST(SimdTest, RowReductionEdgeCases) {
-  AlignedVector<uint64_t> ones(4, ~uint64_t{0});
+  const std::vector<uint64_t> ones(4, ~uint64_t{0});
   const uint64_t* row = ones.data();
   // Zero rows: AND over nothing is all-ones (64 bits per word), OR is empty.
   EXPECT_EQ(AndRowsPopcount(nullptr, 0, 4), 256u);
