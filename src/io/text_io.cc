@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -13,6 +14,10 @@ constexpr char kStateSpaceHeader[] = "ustq-statespace v1";
 constexpr char kMatrixHeader[] = "ustq-matrix v1";
 constexpr char kObservationsHeader[] = "ustq-observations v1";
 constexpr char kTrajectoriesHeader[] = "ustq-trajectories v1";
+
+// Counts in a header are untrusted: no loader reserves by one. Vectors grow
+// as lines arrive, so a count larger than the lines present fails as
+// truncated instead of allocating for it.
 
 // Reads one non-empty, non-comment line.
 bool NextLine(std::istream& is, std::string* line) {
@@ -55,7 +60,6 @@ Result<StateSpace> LoadStateSpace(std::istream& is) {
     return Status::InvalidArgument("malformed state count: " + line);
   }
   std::vector<Point2> coords;
-  coords.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     if (!NextLine(is, &line)) {
       return Status::InvalidArgument("truncated state space file");
@@ -94,6 +98,10 @@ Result<TransitionMatrix> LoadTransitionMatrix(std::istream& is) {
     if (!(ls >> num_states >> nnz)) {
       return Status::InvalidArgument("malformed matrix size line: " + line);
     }
+  }
+  if (num_states > std::numeric_limits<StateId>::max()) {
+    return Status::InvalidArgument("matrix state count exceeds the StateId "
+                                   "range: " + line);
   }
   std::vector<std::vector<TransitionMatrix::Entry>> rows(num_states);
   for (size_t i = 0; i < nnz; ++i) {
@@ -154,7 +162,6 @@ Result<TrajectoryDatabase> LoadObservations(
       }
     }
     std::vector<Observation> observations;
-    observations.reserve(num_obs);
     for (size_t k = 0; k < num_obs; ++k) {
       if (!NextLine(is, &line)) {
         return Status::InvalidArgument("truncated observation list");
@@ -206,7 +213,6 @@ Result<std::vector<Trajectory>> LoadTrajectories(std::istream& is) {
     return Status::InvalidArgument("malformed trajectory count: " + line);
   }
   std::vector<Trajectory> result;
-  result.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     if (!NextLine(is, &line)) {
       return Status::InvalidArgument("truncated trajectory file");
@@ -223,7 +229,6 @@ Result<std::vector<Trajectory>> LoadTrajectories(std::istream& is) {
       return Status::InvalidArgument("truncated trajectory states");
     }
     std::istringstream ls(line);
-    t.states.reserve(len);
     for (size_t k = 0; k < len; ++k) {
       StateId s;
       if (!(ls >> s)) {

@@ -155,29 +155,18 @@ const Executor& GetExecutor(ExecutorKind kind) {
 
 ExecutorKind PlanExecutor(QueryKind query, size_t num_candidates,
                           size_t num_participants, size_t interval_length,
-                          size_t num_worlds, int k,
+                          size_t /*num_worlds*/, int /*k*/,
                           const PlannerOptions& options) {
   if (options.force != ExecutorKind::kAuto) return options.force;
   // PCNN validates timestamp *sets* against one shared world sample
   // (Algorithm 1); only the sampling backend provides that table.
   if (query == QueryKind::kContinuous) return ExecutorKind::kMonteCarlo;
-  (void)k;
-  // Effective Monte-Carlo parallelism: chunks are a fixed 512 worlds, so
-  // extra workers beyond num_worlds/512 have no chunk to run. Enumeration
-  // gets no parallel credit here — its block count depends on per-object
-  // world counts the planner cannot see — so a parallel tier scales the
-  // precision bar exact must clear: MC that is `mc_par`× faster needs
-  // `mc_par`× the worlds before enumeration breaks even again.
-  const size_t mc_par =
-      std::min<size_t>(std::max<size_t>(1, options.assumed_parallelism),
-                       std::max<size_t>(1, num_worlds / 512));
   // Enumeration cost is exponential in the participant count and interval
   // length but independent of the requested precision; it wins only when the
-  // filter output is tiny and the precision request is not trivially small.
+  // filter output is tiny.
   if (num_candidates <= options.exact_max_candidates &&
       num_participants <= options.exact_max_participants &&
-      interval_length <= options.exact_max_interval &&
-      num_worlds >= options.exact_min_precision * mc_par) {
+      interval_length <= options.exact_max_interval) {
     return ExecutorKind::kExact;
   }
   return ExecutorKind::kMonteCarlo;

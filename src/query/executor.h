@@ -115,29 +115,16 @@ struct PlannerOptions {
   size_t exact_max_candidates = 3;   ///< |C(q)| at most this for enumeration
   size_t exact_max_participants = 3; ///< |participants| bound for enumeration
   size_t exact_max_interval = 6;     ///< |T| bound for enumeration
-  /// Sampling below this many worlds never loses to enumeration in the
-  /// planner's cost model; with a higher precision request, exact gets more
-  /// attractive relative to MC (its cost does not depend on num_worlds).
-  size_t exact_min_precision = 0;
-  /// Cost-model input: how many workers the executing tier can realistically
-  /// throw at one query (session threads × whatever the serving tier adds).
-  /// Monte-Carlo shards fixed 512-world chunks, so its usable parallelism
-  /// saturates at num_worlds/512; enumeration's block count is invisible to
-  /// the planner (set sizes say nothing about per-object world counts), so
-  /// parallel speedup is credited to sampling only — raising the precision
-  /// bar enumeration must clear to win. Deliberately an explicit knob, NOT
-  /// the runtime thread count: plans must stay a pure function of
-  /// (spec, options) so that 1-vs-N-thread runs keep producing identical
-  /// bits (the DESIGN.md section 4 determinism contract).
-  size_t assumed_parallelism = 1;
 };
 
 /// \brief Pick the backend for one refinement. Pure function of the pruning
 /// output sizes and options — the session applies runtime fallback (exact
-/// hitting its enumeration cap falls back to Monte-Carlo) on top.
+/// hitting its enumeration cap falls back to Monte-Carlo) on top. The
+/// requested worlds and k do not enter the plan: enumeration's cost does
+/// not depend on the precision, and it handles any k.
 ExecutorKind PlanExecutor(QueryKind query, size_t num_candidates,
                           size_t num_participants, size_t interval_length,
-                          size_t num_worlds, int k,
+                          size_t /*num_worlds*/, int /*k*/,
                           const PlannerOptions& options);
 
 }  // namespace ust

@@ -13,13 +13,29 @@ namespace {
 // The checks every sampling backend makes, made once before pruning: the
 // index sizes per-tic arrays by T and reads q at every tic of it, so an
 // invalid spec must fail here, identically with and without an index.
-// Coverage is contiguous, so checking both ends of T suffices.
-Status ValidateSpec(const QuerySpec& spec) {
+// Coverage is contiguous, so checking both ends of T suffices. `space_box`
+// is the state space's bounding box.
+Status ValidateSpec(const QuerySpec& spec, const Rect2& space_box) {
   if (!spec.T.valid()) return Status::InvalidArgument("empty query interval");
   if (spec.mc.k < 1) return Status::InvalidArgument("k must be >= 1");
   if (!spec.q.Covers(spec.T.start) || !spec.q.Covers(spec.T.end)) {
     return Status::InvalidArgument(
         "query trajectory does not cover the query interval");
+  }
+  // Every squared distance the filter and the executors compare must be
+  // finite: with +inf everywhere, `inf <= inf` makes every object a nearest
+  // neighbor, and NaN compares false against everything. The farthest
+  // corner of the box bounds the distance to every state and MBR.
+  const size_t tics = spec.q.constant() ? 1 : spec.T.length();
+  for (size_t i = 0; i < tics; ++i) {
+    const Point2& p = spec.q.At(spec.T.start + static_cast<Tic>(i));
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      return Status::InvalidArgument("query position is not finite");
+    }
+    if (!space_box.empty() && !std::isfinite(MaxDistance(p, space_box))) {
+      return Status::InvalidArgument(
+          "query position too far from the state space");
+    }
   }
   // Every kind and backend: zero worlds would report 0/0 as probability 0,
   // and the degrade regime may rewrite a fixed spec to an adaptive one.
@@ -64,7 +80,8 @@ std::vector<ObjectId> UnionIds(std::vector<ObjectId> a,
 
 QuerySession::QuerySession(DbSnapshot db, const UstTree* index,
                            SessionOptions options)
-    : db_(std::move(db)), index_(index), options_(options),
+    : db_(std::move(db)), index_(index),
+      space_box_(db_.space().BoundingBox()), options_(options),
       pool_(options.threads),
       scratch_(static_cast<size_t>(pool_.num_threads())) {
   if (options_.column_store == nullptr) {
@@ -179,7 +196,7 @@ QueryOutcome QuerySession::RunOne(const QuerySpec& spec,
                                   ExecScratch* scratch) const {
   QueryOutcome out;
   out.kind = spec.kind;
-  out.status = ValidateSpec(spec);
+  out.status = ValidateSpec(spec, space_box_);
   if (!out.status.ok()) return out;
   if (spec.kind == QueryKind::kContinuous) {
     RunContinuous(spec, world_pool, scratch, &out);

@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "geo/rect.h"
 #include "index/ust_delta.h"
 #include "index/ust_tree.h"
 #include "model/trajectory_database.h"
@@ -146,8 +147,8 @@ struct SessionOptions {
 /// is always correct).
 ///
 /// Prepare, Run and RunAll are not safe for concurrent use (they own the
-/// session's pool and scratch); RunMorsel is, under the shared-lease
-/// contract documented on it.
+/// session's pool and scratch); RunMorsel is const and safe on a shared
+/// prepared session, as documented on it.
 class QuerySession {
  public:
   /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
@@ -194,11 +195,11 @@ class QuerySession {
   /// It reads only immutable session state (the snapshot, the index and its
   /// delta) besides the thread-safe column store, and never touches the
   /// session's own pool or scratch lanes, so several lanes may call it
-  /// *concurrently* on one shared session under the lease contract: the
-  /// session is Prepare()d (every posterior warm or deterministically
-  /// failing, so no lane ever cold-writes shared caches). Outcomes are
-  /// bit-identical at any pool size, so any morsel partition of a batch
-  /// reassembles the exact serial RunAll bytes.
+  /// *concurrently* on one shared const session (what the serving tier's
+  /// SessionCache hands out) once it is Prepare()d: every posterior warm or
+  /// deterministically failing, so no lane ever cold-writes shared caches.
+  /// Outcomes are bit-identical at any pool size, so any morsel partition
+  /// of a batch reassembles the exact serial RunAll bytes.
   void RunMorsel(const std::vector<QuerySpec>& specs, size_t begin,
                  size_t end, QueryOutcome* outcomes, ThreadPool* pool,
                  ExecScratch* scratch) const;
@@ -225,7 +226,7 @@ class QuerySession {
 
   /// The per-query execution core, called only by RunMorsel: pure reads of
   /// session state plus writes to the caller's scratch and outcome — const
-  /// so the shared-lease path can prove it touches nothing a concurrent lane
+  /// so a shared session can prove it touches nothing a concurrent lane
   /// could race on.
   QueryOutcome RunOne(const QuerySpec& spec, ThreadPool* world_pool,
                       ExecScratch* scratch) const;
@@ -246,6 +247,8 @@ class QuerySession {
   /// current (or absent). Probed by Prune alongside the base tree.
   UstDelta delta_;
   bool dropped_stale_index_ = false;
+  /// The state space's bounding box, for the query-position check.
+  Rect2 space_box_;
   SessionOptions options_;
   ThreadPool pool_;
   std::vector<ExecScratch> scratch_;  // one per worker

@@ -107,7 +107,7 @@ std::string ServerStats::ToJson() const {
 QueryServer::QueryServer(const TrajectoryDatabase& db, const UstTree* index,
                          ServerOptions options)
     : db_(&db), index_(index), options_(options),
-      cache_(options.session_cache_capacity, MakeSessionOptions(options)),
+      cache_(MakeSessionOptions(options)),
       overload_(options.overload) {
   // A zero batch size would dispatch empty batches forever while admitted
   // requests starve, a zero queue capacity would bounce all traffic, and a
@@ -472,14 +472,12 @@ void QueryServer::StageBatch(std::vector<Request>* batch) {
   // The snapshot rides inside each GroupTask, so the pin survives any
   // staging delay.
   DbSnapshot snapshot = db_->Snapshot();
-  cache_.EvictStale(snapshot.version());
 
-  // Group by query interval (the session cache key), preserving submit
-  // order within each group. Outcomes are per-spec pure, so grouping never
-  // changes results — only which session executes them. Each group is
-  // published as a deque of spec-range morsels over pre-sized outcome
-  // slots; distinct keys — and, with stealing, morsels of one key — may
-  // execute concurrently.
+  // Group by query interval, preserving submit order within each group.
+  // Outcomes are per-spec pure, so grouping never changes results — only
+  // which lane executes them. Each group is published as a deque of
+  // spec-range morsels over pre-sized outcome slots; distinct intervals —
+  // and, with stealing, morsels of one interval — may execute concurrently.
   std::map<std::pair<Tic, Tic>, std::vector<size_t>> by_interval;
   for (size_t i = 0; i < batch->size(); ++i) {
     const TimeInterval& T = (*batch)[i].spec.T;
@@ -491,7 +489,6 @@ void QueryServer::StageBatch(std::vector<Request>* batch) {
   for (auto& [key, indices] : by_interval) {
     auto group = std::make_shared<GroupTask>();
     group->snapshot = snapshot;
-    group->T = TimeInterval{key.first, key.second};
     group->requests.reserve(indices.size());
     group->specs.reserve(indices.size());
     for (size_t i : indices) {
@@ -610,11 +607,11 @@ void QueryServer::LaneLoop(int lane) {
       }
     }
     if (adopt) {
-      // Check the session out (build or join — possibly expensive, so
+      // Check the session out (a hit, or a build — possibly expensive, so
       // outside the server mutex), then open the deque to thieves.
       {
         UST_TRACE_SCOPE("session_checkout", group->requests.front().id);
-        group->session = cache_.Checkout(group->snapshot, group->T, index_);
+        group->session = cache_.Checkout(group->snapshot, index_);
       }
       if (!group->session) {
         // Build failed (injected or real). The deque was never opened to
@@ -818,9 +815,10 @@ void QueryServer::FailGroup(const std::shared_ptr<GroupTask>& group,
 
 void QueryServer::FinalizeGroup(GroupTask* group) {
   UST_TRACE_SCOPE("finalize", group->requests.front().id);
-  // Hand the session back before resolving futures: a waiting client's
-  // next request should find it in the cache (or join it), not race it.
-  group->session.Release();
+  // Drop the group's hold on its session before resolving futures: a session
+  // the cache already replaced with a newer epoch's is freed now, not
+  // whenever the last reference to the group goes.
+  group->session.reset();
   const auto done = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);

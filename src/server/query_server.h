@@ -1,8 +1,8 @@
 // The serving tier's front-end (DESIGN.md section 5): many client threads
 // submit single QuerySpecs; a dispatcher thread coalesces them into
 // micro-batches under a latency deadline; a fixed pool of *execution lanes*
-// runs the batches through the epoch-keyed SessionCache on the PR 2 session
-// pipeline.
+// runs the batches on the QuerySession pipeline, through the SessionCache's
+// one shared session per epoch.
 //
 //   Submit(spec) -> future<QueryOutcome>
 //     bounded admission: requests beyond `queue_capacity` in flight are
@@ -19,12 +19,12 @@
 //     execution time: one oversized batch can no longer stall the deadline
 //     of the batches behind it.
 //   lanes (options.lanes threads) — the morsel scheduler (DESIGN.md §5.6)
-//     a lane adopts the oldest unadopted group (checking its session out of
-//     the SessionCache as a refcounted lease), claims its first morsel and
+//     a lane adopts the oldest unadopted group (checking its epoch's shared
+//     const session out of the SessionCache), claims its first morsel and
 //     pops the rest off that group's deque; when its group drains and no
 //     group is unadopted, an idle lane *steals the back half* of the
 //     most-loaded group's remaining range and works it morsel by morsel.
-//     One dominant (epoch, interval) therefore never serializes a batch on
+//     One dominant interval group therefore never serializes a batch on
 //     a single lane while the others idle: every lane ends up sampling the
 //     hot group. With morsel_specs >= max_batch_size every group is one
 //     morsel, its adopter runs it whole, and thieves find nothing to take.
@@ -61,9 +61,9 @@ namespace ust {
 
 /// \brief Serving-tier knobs.
 struct ServerOptions {
-  /// Execution lanes: batches for distinct (epoch, interval) keys run
-  /// concurrently on this many worker threads. 1 reproduces the PR 3
-  /// behavior (single execution stream), just off the dispatcher thread.
+  /// Execution lanes: groups for distinct intervals run concurrently on
+  /// this many worker threads. 1 is a single execution stream, just off
+  /// the dispatcher thread.
   int lanes = 1;
   /// Worker threads of each lane's private world pool (one query's world
   /// chunks sharded per morsel) and of each cached session's Prepare pass.
@@ -83,8 +83,10 @@ struct ServerOptions {
   /// rejected, so lane backlogs surface as backpressure exactly like
   /// dispatcher backlogs did pre-lanes.
   size_t queue_capacity = 4096;
-  /// LRU capacity of the (epoch, interval) session cache.
-  size_t session_cache_capacity = 8;
+  /// Not a setting: the session cache holds one session, the newest
+  /// epoch's. benchmark/ustbench.cc still sizes its warm-up (how many
+  /// intervals it warms) by this count.
+  static constexpr size_t session_cache_capacity = 8;
   /// World-column policy handed to every session (see
   /// SessionOptions::arena_min_uses): a hot (interval, seed) group's
   /// participants' worlds are materialized once per object in the server's
@@ -287,18 +289,20 @@ class QueryServer {
 
   /// One interval group of one flushed batch, published as a deque of
   /// spec-range morsels. The snapshot pins the batch's admission epoch all
-  /// the way to execution; `outcomes` are the pre-sized per-spec result
-  /// slots that make any morsel/steal schedule reassemble the serial
-  /// RunAll bytes. `adopted`/`session_ready`/`completed` are guarded by the
-  /// server mutex; the deque synchronizes itself.
+  /// the way to execution, and the session is that epoch's; `outcomes` are
+  /// the pre-sized per-spec result slots that make any morsel/steal schedule
+  /// reassemble the serial RunAll bytes. `adopted`/`session_ready`/
+  /// `completed` are guarded by the server mutex; the deque synchronizes
+  /// itself.
   struct GroupTask {
     DbSnapshot snapshot;
-    TimeInterval T{0, 0};
     std::vector<Request> requests;       ///< promise + submit time, in order
     std::vector<QuerySpec> specs;        ///< specs[i] from requests[i]
     std::vector<QueryOutcome> outcomes;  ///< slot i belongs to specs[i]
     MorselDeque deque;                   ///< unclaimed spec ranges
-    SessionCache::Lease session;         ///< set by the adopting lane
+    /// Set by the adopting lane; const, so lanes run it only through the
+    /// read-only RunMorsel path.
+    std::shared_ptr<const QuerySession> session;
     bool adopted = false;
     bool session_ready = false;  ///< checkout finished; thieves may steal
     size_t completed = 0;        ///< specs executed so far
@@ -314,7 +318,7 @@ class QueryServer {
                      size_t end, int lane, ThreadPool* world_pool,
                      QuerySession::ExecScratch* scratch);
   /// Deliver outcomes to the promises, record completion stats, release the
-  /// session lease.
+  /// group's hold on its session.
   void FinalizeGroup(GroupTask* group);
   /// Resolve every spec of `group` with `status` without executing any
   /// (session build failed), then finalize it — promises never leak.
@@ -330,7 +334,7 @@ class QueryServer {
   const TrajectoryDatabase* db_;
   const UstTree* index_;
   ServerOptions options_;
-  SessionCache cache_;  ///< thread-safe; lanes check sessions in and out
+  SessionCache cache_;  ///< thread-safe; lanes check sessions out
 
   mutable std::mutex mu_;
   std::condition_variable cv_;       ///< admission queue -> dispatcher

@@ -1,6 +1,5 @@
 #include "server/session_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "markov/propagate_workspace.h"
@@ -10,46 +9,23 @@
 
 namespace ust {
 
-SessionCache::Lease& SessionCache::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    Release();
-    cache_ = other.cache_;
-    entry_ = other.entry_;
-    session_ = std::move(other.session_);
-    other.cache_ = nullptr;
-    other.entry_ = nullptr;
-    other.session_.reset();
-  }
-  return *this;
-}
-
-void SessionCache::Lease::Release() {
-  if (cache_ != nullptr && entry_ != nullptr) {
-    cache_->ReleaseLease(static_cast<LeasedEntry*>(entry_));
-  }
-  cache_ = nullptr;
-  entry_ = nullptr;
-  session_.reset();
-}
-
-SessionCache::SessionCache(size_t capacity, SessionOptions session_options)
-    : capacity_(std::max<size_t>(1, capacity)),
-      column_store_(ColumnStore::kBudgetBytes),
+SessionCache::SessionCache(SessionOptions session_options)
+    : column_store_(ColumnStore::kBudgetBytes),
       session_options_(session_options) {
   // Every session built by this cache reads and builds columns here, so
-  // columns (and stats()) carry across session churn, eviction and epochs.
+  // columns (and stats()) carry across session churn and epochs.
   session_options_.column_store = &column_store_;
   session_options_.stale_index_drops = &c_stale_index_drops_;
 }
 
-std::shared_ptr<QuerySession> SessionCache::BuildSession(
+std::shared_ptr<const QuerySession> SessionCache::BuildSession(
     const DbSnapshot& snapshot, const UstTree* index) {
-  // Build outside the LRU lock (lookups stay fast). Only the warm-up below
+  // Build outside the cache lock (lookups stay fast). Only the warm-up below
   // needs the warm lock: session construction touches nothing shared, so it
   // proceeds concurrently across lanes.
   UST_TRACE_SCOPE("session_build", snapshot.version(), "epoch");
   if (fault::ShouldFail("session_build")) {
-    // Injected build failure: the caller gets an empty lease and must
+    // Injected build failure: the caller gets no session and must
     // resolve its whole group with an error instead of leaking promises.
     return nullptr;
   }
@@ -92,91 +68,36 @@ std::shared_ptr<QuerySession> SessionCache::BuildSession(
   return session;
 }
 
-SessionCache::Lease SessionCache::Checkout(const DbSnapshot& snapshot,
-                                           const TimeInterval& T,
-                                           const UstTree* index) {
+std::shared_ptr<const QuerySession> SessionCache::Checkout(
+    const DbSnapshot& snapshot, const UstTree* index) {
   const uint64_t version = snapshot.version();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // A live lease on the key is simply joined: no build, no duplicate.
-    for (LeasedEntry& entry : leases_) {
-      if (entry.version == version && entry.T == T) {
-        c_hits_.Increment();
-        c_shared_joins_.Increment();
-        ++entry.refs;
-        return Lease(this, &entry, entry.session);
-      }
-    }
-    // An idle cached session is promoted to a lease (removed from the LRU,
-    // but joinable while out).
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->version == version && it->T == T) {
-        c_hits_.Increment();
-        leases_.push_back(LeasedEntry{version, T, std::move(it->session), 1});
-        entries_.erase(it);
-        return Lease(this, &leases_.back(), leases_.back().session);
-      }
+    if (current_ != nullptr && current_->db().version() == version) {
+      c_hits_.Increment();
+      return current_;
     }
     c_misses_.Increment();
   }
-  // Two lanes missing on one key concurrently both build; the later one
-  // simply leases its own copy (outcomes are per-spec pure, so duplicates
-  // are correct).
-  std::shared_ptr<QuerySession> session = BuildSession(snapshot, index);
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const QuerySession> session = BuildSession(snapshot, index);
   if (session == nullptr) {
     c_build_failures_.Increment();
-    return Lease();  // the caller surfaces the error
+    return nullptr;  // the caller surfaces the error
   }
-  leases_.push_back(LeasedEntry{version, T, std::move(session), 1});
-  return Lease(this, &leases_.back(), leases_.back().session);
-}
-
-void SessionCache::ReleaseLease(LeasedEntry* entry) {
+  // Declared before the lock, so a replaced session is destroyed after the
+  // lock is released.
+  std::shared_ptr<const QuerySession> replaced;
   std::lock_guard<std::mutex> lock(mu_);
-  if (--entry->refs > 0) return;
-  for (auto it = leases_.begin(); it != leases_.end(); ++it) {
-    if (&*it != entry) continue;
-    if (it->version < min_live_version_) {
-      // Its epoch passed while it was out executing; never cache it.
-      c_evictions_stale_.Increment();
-    } else {
-      entries_.push_front(Entry{it->version, it->T, std::move(it->session)});
-      while (entries_.size() > capacity_) {
-        entries_.pop_back();
-        c_evictions_lru_.Increment();
-      }
-    }
-    leases_.erase(it);
-    return;
+  if (current_ == nullptr || current_->db().version() < version) {
+    replaced = std::exchange(current_, session);
   }
-}
-
-void SessionCache::EvictStale(uint64_t live_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  min_live_version_ = std::max(min_live_version_, live_version);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->version < live_version) {
-      it = entries_.erase(it);
-      c_evictions_stale_.Increment();
-    } else {
-      ++it;
-    }
-  }
-}
-
-size_t SessionCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return session;
 }
 
 SessionCacheStats SessionCache::stats() const {
   SessionCacheStats s;
   s.hits = c_hits_.value();
   s.misses = c_misses_.value();
-  s.shared_joins = c_shared_joins_.value();
-  s.evictions_lru = c_evictions_lru_.value();
-  s.evictions_stale = c_evictions_stale_.value();
   const ArenaStats arena = column_store_.stats();
   s.arena_builds = arena.builds;
   s.arena_spec_reuses = arena.spec_reuses;
@@ -189,9 +110,6 @@ SessionCacheStats SessionCache::stats() const {
 void SessionCache::RegisterMetrics(MetricRegistry* registry) const {
   registry->RegisterCounter("cache_hits", &c_hits_);
   registry->RegisterCounter("cache_misses", &c_misses_);
-  registry->RegisterCounter("cache_shared_joins", &c_shared_joins_);
-  registry->RegisterCounter("cache_evictions_lru", &c_evictions_lru_);
-  registry->RegisterCounter("cache_evictions_stale", &c_evictions_stale_);
   column_store_.RegisterMetrics(registry);
   registry->RegisterCounter("stale_index_drops", &c_stale_index_drops_);
   registry->RegisterCounter("session_build_failures", &c_build_failures_);

@@ -250,15 +250,14 @@ TEST_F(AdaptiveExecTest, UndecidedNearTauFallsBackToCap) {
 }
 
 TEST_F(AdaptiveExecTest, PlanDoesNotDependOnEarlierRuns) {
-  // A result is a pure function of (database, spec), so the planner costs
-  // every spec at its cap, whatever earlier queries of the session did.
-  // Figure 1 is enumeration-friendly (2 candidates, |T| = 3): with
-  // exact_min_precision = 2048 a 4096-cap adaptive spec plans exact, and
-  // still does after a run of easy adaptive Monte-Carlo queries that each
-  // stop at the first chunk — bit-identical to a fresh session's answer.
+  // A result is a pure function of (database, spec), so the plan depends on
+  // the spec alone, whatever earlier queries of the session did.
+  // Figure 1 is enumeration-friendly (2 candidates, 2 participants,
+  // |T| = 3): a 4096-cap adaptive spec plans exact, and still does after a
+  // run of easy adaptive Monte-Carlo queries that each stop at the first
+  // chunk — bit-identical to a fresh session's answer.
   Figure1World world = MakeFigure1World();
   SessionOptions options;
-  options.planner.exact_min_precision = 2048;
   QuerySession session(*world.db, nullptr, options);
 
   QuerySpec spec;

@@ -202,39 +202,38 @@ TEST_F(ArenaTest, ScalarAndSimdDispatchAgreeBitwise) {
   }
 }
 
-TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderLease) {
-  // Lanes hold a session (and through it, arena shared_ptrs) via leases
-  // while the cache evicts: capacity churn and epoch eviction must
-  // never invalidate an arena mid-evaluation. Two threads run morsels on
-  // the leased session while the main thread hammers the cache.
+TEST_F(ArenaTest, ColumnsOutliveASessionANewerEpochReplaced) {
+  // Lanes hold a session (and through it, views of the cache's column
+  // store) while writes open newer epochs whose sessions replace it in the
+  // cache: the replaced session and its columns must stay valid to its last
+  // holder. Two threads run morsels on it across the writes.
   const std::vector<QuerySpec> specs = MakeHotSpecs(16);
   const std::vector<QueryOutcome> expected = Reference(specs);
   SessionOptions session_options;
   session_options.arena_min_uses = 1;
-  SessionCache cache(/*capacity=*/1, session_options);
-  DbSnapshot snap = db().Snapshot();
-  auto lease = cache.Checkout(snap, T_, index_.get());
-  ASSERT_TRUE(lease);
+  SessionCache cache(session_options);
+  std::shared_ptr<const QuerySession> session =
+      cache.Checkout(db().Snapshot(), index_.get());
+  ASSERT_NE(session, nullptr);
 
   std::vector<QueryOutcome> outcomes(specs.size());
   const size_t half = specs.size() / 2;
   std::thread worker([&] {
     QuerySession::ExecScratch scratch;
     for (size_t i = half; i < specs.size(); ++i) {
-      lease->RunMorsel(specs, i, i + 1, outcomes.data(), nullptr, &scratch);
+      session->RunMorsel(specs, i, i + 1, outcomes.data(), nullptr, &scratch);
     }
   });
   {
     QuerySession::ExecScratch scratch;
     for (size_t i = 0; i < half; ++i) {
-      lease->RunMorsel(specs, i, i + 1, outcomes.data(), nullptr, &scratch);
-      // Churn the cache while the lease is live: fill past capacity with
-      // other intervals, then advance the epoch floor so the leased session
-      // is dropped (not reinserted) at final release.
-      TimeInterval other{static_cast<Tic>(T_.start + i % 3),
-                         static_cast<Tic>(T_.start + 3 + i % 3)};
-      cache.Checkout(snap, other, index_.get()).Release();
-      cache.EvictStale(snap.version() + 1);
+      session->RunMorsel(specs, i, i + 1, outcomes.data(), nullptr, &scratch);
+      // A write outside T_, then the checkout that builds the new epoch's
+      // session and caches it in place of the held one.
+      AddObjectAt(T_.end + 8, T_.end + 12);
+      const auto newer = cache.Checkout(db().Snapshot(), index_.get());
+      EXPECT_NE(newer, nullptr);
+      EXPECT_NE(newer, session);
     }
   }
   worker.join();
@@ -243,13 +242,12 @@ TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderLease) {
     EXPECT_TRUE(SameOutcome(outcomes[i], expected[i])) << i;
   }
   const SessionCacheStats mid = cache.stats();
+  EXPECT_EQ(mid.misses, 1 + half);
   EXPECT_GE(mid.arena_builds, 1u);
   EXPECT_GE(mid.arena_spec_reuses, 1u);
-  lease.Release();  // last holder: the stale session dies here
+  session.reset();  // last holder: the replaced session dies here
   // The cache-owned counters survive the session.
-  const SessionCacheStats after = cache.stats();
-  EXPECT_EQ(after.arena_builds, mid.arena_builds);
-  EXPECT_GE(after.evictions_stale, 1u);
+  EXPECT_EQ(cache.stats().arena_builds, mid.arena_builds);
 }
 
 TEST_F(ArenaTest, SmallBudgetEvictsLruColumnsButNeverAHeldOne) {

@@ -1,9 +1,7 @@
 // Tests of the intra-query-parallel refinement backends (DESIGN.md §4.2):
 // markov_approx shards per-target chain-rule factors and exact shards
 // fixed-size enumeration blocks over the pool — both must reproduce their
-// serial bytes exactly at any thread count (the determinism contract), and
-// the planner's parallelism-aware cost model must stay a pure function of
-// its options.
+// serial bytes exactly at any thread count (the determinism contract).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -194,28 +192,6 @@ TEST_F(ExecutorParallelTest, ExactExecutorUsesPoolAndMatches) {
     EXPECT_EQ(parallel.value()[i].forall_prob, serial.value()[i].forall_prob);
     EXPECT_EQ(parallel.value()[i].exists_prob, serial.value()[i].exists_prob);
   }
-}
-
-TEST(PlannerParallelismTest, AssumedParallelismRaisesTheExactPrecisionBar) {
-  PlannerOptions options;
-  options.exact_min_precision = 1000;
-  // Serial: 4096 requested worlds clear the 1000-world bar -> enumeration.
-  EXPECT_EQ(PlanExecutor(QueryKind::kForall, 2, 2, 3, 4096, 1, options),
-            ExecutorKind::kExact);
-  // An 8-wide tier makes sampling ~8x faster (4096/512 = 8 chunks saturate
-  // all 8 workers), so the bar rises to 8000 worlds -> sampling wins.
-  options.assumed_parallelism = 8;
-  EXPECT_EQ(PlanExecutor(QueryKind::kForall, 2, 2, 3, 4096, 1, options),
-            ExecutorKind::kMonteCarlo);
-  // MC parallelism saturates at num_worlds/512: 1023 worlds fill a single
-  // chunk, so the 8 assumed workers earn sampling no credit at all — the
-  // bar stays 1000 and enumeration still wins.
-  EXPECT_EQ(PlanExecutor(QueryKind::kForall, 2, 2, 3, 1023, 1, options),
-            ExecutorKind::kExact);
-  // Pure function of options: the default (1) reproduces the old plans.
-  options.assumed_parallelism = 1;
-  EXPECT_EQ(PlanExecutor(QueryKind::kForall, 2, 2, 3, 4096, 1, options),
-            ExecutorKind::kExact);
 }
 
 }  // namespace

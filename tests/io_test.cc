@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "gen/synthetic.h"
 #include "io/text_io.h"
@@ -168,6 +170,42 @@ TEST(TextIoTest, MalformedInputsRejected) {
         std::vector<Point2>{{0, 0}, {1, 1}});
     // Observation times decreasing: ObservationSeq validation must fire.
     EXPECT_FALSE(LoadObservations(ss, space, nullptr).ok());
+  }
+  // Hostile counts: a loader must neither reserve by a count (which threw
+  // std::length_error out of a Result-returning call) nor allocate rows for
+  // states a StateId cannot name. 2^62 and -1 (read as 2^64 - 1) exceed
+  // the lines present, so they fail as truncated.
+  const auto expect_invalid = [](const Status& status, const char* what) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+  };
+  for (const char* count : {"-1", "4611686018427387904"}) {
+    std::stringstream ss(std::string("ustq-statespace v1\n") + count +
+                         "\n0 0\n");
+    expect_invalid(LoadStateSpace(ss).status(), count);
+  }
+  {
+    std::stringstream ss(
+        "ustq-trajectories v1\n4611686018427387904\n0 1\n3\n");
+    expect_invalid(LoadTrajectories(ss).status(), "trajectory count");
+  }
+  {
+    std::stringstream ss(
+        "ustq-trajectories v1\n1\n0 4611686018427387904\n3 4\n");
+    expect_invalid(LoadTrajectories(ss).status(), "trajectory length");
+  }
+  for (const char* states : {"4611686018427387904", "4294967296"}) {
+    std::stringstream ss(std::string("ustq-matrix v1\n") + states + " 1\n" +
+                         "0 0 1.0\n");
+    expect_invalid(LoadTransitionMatrix(ss).status(), states);
+  }
+  {
+    std::stringstream ss(
+        "ustq-observations v1\n1\n9 4611686018427387904\n3 0\n");
+    auto space = std::make_shared<const StateSpace>(
+        std::vector<Point2>{{0, 0}, {1, 1}});
+    expect_invalid(LoadObservations(ss, space, nullptr).status(),
+                   "observation count");
   }
 }
 

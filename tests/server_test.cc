@@ -1,12 +1,13 @@
 // Tests of the serving tier (DESIGN.md section 5): epoch-based snapshot
 // isolation of TrajectoryDatabase (online inserts and copy-on-write lifetime
 // extension never perturb a pinned epoch), the stale-index guard, the
-// (epoch, interval)-keyed LRU session cache, and the QueryServer front-end —
+// epoch-keyed session cache, and the QueryServer front-end —
 // whose outcomes must be bit-identical to serial QuerySession::RunAll on the
 // same epoch even with concurrent client threads and a concurrent writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
@@ -153,94 +154,86 @@ TEST_F(ServerTest, StaleIndexIsDroppedNotTrusted) {
   }
 }
 
-TEST_F(ServerTest, SessionCacheKeysOnEpochAndInterval) {
-  SessionCache cache(2, SessionOptions{});
-  DbSnapshot snap = db().Snapshot();
-  const TimeInterval t1 = T_;
-  const TimeInterval t2{T_.start, T_.end - 2};
-  const TimeInterval t3{T_.start + 1, T_.end};
-
-  const QuerySession* s1;
-  {
-    auto lease = cache.Checkout(snap, t1, index_.get());
-    s1 = lease.get();
-    EXPECT_EQ(lease->db().version(), snap.version());
-  }
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.size(), 1u);  // returned to the cache by the lease
-  {
-    auto lease = cache.Checkout(snap, t1, index_.get());  // hit, same session
-    EXPECT_EQ(lease.get(), s1);
-  }
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Capacity 2: t3 evicts the least recently used entry (t1 after t2 ran).
-  cache.Checkout(snap, t2, index_.get());
-  cache.Checkout(snap, t3, index_.get());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions_lru, 1u);
-  cache.Checkout(snap, t1, index_.get());  // rebuilt: its entry was evicted
-  EXPECT_EQ(cache.stats().misses, 4u);
-
-  // A write opens a new epoch: lookups with the new snapshot miss, and
-  // EvictStale drops every session pinned behind the live version.
+TEST_F(ServerTest, SessionCacheKeysOnEpochAlone) {
+  // A session depends on its epoch alone: the groups of two intervals in
+  // one epoch share one session, and a write's next checkout misses once.
+  const std::vector<QuerySpec> specs = MakeSpecs(2);
+  ASSERT_FALSE(specs[0].T == specs[1].T);
+  QueryServer server(db(), index_.get(), ServerOptions{});
+  const auto run_each = [&] {
+    for (const QuerySpec& spec : specs) {
+      EXPECT_TRUE(server.Submit(spec).get().status.ok());
+    }
+  };
+  run_each();
+  EXPECT_EQ(server.Stats().cache.misses, 1u);
+  EXPECT_EQ(server.Stats().cache.hits, 1u);
   AddObjectAt(T_.start, T_.end);
-  DbSnapshot snap2 = db().Snapshot();
-  {
-    auto lease = cache.Checkout(snap2, t1, index_.get());
-    EXPECT_EQ(lease->db().version(), snap2.version());
-  }
-  EXPECT_EQ(cache.stats().misses, 5u);
-  cache.EvictStale(snap2.version());
-  EXPECT_EQ(cache.size(), 1u);  // only the epoch-current session survives
-  EXPECT_GE(cache.stats().evictions_stale, 1u);
+  run_each();
+  EXPECT_EQ(server.Stats().cache.misses, 2u);
+  EXPECT_EQ(server.Stats().cache.hits, 2u);
+  server.Stop();
+
+  // A late build for an older epoch goes to its caller uncached: the newer
+  // epoch's session stays cached, and the older epoch misses again.
+  SessionCache cache(SessionOptions{});
+  const DbSnapshot older = db().Snapshot();
+  AddObjectAt(T_.start, T_.end);
+  const DbSnapshot newer = db().Snapshot();
+  const auto newer_session = cache.Checkout(newer, index_.get());
+  const auto older_session = cache.Checkout(older, index_.get());
+  ASSERT_NE(newer_session, nullptr);
+  ASSERT_NE(older_session, nullptr);
+  EXPECT_EQ(newer_session->db().version(), newer.version());
+  EXPECT_EQ(older_session->db().version(), older.version());
+  EXPECT_EQ(cache.Checkout(newer, index_.get()), newer_session);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_NE(cache.Checkout(older, index_.get()), nullptr);
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
-TEST_F(ServerTest, LeaseJoinsInsteadOfDuplicating) {
-  SessionCache cache(2, SessionOptions{});
-  DbSnapshot snap = db().Snapshot();
-
-  // Two checkouts on one key: the second *joins* the first — same session,
-  // one build. This is what spares hot groups duplicate builds.
-  auto lease1 = cache.Checkout(snap, T_, index_.get());
-  ASSERT_TRUE(lease1);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  auto lease2 = cache.Checkout(snap, T_, index_.get());
-  ASSERT_TRUE(lease2);
-  EXPECT_EQ(lease1.get(), lease2.get());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().shared_joins, 1u);
-  EXPECT_EQ(cache.size(), 0u);  // out on lease, not idle
-
-  // Refcounted return: the first release keeps the session out, the last
-  // one reinserts it at MRU — where a later checkout finds it idle.
-  const QuerySession* session = lease1.get();
-  lease1.Release();
-  EXPECT_FALSE(lease1);  // the lease handle is dead after release
-  EXPECT_EQ(cache.size(), 0u);
-  {
-    auto lease3 = cache.Checkout(snap, T_, index_.get());  // joins
-    EXPECT_EQ(lease3.get(), session);
-    EXPECT_EQ(cache.stats().shared_joins, 2u);
-    lease2.Release();  // two holders left -> one
-  }  // lease3 released: last holder, session goes idle
-  EXPECT_EQ(cache.size(), 1u);
-  {
-    auto lease4 = cache.Checkout(snap, T_, index_.get());
-    EXPECT_EQ(lease4.get(), session);  // idle promotion, not a join
-    EXPECT_EQ(cache.stats().shared_joins, 2u);
-    EXPECT_EQ(cache.stats().hits, 3u);
+TEST_F(ServerTest, CheckoutsRacingAWriterGetTheirSnapshotsEpoch) {
+  // Four threads check sessions out at the epoch they pin while a writer
+  // opens new epochs. Every session is its snapshot's epoch, and once the
+  // writer stops, a checkout at the final epoch is a hit: a late build for
+  // an older epoch never displaced a newer session.
+  SessionCache cache(SessionOptions{});
+  std::atomic<bool> writing{true};
+  std::atomic<int> wrong_epoch{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      // The iteration that sees the writer done pins the final epoch.
+      for (bool last = false; !last;) {
+        last = !writing.load();
+        const DbSnapshot snap = db().Snapshot();
+        const auto session = cache.Checkout(snap, index_.get());
+        if (session == nullptr) {
+          ++failed;
+        } else if (session->db().version() != snap.version()) {
+          ++wrong_epoch;
+        }
+      }
+    });
   }
+  std::thread writer([&] {
+    for (int i = 0; i < 12; ++i) AddObjectAt(T_.end + 8, T_.end + 12);
+    writing = false;
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong_epoch.load(), 0);
 
-  // A session whose epoch passes mid-lease is dropped on the last release,
-  // not cached.
-  auto stale = cache.Checkout(snap, T_, index_.get());
-  const uint64_t stale_before = cache.stats().evictions_stale;
-  cache.EvictStale(snap.version() + 1);
-  EXPECT_EQ(cache.size(), 0u);
-  stale.Release();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_GT(cache.stats().evictions_stale, stale_before);
+  const DbSnapshot final_snap = db().Snapshot();
+  const SessionCacheStats before = cache.stats();
+  const auto session = cache.Checkout(final_snap, index_.get());
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(session->db().version(), final_snap.version());
+  EXPECT_EQ(cache.stats().hits, before.hits + 1);
+  EXPECT_EQ(cache.stats().misses, before.misses);
 }
 
 TEST_F(ServerTest, HotGroupMorselsMatchSerialRunAllBitwise) {
@@ -607,9 +600,9 @@ TEST_F(ServerTest, ConcurrentWritesNeverTearServedQueries) {
   }
 
   // Epoch-keyed invalidation, pinned deterministically: all in-flight work
-  // is drained, so the cache holds sessions at epochs <= the current one;
-  // one more write then forces the next batch to miss on the new version
-  // and to reap at least one stale-epoch session.
+  // is drained, so the cache holds a session at an epoch <= the current
+  // one; one more write then forces the next batch to miss on the new
+  // version.
   const SessionCacheStats before = server.Stats().cache;
   AddObjectAt(T_.end + 8, T_.end + 12);
   std::vector<std::future<QueryOutcome>> late;
@@ -620,7 +613,6 @@ TEST_F(ServerTest, ConcurrentWritesNeverTearServedQueries) {
   server.Stop();
   const SessionCacheStats after = server.Stats().cache;
   EXPECT_GT(after.misses, before.misses);
-  EXPECT_GT(after.evictions_stale, before.evictions_stale);
 }
 
 TEST_F(ServerTest, ZeroBatchSizeIsClampedNotStarved) {
@@ -685,7 +677,7 @@ TEST_F(ServerTest, StatsRenderAsJson) {
         "\"rejected_draining\":0", "\"expired_in_queue\":0",
         "\"expired_on_lane\":0", "\"degraded_requests\":0",
         "\"overload_regime\":", "\"session_build_failures\":0", "\"batches\":",
-        "\"cache_misses\":", "\"cache_shared_joins\":", "\"latency_us\":",
+        "\"cache_misses\":", "\"cache_hits\":", "\"latency_us\":",
         "\"queue_us\":", "\"p50\":", "\"p99\":", "\"lane_queue_depth\":",
         "\"lane_queue_peak\":", "\"lane_steals\":", "\"morsels_executed\":",
         "\"arena_builds\":", "\"arena_spec_reuses\":", "\"arena_bytes\":",

@@ -445,6 +445,10 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
   const size_t kWrappingWorlds = 6148914691236517206u;
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Point2> moving(T_.length(), p);
+  moving[moving.size() / 2] = {kNaN, p.y};
+  const QueryTrajectory nan_at_one_tic =
+      QueryTrajectory::FromPoints(T_.start, moving);
   const PrecisionMode kEps = PrecisionMode::kEpsilon;
   const PrecisionMode kThr = PrecisionMode::kThreshold;
   struct PrecisionCase {
@@ -482,6 +486,17 @@ TEST_F(SessionTest, InvalidSpecsFailBeforePruningWithOrWithoutIndex) {
        kMaxWorlds + 1},
       {"worlds wrapping a column's size", T_, 1, point,
        "num_worlds exceeds 2^24", kWrappingWorlds},
+      // Non-finite squared distances: +inf to every object made each one a
+      // P∀NN result without an index (inf <= inf) and pruned all with one.
+      {"infinite query position", T_, 1, QueryTrajectory::FromPoint({kInf, 0}),
+       "query position is not finite"},
+      {"query position whose squared distances overflow", T_, 1,
+       QueryTrajectory::FromPoint({1e308, -1e308}),
+       "query position too far from the state space"},
+      {"NaN query position", T_, 1, QueryTrajectory::FromPoint({kNaN, kNaN}),
+       "query position is not finite"},
+      {"NaN at one tic of a moving q", T_, 1, nan_at_one_tic,
+       "query position is not finite"},
   };
   for (const PrecisionCase& c : precision_cases) {
     cases.push_back({c.name, T_, 1, point, c.message, 200, c.tau,
