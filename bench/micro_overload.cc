@@ -8,8 +8,8 @@
 // every request expires after consuming lane time, goodput goes to zero.
 //
 // The overload machinery under test keeps goodput flat instead:
-//   - deadline propagation sheds already-expired work in the queue and at
-//     morsel boundaries, before it wastes lane time;
+//   - deadline propagation sheds already-expired work in the queue and
+//     just before each spec runs on its lane, before it wastes lane time;
 //   - the overload controller degrades implicit-precision specs to the
 //     server epsilon target (cheaper answers) and sheds the lowest priority
 //     class at admission once utilization crosses the shed watermark;
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
         UST_CHECK(db.ExtendLifetime(id, db.object(id).last_tic() + 2).ok());
       }
       // Concurrent burst: every request carries a (huge) deadline, so every
-      // deadline_skew fire that lands on a batch or morsel expires real
+      // deadline_skew fire that lands on a batch or a spec expires real
       // work; session_build fires fail whole groups; alloc_limit fires on
       // the arena path; lane_stall delays lanes under the burst.
       const int chaos_clients = 4;

@@ -20,39 +20,33 @@
 // lane_speedup column is the tentpole metric of PR 4 (≈1 on a single
 // hardware core, ≥1.5 expected on multi-core).
 //
-// The *skewed* phase (PR 5) measures the morsel scheduler: interval
-// popularity follows a Zipf-ish law (weight of interval k ∝ (k+1)^-skew),
-// so one hot (epoch, interval) group dominates every batch. The stream runs
-// at --lanes lanes twice — one morsel per group (morsel_specs = --batch:
-// the adopting lane runs the whole hot group while the others idle, since
-// thieves find nothing to take) vs --morsel spec morsels (idle lanes steal
-// half-ranges of the hot group) — and reports p99_skew_nosteal vs
-// p99_skew_steal plus their ratio `steal_speedup` (the morsel scheduler's
-// headline metric: ≈1 on a single hardware core, ≥1.3 expected on
-// multi-core).
+// The *arena* phase serves a skewed stream — interval popularity
+// follows a Zipf-ish law (weight of interval k ∝ (k+1)^-skew), and every
+// spec shares one Monte-Carlo seed — with world columns off and on, and
+// reports the qps ratio `arena_speedup`.
 //
 // The *adaptive* phase (PR 7, --adaptive {on,off}) serves the mixed stream
 // re-cast as tau = 0.5 threshold decisions under an oversized
 // --adaptive_worlds cap, fixed sampling vs the sequential stopping rule
 // (DESIGN.md section 8). Both runs must reproduce a prepared-session RunAll
 // reference bit for bit — worlds_used and early_stopped included, pinning
-// the stop decision across the queue, the lanes and any morsel/steal
-// schedule — and the ServerStats early_stops / worlds_saved /
-// worlds_sampled counters must account for exactly the observed savings.
+// the stop decision across the queue and the lanes — and the ServerStats
+// early_stops / worlds_saved / worlds_sampled counters must account for
+// exactly the observed savings.
 // Emits qps_adaptive_on / qps_adaptive_off / adaptive_speedup /
 // mean_worlds_used.
 //
 // All server outcomes are checked bit-identical to direct_runall (the PR 2
-// determinism contract extended across the admission queue, the lane pool
-// and any morsel/steal schedule). Emits BENCH_server.json (qps of each
-// mode, speedups, p50/p99 latency per lane count and per skew scheduler) so
-// serving throughput is tracked machine-readably across PRs.
+// determinism contract extended across the admission queue and the lane
+// pool). Emits BENCH_server.json (qps of each mode, speedups, p50/p99
+// latency per lane count) so serving throughput is tracked
+// machine-readably across PRs.
 //
 // Flags (defaults sized for a single CI core):
 //   --states=10000 --objects=48 --lifetime=96 --obs_interval=12
 //   --horizon=120 --interval=10 --intervals=2 --worlds=500 --queries=50
 //   --threads=1 --lanes=2 --clients=4 --batch=16 --delay_ms=2
-//   --skew=1.5 --morsel=4 --adaptive=on --adaptive_worlds=8192
+//   --skew=1.5 --adaptive=on --adaptive_worlds=8192
 //   --json_out=BENCH_server.json --trace=<path>
 //
 // The *traced* phase (PR 8) re-runs the mixed stream at --lanes lanes with
@@ -129,7 +123,6 @@ int main(int argc, char** argv) {
   const size_t max_batch = flags.GetInt("batch", 16);
   const double delay_ms = flags.GetDouble("delay_ms", 2.0);
   const double skew = flags.GetDouble("skew", 1.5);
-  const size_t morsel_specs = std::max<size_t>(1, flags.GetInt("morsel", 4));
   const std::string adaptive_mode = flags.GetString("adaptive", "on");
   UST_CHECK(adaptive_mode == "on" || adaptive_mode == "off");
   const bool run_adaptive = adaptive_mode == "on";
@@ -227,15 +220,14 @@ int main(int argc, char** argv) {
   // qps_cold_session).
   const auto run_server = [&](const std::vector<QuerySpec>& stream,
                               const std::vector<QueryOutcome>& reference,
-                              int lane_count, size_t morsel,
-                              int arena_min_uses, bool trace = false) {
+                              int lane_count, int arena_min_uses,
+                              bool trace = false) {
     ServerRun run;
     ServerOptions options;
     options.lanes = lane_count;
     options.threads = threads;
     options.max_batch_size = max_batch;
     options.max_batch_delay_ms = delay_ms;
-    options.morsel_specs = morsel;
     options.arena_min_uses = arena_min_uses;
     options.trace = trace;
     // Smoke-scale rings (4096 slots ≈ 230 KB/thread vs 3.7 MB at the 1<<16
@@ -263,9 +255,9 @@ int main(int argc, char** argv) {
     run.seconds = t.Seconds();
     run.stats = server.Stats();
 
-    // The serving tier is the batch pipeline behind a queue, a lane pool
-    // and any morsel schedule: outcomes must agree bit for bit with the
-    // direct RunAll reference.
+    // The serving tier is the batch pipeline behind a queue and a lane
+    // pool: outcomes must agree bit for bit with the direct RunAll
+    // reference.
     for (size_t i = 0; i < n_stream; ++i) {
       CheckSameOutcome(results[i], reference[i]);
     }
@@ -274,14 +266,12 @@ int main(int argc, char** argv) {
     return run;
   };
 
-  // The mixed and skewed phases use unique per-spec seeds, so no arena
-  // group ever repeats: arena_min_uses=2 (the serving default) makes them
-  // measure exactly what they measured pre-arena.
-  const ServerRun lane1 =
-      run_server(specs, runall_results, 1, morsel_specs, 2);
+  // The mixed phase uses unique per-spec seeds, so no arena group ever
+  // repeats: arena_min_uses=2 (the serving default) makes it measure
+  // exactly what it measured pre-arena.
+  const ServerRun lane1 = run_server(specs, runall_results, 1, 2);
   const ServerRun laneN =
-      lanes > 1 ? run_server(specs, runall_results, lanes, morsel_specs, 2)
-                : lane1;
+      lanes > 1 ? run_server(specs, runall_results, lanes, 2) : lane1;
   // ---- The trace_overhead pair: tracing on vs off, identical config. ----
   // Outcomes must still match bit for bit (probes observe, never steer),
   // and the qps ratio is gated at 10% (tools/check_bench.py). A 10% band
@@ -309,9 +299,9 @@ int main(int argc, char** argv) {
   for (int pair = 0; pair < kOverheadPairs; ++pair) {
     const bool traced_first = pair % 2 == 0;
     ServerRun first = run_server(overhead_specs, overhead_reference, lanes,
-                                 morsel_specs, 2, traced_first);
+                                 2, traced_first);
     ServerRun second = run_server(overhead_specs, overhead_reference, lanes,
-                                  morsel_specs, 2, !traced_first);
+                                  2, !traced_first);
     ServerRun& traced = traced_first ? first : second;
     const ServerRun& plain = traced_first ? second : first;
     overhead_ratios.push_back(traced.seconds / plain.seconds);
@@ -325,59 +315,32 @@ int main(int argc, char** argv) {
     CheckSameOutcome(runall_results[i], cold_results[i]);
   }
 
-  // ---- Mode 4: the skewed stream — one morsel per group vs stealing. ----
-  // Interval popularity is Zipf-ish (weight of interval k ∝ (k+1)^-skew):
-  // most specs land on interval 0, so every micro-batch is dominated by one
-  // hot (epoch, interval) group. As one morsel that group serializes on a
-  // single lane; split into --morsel spec morsels the idle lanes steal its
-  // tail.
+  // ---- Mode 4: the shared world arena on a hot-group skewed stream. ----
+  // Interval popularity is Zipf-ish (weight of interval k ∝ (k+1)^-skew), so
+  // most specs land on interval 0, and every spec shares one Monte-Carlo
+  // seed: the dominant interval becomes one (interval, seed) arena group.
+  // The stream runs twice — arenas disabled vs build-on-first-use — and both
+  // must reproduce the arena-off RunAll reference bit for bit; the qps ratio
+  // is the amortization of sampling a hot group's worlds once.
   std::vector<double> cumulative(num_intervals, 0.0);
   double weight_sum = 0.0;
   for (size_t k = 0; k < num_intervals; ++k) {
     weight_sum += std::pow(static_cast<double>(k + 1), -skew);
     cumulative[k] = weight_sum;
   }
-  Rng skew_rng(17);
-  // 3x the mixed stream's length: the comparison is a p99 ratio, and the
-  // tail of a 25-request run is one batch's scheduling accident — a longer
-  // stream keeps the gate's ratio band meaningful.
-  const size_t num_skew_queries = 3 * num_queries;
-  std::vector<QuerySpec> skew_specs;
-  skew_specs.reserve(num_skew_queries);
-  for (size_t i = 0; i < num_skew_queries; ++i) {
-    const double u = skew_rng.Uniform() * weight_sum;
-    size_t pick = 0;
-    while (pick + 1 < num_intervals && cumulative[pick] < u) ++pick;
-    QuerySpec spec;
-    spec.kind = QueryKind::kForall;
-    spec.q = RandomQueryState(db.space(), qrng);
-    spec.T = intervals[pick];
-    spec.tau = 0.0;
-    spec.mc.num_worlds = num_worlds;
-    spec.mc.seed = 5000 + i;
-    skew_specs.push_back(spec);
+  // 3x the mixed stream's length, so one batch's scheduling accident does
+  // not decide the qps ratio.
+  const size_t num_arena_queries = 3 * num_queries;
+  // The committed BENCH_server.json baseline was cut with the stream's
+  // query positions drawn after this many earlier draws from qrng; skipping
+  // them keeps the stream the one the baseline measured.
+  for (size_t i = 0; i < num_arena_queries; ++i) {
+    RandomQueryState(db.space(), qrng);
   }
-  std::vector<QueryOutcome> skew_reference;
-  {
-    QuerySession session(db, &tree.value(), session_options);
-    UST_CHECK(session.Prepare().ok());
-    skew_reference = session.RunAll(skew_specs);
-  }
-  const ServerRun skew_nosteal = run_server(
-      skew_specs, skew_reference, lanes, std::max<size_t>(1, max_batch), 2);
-  const ServerRun skew_steal =
-      run_server(skew_specs, skew_reference, lanes, morsel_specs, 2);
-
-  // ---- Mode 5: the shared world arena on a hot-group skewed stream. ----
-  // Same Zipf interval pick, but every spec shares one Monte-Carlo seed:
-  // the dominant interval becomes one (interval, seed) arena group. The
-  // stream runs twice — arenas disabled vs build-on-first-use — and both
-  // must reproduce the arena-off RunAll reference bit for bit; the qps
-  // ratio is the amortization of sampling a hot group's worlds once.
   Rng arena_rng(23);
   std::vector<QuerySpec> arena_specs;
-  arena_specs.reserve(num_skew_queries);
-  for (size_t i = 0; i < num_skew_queries; ++i) {
+  arena_specs.reserve(num_arena_queries);
+  for (size_t i = 0; i < num_arena_queries; ++i) {
     const double u = arena_rng.Uniform() * weight_sum;
     size_t pick = 0;
     while (pick + 1 < num_intervals && cumulative[pick] < u) ++pick;
@@ -403,9 +366,8 @@ int main(int argc, char** argv) {
     arena_reference = session.RunAll(arena_specs);
   }
   const ServerRun arena_off =
-      run_server(arena_specs, arena_reference, lanes, morsel_specs, 0);
-  const ServerRun arena_on =
-      run_server(arena_specs, arena_reference, lanes, morsel_specs, 1);
+      run_server(arena_specs, arena_reference, lanes, 0);
+  const ServerRun arena_on = run_server(arena_specs, arena_reference, lanes, 1);
   UST_CHECK(arena_off.stats.cache.arena_builds == 0);
   UST_CHECK(arena_off.stats.arena_hits() == 0);
   UST_CHECK(arena_on.stats.cache.arena_builds >= 1);
@@ -414,13 +376,13 @@ int main(int argc, char** argv) {
   UST_CHECK(arena_on.stats.arena_hits() ==
             arena_on.stats.cache.arena_spec_reuses);
 
-  // ---- Mode 6: adaptive precision through the serving tier. ----
+  // ---- Mode 5: adaptive precision through the serving tier. ----
   // The mixed-interval stream re-cast as tau = 0.5 threshold decisions under
   // an oversized world cap, served twice: fixed sampling (every spec draws
   // all --adaptive_worlds worlds) vs the sequential stopping rule. Both runs
   // reproduce a prepared-session RunAll reference bit for bit — including
   // worlds_used and early_stopped, so the stop decision is pinned across the
-  // admission queue, the lane pool and the morsel/steal schedule. The
+  // admission queue and the lane pool. The
   // ServerStats early-stop counters must account for exactly the observed
   // savings.
   double qps_adaptive_off = 0.0;
@@ -451,10 +413,9 @@ int main(int argc, char** argv) {
       adaptive_reference = session.RunAll(adaptive_specs);
     }
     const ServerRun adaptive_off =
-        run_server(fixed_specs, fixed_reference, lanes, morsel_specs, 2);
+        run_server(fixed_specs, fixed_reference, lanes, 2);
     const ServerRun adaptive_on =
-        run_server(adaptive_specs, adaptive_reference, lanes, morsel_specs,
-                   2);
+        run_server(adaptive_specs, adaptive_reference, lanes, 2);
     const double n_adaptive = static_cast<double>(adaptive_specs.size());
     qps_adaptive_off = n_adaptive / adaptive_off.seconds;
     qps_adaptive_on = n_adaptive / adaptive_on.seconds;
@@ -503,14 +464,6 @@ int main(int argc, char** argv) {
   const double arena_speedup =
       qps_arena_off > 0.0 ? qps_arena_on / qps_arena_off : 1.0;
 
-  const double p99_skew_nosteal = p_ms(skew_nosteal, 0.99);
-  const double p99_skew_steal = p_ms(skew_steal, 0.99);
-  // p99 ratio of the two morsel sizes on the skewed stream: > 1 means
-  // stealing flattened the hot group's tail. Direction-aware gate: "down".
-  const double steal_speedup = p99_skew_steal > 0.0
-                                   ? p99_skew_nosteal / p99_skew_steal
-                                   : 1.0;
-
   CsvTable table({"metric", "value"});
   table.AddRow({"qps_cold_session", std::to_string(qps_cold)});
   table.AddRow({"qps_direct_runall", std::to_string(qps_runall)});
@@ -522,9 +475,6 @@ int main(int argc, char** argv) {
   table.AddRow({"latency_p99_ms_1lane", std::to_string(p_ms(lane1, 0.99))});
   table.AddRow({"latency_p50_ms", std::to_string(p_ms(laneN, 0.50))});
   table.AddRow({"latency_p99_ms", std::to_string(p_ms(laneN, 0.99))});
-  table.AddRow({"p99_skew_nosteal", std::to_string(p99_skew_nosteal)});
-  table.AddRow({"p99_skew_steal", std::to_string(p99_skew_steal)});
-  table.AddRow({"steal_speedup", std::to_string(steal_speedup)});
   table.AddRow({"qps_arena_off", std::to_string(qps_arena_off)});
   table.AddRow({"qps_arena_on", std::to_string(qps_arena_on)});
   table.AddRow({"arena_speedup", std::to_string(arena_speedup)});
@@ -541,18 +491,14 @@ int main(int argc, char** argv) {
     table.AddRow({"early_stops", std::to_string(server_early_stops)});
     table.AddRow({"worlds_saved", std::to_string(server_worlds_saved)});
   }
-  table.AddRow({"lane_steals",
-                std::to_string(skew_steal.stats.lane_steals())});
   table.AddRow({"morsels_executed",
-                std::to_string(skew_steal.stats.morsels_executed())});
+                std::to_string(laneN.stats.morsels_executed())});
   table.AddRow({"batches", std::to_string(laneN.stats.batches)});
   table.AddRow({"qps_trace_on", std::to_string(qps_trace_on)});
   table.AddRow({"trace_overhead", std::to_string(trace_overhead)});
   table.Print(std::cout, "micro_server results");
   std::printf("# server stats (lanes=%d): %s\n", lanes,
               laneN.stats.ToJson().c_str());
-  std::printf("# skew-steal stats (lanes=%d skew=%.2f morsel=%zu): %s\n",
-              lanes, skew, morsel_specs, skew_steal.stats.ToJson().c_str());
 
   bench::JsonWriter json;
   json.Add("benchmark", std::string("micro_server"));
@@ -567,7 +513,6 @@ int main(int argc, char** argv) {
   json.Add("max_batch_size", static_cast<double>(max_batch));
   json.Add("max_batch_delay_ms", delay_ms);
   json.Add("skew", skew);
-  json.Add("morsel_specs", static_cast<double>(morsel_specs));
   json.Add("adaptive", adaptive_mode);
   json.Add("adaptive_worlds", static_cast<double>(adaptive_worlds));
   json.Add("qps_cold_session", qps_cold);
@@ -583,9 +528,6 @@ int main(int argc, char** argv) {
   json.Add("latency_p50_ms", p_ms(laneN, 0.50));
   json.Add("latency_p99_ms", p_ms(laneN, 0.99));
   json.Add("latency_mean_ms", laneN.stats.latency_micros.mean() / 1000.0);
-  json.Add("p99_skew_nosteal", p99_skew_nosteal);
-  json.Add("p99_skew_steal", p99_skew_steal);
-  json.Add("steal_speedup", steal_speedup);
   json.Add("qps_arena_off", qps_arena_off);
   json.Add("qps_arena_on", qps_arena_on);
   json.Add("arena_speedup", arena_speedup);
@@ -603,10 +545,8 @@ int main(int argc, char** argv) {
     json.Add("early_stops", static_cast<double>(server_early_stops));
     json.Add("worlds_saved", static_cast<double>(server_worlds_saved));
   }
-  json.Add("lane_steals",
-           static_cast<double>(skew_steal.stats.lane_steals()));
   json.Add("morsels_executed",
-           static_cast<double>(skew_steal.stats.morsels_executed()));
+           static_cast<double>(laneN.stats.morsels_executed()));
   json.Add("batches", static_cast<double>(laneN.stats.batches));
   json.Add("lane_queue_peak", static_cast<double>(laneN.stats.lane_queue_peak));
   json.Add("cache_hits", static_cast<double>(laneN.stats.cache.hits));

@@ -73,7 +73,7 @@ enum class PrecisionMode {
 /// (query/adaptive.h). num_worlds stays the hard cap in every mode; stopping
 /// is only ever checked at WorldSampler::kWorldChunk boundaries, so stop
 /// decisions are a pure function of (snapshot, spec) — never of the thread
-/// count or the lane/steal schedule that executed the query.
+/// count or the lane that executed the query.
 struct PrecisionTarget {
   PrecisionMode mode = PrecisionMode::kFixedWorlds;
   double epsilon = 0.01;  ///< absolute error target (kEpsilon)

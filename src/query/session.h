@@ -81,8 +81,9 @@ struct QuerySpec {
   /// Latency budget relative to serving-tier admission, milliseconds; 0 (or
   /// a budget beyond the clock's range, e.g. +inf) = no deadline. The
   /// session itself ignores it — only the serving tier sheds expired specs,
-  /// and only at request/morsel boundaries, so a spec that does execute is
-  /// bit-identical at any deadline (DESIGN.md section 11).
+  /// in the admission queue or on the lane just before the spec would run,
+  /// so a spec that does execute is bit-identical at any deadline
+  /// (DESIGN.md section 11).
   double deadline_ms = 0.0;
   /// Load-shedding class: under overload the serving tier rejects requests
   /// at or below its priority floor first. Does not affect execution order

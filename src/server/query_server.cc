@@ -28,12 +28,6 @@ SessionOptions MakeSessionOptions(const ServerOptions& options) {
 
 }  // namespace
 
-uint64_t ServerStats::lane_steals() const {
-  uint64_t total = 0;
-  for (const LaneStats& lane : lanes) total += lane.steals;
-  return total;
-}
-
 uint64_t ServerStats::morsels_executed() const {
   uint64_t total = 0;
   for (const LaneStats& lane : lanes) total += lane.morsels;
@@ -82,7 +76,6 @@ std::string ServerStats::ToJson() const {
                               static_cast<double>(batches),
            "%.3f");
   w.Uint("lane_queue_depth", lane_queue_depth);
-  w.Uint("lane_steals", lane_steals());
   w.Uint("morsels_executed", morsels_executed());
   w.Uint("lane_idle_us", lane_idle_micros());
   w.Uint("worlds_sampled", worlds_sampled());
@@ -93,7 +86,6 @@ std::string ServerStats::ToJson() const {
     lw.Uint("batches", lane.batches);
     lw.Uint("requests", lane.requests);
     lw.Uint("morsels", lane.morsels);
-    lw.Uint("steals", lane.steals);
     lw.Uint("arena_hits", lane.arena_hits);
     lw.Uint("worlds_sampled", lane.worlds_sampled);
     lw.Uint("idle_us", lane.idle_micros);
@@ -116,7 +108,6 @@ QueryServer::QueryServer(const TrajectoryDatabase& db, const UstTree* index,
   options_.lanes = std::max(1, options_.lanes);
   options_.max_batch_size = std::max<size_t>(1, options_.max_batch_size);
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  options_.morsel_specs = std::max<size_t>(1, options_.morsel_specs);
   lane_stats_.resize(static_cast<size_t>(options_.lanes));
   // Instrument registration order is JSON field order (ToJson enumerates
   // the registry).
@@ -311,10 +302,7 @@ ServerStats QueryServer::Stats() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats.lanes = lane_stats_;
-    stats.lane_queue_depth = 0;
-    for (const auto& group : groups_) {
-      if (!group->adopted) ++stats.lane_queue_depth;
-    }
+    stats.lane_queue_depth = groups_.size();
   }
   // Refresh the wrap tally before snapshotting so the dump is current.
   g_trace_dropped_->Set(static_cast<int64_t>(trace::DroppedCount()));
@@ -475,39 +463,35 @@ void QueryServer::StageBatch(std::vector<Request>* batch) {
 
   // Group by query interval, preserving submit order within each group.
   // Outcomes are per-spec pure, so grouping never changes results — only
-  // which lane executes them. Each group is published as a deque of
-  // spec-range morsels over pre-sized outcome slots; distinct intervals —
-  // and, with stealing, morsels of one interval — may execute concurrently.
+  // which lane executes them. Each group gets pre-sized outcome slots;
+  // groups of distinct intervals may execute concurrently.
   std::map<std::pair<Tic, Tic>, std::vector<size_t>> by_interval;
   for (size_t i = 0; i < batch->size(); ++i) {
     const TimeInterval& T = (*batch)[i].spec.T;
     by_interval[{T.start, T.end}].push_back(i);
   }
 
-  std::vector<std::shared_ptr<GroupTask>> staged;
+  std::vector<GroupTask> staged;
   staged.reserve(by_interval.size());
   for (auto& [key, indices] : by_interval) {
-    auto group = std::make_shared<GroupTask>();
-    group->snapshot = snapshot;
-    group->requests.reserve(indices.size());
-    group->specs.reserve(indices.size());
+    GroupTask& group = staged.emplace_back();
+    group.snapshot = snapshot;
+    group.requests.reserve(indices.size());
+    group.specs.reserve(indices.size());
     for (size_t i : indices) {
-      group->requests.push_back(std::move((*batch)[i]));
+      group.requests.push_back(std::move((*batch)[i]));
       // Moved, not copied: nothing reads Request::spec after execution, and
       // a spec can carry a full query trajectory.
-      group->specs.push_back(std::move(group->requests.back().spec));
+      group.specs.push_back(std::move(group.requests.back().spec));
     }
-    group->outcomes.resize(group->specs.size());
-    group->deque.Reset(0, group->specs.size(), options_.morsel_specs);
-    staged.push_back(std::move(group));
+    group.outcomes.resize(group.specs.size());
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto now = std::chrono::steady_clock::now();
-    size_t waiting = 0;
-    for (auto& group : staged) {
-      for (const Request& request : group->requests) {
+    for (GroupTask& group : staged) {
+      for (const Request& request : group.requests) {
         // Submit-to-flush latency: how long admission held the request.
         // Recorded at handoff, so it never includes execution time — the
         // whole point of the lane tier.
@@ -521,17 +505,14 @@ void QueryServer::StageBatch(std::vector<Request>* batch) {
       }
       groups_.push_back(std::move(group));
     }
-    for (const auto& group : groups_) {
-      if (!group->adopted) ++waiting;
-    }
-    g_lane_queue_peak_->MaxWith(static_cast<int64_t>(waiting));
+    g_lane_queue_peak_->MaxWith(static_cast<int64_t>(groups_.size()));
   }
   lane_cv_.notify_all();
 }
 
 void QueryServer::LaneLoop(int lane) {
   trace::PrepareThisThread();  // ring allocation off the request path
-  // Per-lane execution resources, reused across every morsel, group and
+  // Per-lane execution resources, reused across every spec, group and
   // session this lane ever runs: the sampling scratch and (threads > 1) a
   // private world pool — shared sessions are read-only under RunMorsel, so
   // world sharding must come from lane-owned workers, never the session's.
@@ -540,59 +521,14 @@ void QueryServer::LaneLoop(int lane) {
   if (options_.threads > 1) {
     world_pool = std::make_unique<ThreadPool>(options_.threads);
   }
-  // The group whose deque this lane currently drains (owner affinity: its
-  // session stays hot in cache between morsels).
-  std::shared_ptr<GroupTask> own;
   for (;;) {
-    std::shared_ptr<GroupTask> group;
-    size_t begin = 0;
-    size_t end = 0;
-    bool adopt = false;
-    bool stolen = false;
+    GroupTask group;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        // 1. Pop the next morsel of the lane's own group.
-        if (own != nullptr && own->deque.PopFront(&begin, &end)) {
-          group = own;
-          break;
-        }
-        own.reset();
-        // 2. Adopt the oldest unadopted group (FIFO keeps queue latency
-        //    fair across intervals).
-        for (const auto& candidate : groups_) {
-          if (!candidate->adopted) {
-            candidate->adopted = true;
-            group = candidate;
-            adopt = true;
-            break;
-          }
-        }
-        if (group != nullptr) break;
-        // 3. Idle: steal the back half of the most-loaded ready group.
-        //    (Groups still checking their session out are skipped — their
-        //    owner publishes session_ready and wakes us when joinable.)
-        std::shared_ptr<GroupTask> victim;
-        size_t most_loaded = 0;
-        for (const auto& candidate : groups_) {
-          if (!candidate->session_ready) continue;
-          const size_t remaining = candidate->deque.remaining();
-          if (remaining > most_loaded) {
-            most_loaded = remaining;
-            victim = candidate;
-          }
-        }
-        if (victim != nullptr && victim->deque.StealHalf(&begin, &end)) {
-          ++lane_stats_[static_cast<size_t>(lane)].steals;
-          trace::Instant("steal", victim->requests.front().id);
-          group = victim;
-          stolen = true;
-          break;
-        }
-        if (lanes_stopping_) return;  // nothing claimable, drain complete
-        // Idle accounting: this lane has nothing claimable. The clock reads
-        // bracket only the wait (both under mu_, so the tally is exact and
-        // race-free).
+      while (groups_.empty()) {
+        if (lanes_stopping_) return;  // lane queue dry, drain complete
+        // Idle accounting: the clock reads bracket only the wait (both
+        // under mu_, so the tally is exact and race-free).
         const auto idle_start = std::chrono::steady_clock::now();
         lane_cv_.wait(lock);
         lane_stats_[static_cast<size_t>(lane)].idle_micros +=
@@ -601,139 +537,75 @@ void QueryServer::LaneLoop(int lane) {
                     std::chrono::steady_clock::now() - idle_start)
                     .count());
       }
-      if (adopt) {
-        ++lane_stats_[static_cast<size_t>(lane)].batches;
-        trace::Instant("lane_adopt", group->requests.front().id);
-      }
+      // Adopt the oldest staged group (FIFO keeps queue latency fair across
+      // intervals). Popping it makes this lane its only owner.
+      group = std::move(groups_.front());
+      groups_.pop_front();
+      LaneStats& lane_stats = lane_stats_[static_cast<size_t>(lane)];
+      ++lane_stats.batches;
+      lane_stats.requests += group.specs.size();
+      trace::Instant("lane_adopt", group.requests.front().id);
     }
-    if (adopt) {
-      // Check the session out (a hit, or a build — possibly expensive, so
-      // outside the server mutex), then open the deque to thieves.
-      {
-        UST_TRACE_SCOPE("session_checkout", group->requests.front().id);
-        group->session = cache_.Checkout(group->snapshot, index_);
+    // Check the session out: a hit, or a build — possibly expensive, so
+    // outside the server mutex.
+    {
+      UST_TRACE_SCOPE("session_checkout", group.requests.front().id);
+      group.session = cache_.Checkout(group.snapshot, index_);
+    }
+    if (!group.session) {
+      // Build failed (injected or real): resolve the whole group with the
+      // error — promises must never leak on a failure path.
+      const Status failed =
+          Status::Internal("session build failed for interval group");
+      for (size_t i = 0; i < group.specs.size(); ++i) {
+        group.outcomes[i].status = failed;
+        group.outcomes[i].kind = group.specs[i].kind;
       }
-      if (!group->session) {
-        // Build failed (injected or real). The deque was never opened to
-        // thieves (session_ready stays false), so this lane owns every
-        // spec: resolve the whole group with the error — promises must
-        // never leak on a failure path.
-        FailGroup(group, Status::Internal(
-                             "session build failed for interval group"));
-        continue;
-      }
-      bool claimed = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        group->session_ready = true;
-        // The adopter claims its first morsel in the same critical section
-        // that opens the deque: a one-morsel group always runs on the lane
-        // that checked its session out, never on a thief.
-        claimed = group->deque.PopFront(&begin, &end);
-      }
-      lane_cv_.notify_all();
-      own = group;
-      if (!claimed) continue;
-    } else if (stolen) {
-      // A stolen half-range is the thief's private deque: drain it morsel
-      // by morsel (each commits + re-checks completion independently).
-      for (size_t b = begin; b < end; b += options_.morsel_specs) {
-        ExecuteMorsel(group, b, std::min(b + options_.morsel_specs, end),
-                      lane, world_pool.get(), &scratch);
-      }
+      FinalizeGroup(&group);
       continue;
     }
-    ExecuteMorsel(group, begin, end, lane, world_pool.get(), &scratch);
+    RunGroup(&group, lane, world_pool.get(), &scratch);
   }
 }
 
-void QueryServer::ExecuteMorsel(const std::shared_ptr<GroupTask>& group,
-                                size_t begin, size_t end, int lane,
-                                ThreadPool* world_pool,
-                                QuerySession::ExecScratch* scratch) {
-  fault::MaybeStall("lane_stall");
-  const auto exec_start = std::chrono::steady_clock::now();
-  // Morsel-boundary deadline check: ONE clock read governs every spec of
-  // this morsel — expiry never interrupts a running spec, so any spec that
-  // does execute is bit-identical to the deadline-free run at any schedule.
-  // Expired slots get their outcome written directly; the survivors run as
-  // contiguous sub-ranges (RunMorsel is per-spec pure, so splitting the
-  // range changes nothing).
-  uint64_t expired_here = 0;
-  {
-    const auto now = DeadlineNow();
-    size_t run_start = begin;
-    for (size_t i = begin; i <= end; ++i) {
-      const bool expired = i < end && group->requests[i].has_deadline &&
-                           now >= group->requests[i].deadline_at;
-      if (i < end && !expired) continue;
-      if (i > run_start) {
-        group->session->RunMorsel(group->specs, run_start, i,
-                                  group->outcomes.data(), world_pool,
-                                  scratch);
-      }
-      if (i < end) {
-        QueryOutcome& out = group->outcomes[i];
-        out.status = Status::DeadlineExceeded(
-            "deadline expired before lane execution");
-        out.kind = group->specs[i].kind;
-        trace::Instant("expire_lane", group->requests[i].id);
-        ++expired_here;
-      }
-      run_start = i + 1;
+void QueryServer::RunGroup(GroupTask* group, int lane, ThreadPool* world_pool,
+                           QuerySession::ExecScratch* scratch) {
+  for (size_t i = 0; i < group->specs.size(); ++i) {
+    fault::MaybeStall("lane_stall");
+    const Request& request = group->requests[i];
+    QueryOutcome& out = group->outcomes[i];
+    // Deadline check just before the spec runs: expiry never interrupts a
+    // running spec, so any spec that does execute is bit-identical to the
+    // deadline-free run at any schedule.
+    if (request.has_deadline && DeadlineNow() >= request.deadline_at) {
+      out.status = Status::DeadlineExceeded(
+          "deadline expired before lane execution");
+      out.kind = group->specs[i].kind;
+      trace::Instant("expire_lane", request.id);
+      c_expired_on_lane_->Increment();
+      continue;
     }
-  }
-  c_expired_on_lane_->Increment(expired_here);
-  const auto exec_end = std::chrono::steady_clock::now();
-  const double exec_micros =
-      std::chrono::duration<double, std::micro>(exec_end - exec_start)
-          .count();
-  // The backend tag reflects the first spec of the morsel (morsels are
-  // planner-homogeneous in practice; mixed ones still show where the bulk
-  // of the time went).
-  trace::Complete("morsel_exec", exec_start, exec_end,
-                  group->requests[begin].id, trace::kReqArg,
-                  ExecutorKindName(group->outcomes[begin].executor));
-  uint64_t arena_hits = 0;
-  uint64_t early_stops = 0;
-  uint64_t worlds_saved = 0;
-  uint64_t worlds_sampled = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const QueryOutcome& outcome = group->outcomes[i];
-    if (outcome.used_arena) ++arena_hits;
-    worlds_sampled += outcome.worlds_used;
-    if (outcome.early_stopped) {
-      ++early_stops;
-      worlds_saved += group->specs[i].mc.num_worlds - outcome.worlds_used;
+    const auto exec_start = std::chrono::steady_clock::now();
+    group->session->RunMorsel(group->specs, i, i + 1, group->outcomes.data(),
+                              world_pool, scratch);
+    const auto exec_end = std::chrono::steady_clock::now();
+    trace::Complete("morsel_exec", exec_start, exec_end, request.id,
+                    trace::kReqArg, ExecutorKindName(out.executor));
+    if (out.early_stopped) {
+      c_early_stops_->Increment();
+      c_worlds_saved_->Increment(group->specs[i].mc.num_worlds -
+                                 out.worlds_used);
     }
-  }
-  c_early_stops_->Increment(early_stops);
-  c_worlds_saved_->Increment(worlds_saved);
-  bool last = false;
-  {
     std::lock_guard<std::mutex> lock(mu_);
     LaneStats& lane_stats = lane_stats_[static_cast<size_t>(lane)];
     ++lane_stats.morsels;
-    lane_stats.requests += end - begin;
-    lane_stats.arena_hits += arena_hits;
-    lane_stats.worlds_sampled += worlds_sampled;
-    lane_stats.exec_micros.Record(exec_micros);
-    group->completed += end - begin;
-    last = group->completed == group->specs.size();
-    if (last) {
-      for (auto it = groups_.begin(); it != groups_.end(); ++it) {
-        if (it->get() == group.get()) {
-          groups_.erase(it);
-          break;
-        }
-      }
-    }
+    if (out.used_arena) ++lane_stats.arena_hits;
+    lane_stats.worlds_sampled += out.worlds_used;
+    lane_stats.exec_micros.Record(
+        std::chrono::duration<double, std::micro>(exec_end - exec_start)
+            .count());
   }
-  // The lane committing the group's final morsel delivers the whole group:
-  // every slot was written before `completed` reached the total (each
-  // writer bumped it under the mutex after writing), so the reads below
-  // are ordered after every write.
-  if (last) FinalizeGroup(group.get());
+  FinalizeGroup(group);
 }
 
 void QueryServer::CompactionLoop() {
@@ -793,31 +665,11 @@ void QueryServer::CompactOnce() {
       static_cast<int64_t>(db_->Snapshot().DeltaDepth(snapshot.version())));
 }
 
-void QueryServer::FailGroup(const std::shared_ptr<GroupTask>& group,
-                            Status status) {
-  for (size_t i = 0; i < group->specs.size(); ++i) {
-    QueryOutcome& out = group->outcomes[i];
-    out.status = status;
-    out.kind = group->specs[i].kind;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    group->completed = group->specs.size();
-    for (auto it = groups_.begin(); it != groups_.end(); ++it) {
-      if (it->get() == group.get()) {
-        groups_.erase(it);
-        break;
-      }
-    }
-  }
-  FinalizeGroup(group.get());
-}
-
 void QueryServer::FinalizeGroup(GroupTask* group) {
   UST_TRACE_SCOPE("finalize", group->requests.front().id);
   // Drop the group's hold on its session before resolving futures: a session
-  // the cache already replaced with a newer epoch's is freed now, not
-  // whenever the last reference to the group goes.
+  // the cache already replaced with a newer epoch's is freed before any
+  // client of the group sees its outcome.
   group->session.reset();
   const auto done = std::chrono::steady_clock::now();
   {

@@ -12,30 +12,23 @@
 //     flushes a batch when it holds max_batch_size specs or
 //     max_batch_delay_ms elapsed since the batch opened, pins the database
 //     epoch for the whole batch (db->Snapshot()), groups specs by query
-//     interval — and *publishes* each group as a deque of fixed-size
-//     spec-range morsels (`morsel_specs` specs each, results committed into
-//     pre-sized per-spec slots), returning to the admission window
-//     immediately. Flush cadence is therefore independent of batch
-//     execution time: one oversized batch can no longer stall the deadline
-//     of the batches behind it.
-//   lanes (options.lanes threads) — the morsel scheduler (DESIGN.md §5.6)
-//     a lane adopts the oldest unadopted group (checking its epoch's shared
-//     const session out of the SessionCache), claims its first morsel and
-//     pops the rest off that group's deque; when its group drains and no
-//     group is unadopted, an idle lane *steals the back half* of the
-//     most-loaded group's remaining range and works it morsel by morsel.
-//     One dominant interval group therefore never serializes a batch on
-//     a single lane while the others idle: every lane ends up sampling the
-//     hot group. With morsel_specs >= max_batch_size every group is one
-//     morsel, its adopter runs it whole, and thieves find nothing to take.
+//     interval, stages each group on the lane queue over pre-sized per-spec
+//     result slots, and returns to the admission window immediately. Flush
+//     cadence is therefore independent of batch execution time: one
+//     oversized batch can no longer stall the deadline of the batches
+//     behind it.
+//   lanes (options.lanes threads; DESIGN.md §5.5)
+//     a lane pops the oldest staged group off the lane queue, checks its
+//     epoch's shared const session out of the SessionCache and runs the
+//     whole group itself, one spec at a time. Groups of distinct intervals
+//     run concurrently on distinct lanes; one group never spans two lanes.
 //
 // Because a query's result is a pure function of (epoch, spec) — the PR 2
-// determinism contract — batching, the cache, the thread pool, the lane
-// pool, the morsel size and the steal schedule never change a bit of any
-// outcome: every spec is executed exactly once into its own slot by
-// QuerySession::RunMorsel (itself bit-identical at any pool size), so
-// Submit(spec).get() equals a serial QuerySession::Run(spec) over the same
-// epoch at ANY {lanes, morsel_specs} configuration.
+// determinism contract — batching, the cache, the thread pool and the lane
+// pool never change a bit of any outcome: every spec is executed exactly
+// once into its own slot by QuerySession::RunMorsel (itself bit-identical at
+// any pool size), so Submit(spec).get() equals a serial
+// QuerySession::Run(spec) over the same epoch at any lane count.
 #pragma once
 
 #include <chrono>
@@ -66,14 +59,8 @@ struct ServerOptions {
   /// the dispatcher thread.
   int lanes = 1;
   /// Worker threads of each lane's private world pool (one query's world
-  /// chunks sharded per morsel) and of each cached session's Prepare pass.
+  /// chunks sharded per spec) and of each cached session's Prepare pass.
   int threads = 1;
-  /// Specs per morsel: the scheduling granule of the lane tier. Small
-  /// morsels spread a hot group across lanes faster but claim more often;
-  /// 4 is the micro_server-tuned default (claiming is a short critical
-  /// section, so the knob mostly trades steal latency against churn).
-  /// morsel_specs >= max_batch_size makes every group a single morsel.
-  size_t morsel_specs = 4;
   /// Flush a micro-batch at this many specs...
   size_t max_batch_size = 64;
   /// ...or this many milliseconds after it opened, whichever first.
@@ -126,9 +113,12 @@ struct ServerOptions {
 /// \brief Per-lane execution counters and timing.
 struct LaneStats {
   uint64_t batches = 0;   ///< groups this lane adopted
-  uint64_t requests = 0;  ///< specs this lane executed
-  uint64_t morsels = 0;   ///< morsels this lane executed
-  uint64_t steals = 0;    ///< half-ranges this lane stole when idle
+  /// Specs of the groups this lane adopted: each one it executed, expired
+  /// or failed with its group's session build.
+  uint64_t requests = 0;
+  /// Specs this lane executed. A morsel is one spec, run through
+  /// QuerySession::RunMorsel.
+  uint64_t morsels = 0;
   /// Specs this lane evaluated with every alive participant's worlds read
   /// from a world column instead of sampled live
   /// (QueryOutcome::used_arena).
@@ -138,10 +128,10 @@ struct LaneStats {
   /// precision this is the real sampling work, not the num_worlds caps.
   uint64_t worlds_sampled = 0;
   /// Microseconds this lane spent parked on the lane queue waiting for a
-  /// claimable morsel (the idle complement of exec_micros: a loaded server
+  /// group to adopt (the idle complement of exec_micros: a loaded server
   /// with high idle_micros has a scheduling problem, not a load problem).
   uint64_t idle_micros = 0;
-  /// Wall time of each executed morsel, microseconds.
+  /// Wall time of each executed spec, microseconds.
   LatencyHistogram exec_micros;
 };
 
@@ -161,8 +151,9 @@ struct ServerStats {
   /// Admitted requests whose deadline expired while still queued: the
   /// dispatcher resolved them kDeadlineExceeded without staging a lane job.
   uint64_t expired_in_queue = 0;
-  /// Staged specs whose deadline expired before their morsel ran: the lane
-  /// resolved them kDeadlineExceeded at the morsel boundary, unexecuted.
+  /// Staged specs whose deadline expired before they ran: the lane checked
+  /// each one just before its turn and resolved it kDeadlineExceeded,
+  /// unexecuted.
   uint64_t expired_on_lane = 0;
   /// Specs the degrade regime switched from implicit fixed-worlds precision
   /// to the server-default epsilon target.
@@ -206,16 +197,17 @@ struct ServerStats {
   /// One entry per execution lane.
   std::vector<LaneStats> lanes;
 
-  /// Sum of LaneStats::steals — how often an idle lane took work off a
-  /// loaded group instead of waiting for a whole one.
-  uint64_t lane_steals() const;
-  /// Sum of LaneStats::morsels.
+  /// Always 0: a group runs whole on the lane that adopts it, so no lane
+  /// takes work off another. Kept because benchmark/ustbench.cc reports it
+  /// as `server.steals`.
+  uint64_t lane_steals() const { return 0; }
+  /// Sum of LaneStats::morsels — the specs the lanes executed.
   uint64_t morsels_executed() const;
   /// Sum of LaneStats::arena_hits — specs served off a shared world arena.
   uint64_t arena_hits() const;
   /// Sum of LaneStats::worlds_sampled — Monte-Carlo worlds actually drawn.
   uint64_t worlds_sampled() const;
-  /// Sum of LaneStats::idle_micros — lane time parked waiting for morsels.
+  /// Sum of LaneStats::idle_micros — lane time parked waiting for groups.
   uint64_t lane_idle_micros() const;
 
   /// Render as a JSON object: the registered instruments (self-enumerated
@@ -246,8 +238,8 @@ class QueryServer {
   /// bound hit, shed by the overload controller, or the server is draining
   /// after Stop(). A spec with deadline_ms > 0 may instead resolve
   /// kDeadlineExceeded when its budget expires before execution (checked
-  /// only in the queue and at morsel boundaries — an executed spec is
-  /// always bit-identical to the deadline-free run).
+  /// only in the queue and just before the spec runs on its lane — an
+  /// executed spec is always bit-identical to the deadline-free run).
   std::future<QueryOutcome> Submit(QuerySpec spec);
 
   /// Hold dispatching (submits keep queueing up to the admission bound;
@@ -287,44 +279,34 @@ class QueryServer {
     bool has_deadline = false;
   };
 
-  /// One interval group of one flushed batch, published as a deque of
-  /// spec-range morsels. The snapshot pins the batch's admission epoch all
-  /// the way to execution, and the session is that epoch's; `outcomes` are
-  /// the pre-sized per-spec result slots that make any morsel/steal schedule
-  /// reassemble the serial RunAll bytes. `adopted`/`session_ready`/
-  /// `completed` are guarded by the server mutex; the deque synchronizes
-  /// itself.
+  /// One interval group of one flushed batch. The snapshot pins the batch's
+  /// admission epoch all the way to execution, and the session is that
+  /// epoch's; `outcomes` are the pre-sized per-spec result slots. The lane
+  /// that pops a group off `groups_` owns it alone.
   struct GroupTask {
     DbSnapshot snapshot;
     std::vector<Request> requests;       ///< promise + submit time, in order
     std::vector<QuerySpec> specs;        ///< specs[i] from requests[i]
     std::vector<QueryOutcome> outcomes;  ///< slot i belongs to specs[i]
-    MorselDeque deque;                   ///< unclaimed spec ranges
-    /// Set by the adopting lane; const, so lanes run it only through the
+    /// Set by the adopting lane; const, so the lane runs it only through the
     /// read-only RunMorsel path.
     std::shared_ptr<const QuerySession> session;
-    bool adopted = false;
-    bool session_ready = false;  ///< checkout finished; thieves may steal
-    size_t completed = 0;        ///< specs executed so far
   };
 
   void DispatcherLoop();
   void LaneLoop(int lane);
-  /// Pin the epoch, group by interval, publish each group's morsel deque.
+  /// Pin the epoch, group by interval, stage each group on the lane queue.
   void StageBatch(std::vector<Request>* batch);
-  /// Run specs [begin, end) of `group` through its shared session; the lane
-  /// finishing the group's last spec finalizes it.
-  void ExecuteMorsel(const std::shared_ptr<GroupTask>& group, size_t begin,
-                     size_t end, int lane, ThreadPool* world_pool,
-                     QuerySession::ExecScratch* scratch);
+  /// Run every spec of `group` in order through its shared session — a spec
+  /// whose deadline passed before its turn resolves kDeadlineExceeded
+  /// unexecuted — then finalize the group.
+  void RunGroup(GroupTask* group, int lane, ThreadPool* world_pool,
+                QuerySession::ExecScratch* scratch);
   /// Deliver outcomes to the promises, record completion stats, release the
   /// group's hold on its session.
   void FinalizeGroup(GroupTask* group);
-  /// Resolve every spec of `group` with `status` without executing any
-  /// (session build failed), then finalize it — promises never leak.
-  void FailGroup(const std::shared_ptr<GroupTask>& group, Status status);
   /// The expiry clock: now, plus any injected "deadline_skew" fault offset.
-  /// Read once per decision point (queue shed pass, morsel boundary).
+  /// Read once per decision point (queue shed pass, each spec on a lane).
   static std::chrono::steady_clock::time_point DeadlineNow();
   /// True when the degrade regime may coarsen this spec: a non-continuous
   /// query on the implicit fixed-worlds default (an explicit precision ask
@@ -338,12 +320,11 @@ class QueryServer {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;       ///< admission queue -> dispatcher
-  std::condition_variable lane_cv_;  ///< published morsels -> lanes
+  std::condition_variable lane_cv_;  ///< staged groups -> lanes
   std::deque<Request> queue_;
-  /// Active groups in staging order: adoption scans for the oldest
-  /// unadopted entry, stealing for the most-loaded ready one; a group is
-  /// removed when its last spec completes.
-  std::deque<std::shared_ptr<GroupTask>> groups_;
+  /// The lane queue: staged groups in staging order. A lane adopts a group
+  /// by popping it off the front.
+  std::deque<GroupTask> groups_;
   bool stopping_ = false;        ///< no new admissions; dispatcher drains
   bool lanes_stopping_ = false;  ///< set after the dispatcher exits
   bool paused_ = false;

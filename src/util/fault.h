@@ -15,10 +15,10 @@
 //
 // Point taxonomy of the serving tier (each is the `point` literal at its
 // probe site — grep for it):
-//   "lane_stall"     — an execution lane sleeps `stall_ms` before running a
-//                      morsel (QueryServer::ExecuteMorsel): simulates a
-//                      descheduled/slow lane, so deadlines expire *on*
-//                      lanes and stealing kicks in.
+//   "lane_stall"     — an execution lane sleeps `stall_ms` before each
+//                      spec of its group (QueryServer::RunGroup):
+//                      simulates a descheduled/slow lane, so deadlines
+//                      expire *on* lanes.
 //   "session_build"  — SessionCache::BuildSession returns nullptr: the
 //                      checkout fails and the server must resolve every
 //                      promise of the group with an error instead of
@@ -31,7 +31,7 @@
 //                      samples live — bit-identical, just slower.
 //   "deadline_skew"  — deadline expiry checks read now + `skew_ns`:
 //                      simulates clock skew, forcing requests to expire in
-//                      the queue / at morsel boundaries on demand.
+//                      the queue / on a lane on demand.
 //
 // Thread-safety: Arm/Disarm/counters take an internal mutex; probes of
 // *armed* registries take it too (chaos-test-only cost). With nothing armed

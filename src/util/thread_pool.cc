@@ -4,42 +4,6 @@
 
 namespace ust {
 
-void MorselDeque::Reset(size_t begin, size_t end, size_t morsel) {
-  std::lock_guard<std::mutex> lock(mu_);
-  next_ = begin;
-  end_ = std::max(begin, end);
-  morsel_ = std::max<size_t>(1, morsel);
-}
-
-bool MorselDeque::PopFront(size_t* begin, size_t* end) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (next_ >= end_) return false;
-  *begin = next_;
-  *end = std::min(next_ + morsel_, end_);
-  next_ = *end;
-  return true;
-}
-
-bool MorselDeque::StealHalf(size_t* begin, size_t* end) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (next_ >= end_) return false;
-  // Count whole morsels (the last may be short) and hand the thief the back
-  // ceil(half): with one morsel left the thief takes it outright. The split
-  // lands on the morsel grid anchored at the published begin, so owner and
-  // thief never share a morsel.
-  const size_t morsels = (end_ - next_ + morsel_ - 1) / morsel_;
-  const size_t keep = morsels / 2;
-  *begin = next_ + keep * morsel_;
-  *end = end_;
-  end_ = *begin;
-  return true;
-}
-
-size_t MorselDeque::remaining() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return end_ - next_;
-}
-
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));

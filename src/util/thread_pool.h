@@ -23,44 +23,6 @@
 
 namespace ust {
 
-/// \brief Morsel-driven scheduling primitive (DESIGN.md section 5.6): one
-/// contiguous index range [next, end) published as fixed-size *morsels*.
-/// The owning lane pops morsels off the front; an idle lane steals the back
-/// half of the remaining range — morsel-aligned, at least one morsel — in a
-/// single operation, then drains its stolen range privately.
-///
-/// Which lane claims which morsel depends on timing, but consumers of this
-/// primitive commit results into per-index output slots, so every claim
-/// schedule produces identical bytes (the same argument that makes
-/// ParallelFor schedule-independent). Thread-safe; operations are O(1)
-/// under a private mutex and never block on anything external.
-class MorselDeque {
- public:
-  MorselDeque() = default;
-
-  /// Publish [begin, end) as morsels of `morsel` indices (clamped to >= 1).
-  /// The morsel grid is anchored at `begin`; the final morsel may be short.
-  void Reset(size_t begin, size_t end, size_t morsel);
-
-  /// Owner path: claim the next morsel as [*begin, *end).
-  /// Returns false when the deque is drained.
-  bool PopFront(size_t* begin, size_t* end);
-
-  /// Thief path: claim the back half of the remaining morsels (at least
-  /// one), leaving the front half in the deque. The split is morsel-aligned
-  /// so neither side ever shares a morsel. Returns false when drained.
-  bool StealHalf(size_t* begin, size_t* end);
-
-  /// Unclaimed indices still in the deque (stolen ranges are gone).
-  size_t remaining() const;
-
- private:
-  mutable std::mutex mu_;
-  size_t next_ = 0;
-  size_t end_ = 0;
-  size_t morsel_ = 1;
-};
-
 /// \brief Fork-join pool: ParallelFor over [0, n) with worker-indexed scratch.
 class ThreadPool {
  public:

@@ -20,8 +20,9 @@
 //
 // Span taxonomy (the serving tier's request lifecycle): `admit`, `queue`,
 // `flush`, `lane_adopt`, `session_checkout`, `session_build`, `arena_build`,
-// `morsel_exec` (tagged with the refining backend), `steal`, `finalize`,
-// plus per-backend `exec_mc` / `exec_markov` / `exec_exact` spans. Spans
+// `morsel_exec` (one per executed spec, tagged with the refining backend),
+// `finalize`, plus per-backend `exec_mc` / `exec_markov` / `exec_exact`
+// spans. Spans
 // that belong to a request carry its id in args ("req"), so one request can
 // be followed admission-to-finalize across threads.
 #pragma once
@@ -155,7 +156,7 @@ class Span {
   Span& operator=(const Span&) = delete;
 
   /// Attach/replace the tag after construction (e.g. the backend that
-  /// actually refined a morsel, known only after execution).
+  /// actually refined a spec, known only after execution).
   void set_tag(const char* tag) { tag_ = tag; }
 
   /// Attach/replace the arg after construction (e.g. a request id assigned

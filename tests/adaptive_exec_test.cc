@@ -1,8 +1,8 @@
 // Tests of adaptive precision in the production pipeline (DESIGN.md
 // section 8): per-spec epsilon/threshold targets flowing through
 // QuerySession and QueryServer, the revised determinism contract (identical
-// stop decisions — and identical bytes — at any thread count, lane count or
-// morsel schedule), arena-prefix serving of early-stopped specs, the
+// stop decisions — and identical bytes — at any thread count or lane
+// count), arena-prefix serving of early-stopped specs, the
 // undecided-near-tau fallback, and plans that ignore earlier runs.
 #include <gtest/gtest.h>
 
@@ -158,12 +158,10 @@ TEST_F(AdaptiveExecTest, ServerScheduleMatrixPreservesStopDecisions) {
   ASSERT_GT(expected_stops, 0u);
 
   constexpr size_t kBatch = 6;
-  for (const testing::ServingSchedule& schedule :
-       testing::ServingSchedules(kBatch)) {
-    SCOPED_TRACE(::testing::Message() << schedule);
+  for (int lanes : testing::kServingLanes) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
     ServerOptions options;
-    options.lanes = schedule.lanes;
-    options.morsel_specs = schedule.morsel_specs;
+    options.lanes = lanes;
     options.max_batch_size = kBatch;
     options.max_batch_delay_ms = 0.5;
     QueryServer server(db(), index_.get(), options);

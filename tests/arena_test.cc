@@ -1,12 +1,11 @@
 // Tests of the shared world arena (query/world_arena.h + the session/server
 // wiring): a hot (interval, seed) group's worlds are materialized once and
 // every later Monte-Carlo spec evaluates against them — with outcomes
-// bit-identical to live per-spec sampling at any thread count, any
-// {lanes, morsel_specs} schedule, and any SIMD dispatch level. The arena is
-// purely an amortization: `used_arena` and the counters are the only
-// observable difference. The column store under it (ColumnStore) keeps
-// columns within a byte budget and never serves the column of an expired
-// model.
+// bit-identical to live per-spec sampling at any thread count, any lane
+// count, and any SIMD dispatch level. The arena is purely an amortization:
+// `used_arena` and the counters are the only observable difference. The
+// column store under it (ColumnStore) keeps columns within a byte budget
+// and never serves the column of an expired model.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -151,16 +150,14 @@ TEST_F(ArenaTest, PrefixPropertyServesSmallerWorldCounts) {
 }
 
 TEST_F(ArenaTest, ServerScheduleMatrixPreservesBitsWithArenas) {
-  // The serving tier with arenas on: whatever the lane count, morsel size
-  // and steal schedule, outcomes equal the arena-off serial reference —
-  // and the cache-level counters observe the sharing.
+  // The serving tier with arenas on: whatever the lane count, outcomes
+  // equal the arena-off serial reference — and the cache-level counters
+  // observe the sharing.
   const std::vector<QuerySpec> specs = MakeHotSpecs(24);
   const std::vector<QueryOutcome> expected = Reference(specs);
-  for (const testing::ServingSchedule& schedule :
-       testing::ServingSchedules(specs.size())) {
+  for (int lanes : testing::kServingLanes) {
     ServerOptions options;
-    options.lanes = schedule.lanes;
-    options.morsel_specs = schedule.morsel_specs;
+    options.lanes = lanes;
     options.arena_min_uses = 1;
     options.max_batch_size = specs.size();
     QueryServer server(db(), index_.get(), options);
@@ -170,12 +167,12 @@ TEST_F(ArenaTest, ServerScheduleMatrixPreservesBitsWithArenas) {
     server.Resume();
     for (size_t i = 0; i < specs.size(); ++i) {
       EXPECT_TRUE(SameOutcome(futures[i].get(), expected[i]))
-          << schedule << " spec " << i;
+          << "lanes=" << lanes << " spec " << i;
     }
     server.Stop();
     const ServerStats stats = server.Stats();
-    // One hot group, one arena; a lane that built it reuses it for its own
-    // later specs even when other lanes raced the build with live sampling.
+    // One hot group, one arena: the group's lane builds the columns and its
+    // later specs reuse them.
     EXPECT_GE(stats.cache.arena_builds, 1u);
     EXPECT_GE(stats.cache.arena_spec_reuses, 1u);
     EXPECT_GT(stats.cache.arena_bytes, 0u);

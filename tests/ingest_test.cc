@@ -365,7 +365,7 @@ TEST_F(IngestTest, ServerCompactsInBackgroundAndMatchesSerialReference) {
 }
 
 TEST_F(IngestTest, WritesRebuildOnlyTheColumnsOfTheObjectsTheyChanged) {
-  // One hot (T, seed) group served by two lanes across writes. The server's
+  // One hot (T, seed) group served by a 2-lane server across writes. The
   // column store outlives epochs and keys columns by posterior-model
   // instance, so each epoch's session reads the columns earlier epochs
   // built for every object no write touched: arena_bytes grows by exactly
@@ -390,7 +390,6 @@ TEST_F(IngestTest, WritesRebuildOnlyTheColumnsOfTheObjectsTheyChanged) {
   }
   ServerOptions options;
   options.lanes = 2;
-  options.morsel_specs = 2;
   options.arena_min_uses = 1;
   options.max_batch_size = specs.size();
   QueryServer server(db(), /*index=*/nullptr, options);

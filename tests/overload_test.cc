@@ -1,13 +1,14 @@
 // Tests of the overload machinery (DESIGN.md section 11): the regime state
 // machine (watermarks, queue-delay EWMA, one-step de-escalation under
 // hysteresis), admission-side shedding and graceful precision degradation,
-// deadline propagation (expiry in the queue and at morsel boundaries only),
-// and the two determinism contracts the tier must keep under overload:
+// deadline propagation (expiry in the queue and just before a spec runs on
+// its lane, never during it), and the two determinism contracts the tier
+// must keep under overload:
 //   - a degraded spec is itself a deterministic spec (bit-identical to a
 //     serial session running the coarsened spec), and
 //   - expiring some requests of a batch never perturbs the survivors —
 //     their outcomes stay bitwise-identical to running the survivors alone,
-//     at any {lanes, morsel_specs} schedule.
+//     at any lane count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -274,11 +275,11 @@ TEST_F(OverloadServerTest, BudgetBeyondClockRangeIsNoDeadline) {
 }
 
 TEST_F(OverloadServerTest, SurvivorsAreBitIdenticalAtAnySchedule) {
-  // The deadline-determinism contract: expiry can only drop whole specs at
-  // request/morsel boundaries, so the specs that *do* execute return
+  // The deadline-determinism contract: expiry can only drop whole specs
+  // before they run, so the specs that *do* execute return
   // bitwise-identical outcomes to running the survivors alone — whatever
-  // the lane count or morsel size, and whatever interleaving the expired
-  // requests had with them.
+  // the lane count, and whatever interleaving the expired requests had
+  // with them.
   const std::vector<QuerySpec> all = MakeMcSpecs(10);
   std::vector<QuerySpec> survivors;
   for (size_t i = 0; i < all.size(); ++i) {
@@ -288,11 +289,9 @@ TEST_F(OverloadServerTest, SurvivorsAreBitIdenticalAtAnySchedule) {
   const std::vector<QueryOutcome> expected = reference.RunAll(survivors);
 
   constexpr size_t kBatch = 64;  // one mixed batch
-  for (const testing::ServingSchedule& schedule :
-       testing::ServingSchedules(kBatch)) {
+  for (int lanes : testing::kServingLanes) {
     ServerOptions options;
-    options.lanes = schedule.lanes;
-    options.morsel_specs = schedule.morsel_specs;
+    options.lanes = lanes;
     options.max_batch_size = kBatch;
     options.max_batch_delay_ms = 5.0;
     QueryServer server(db(), index_.get(), options);
@@ -312,10 +311,10 @@ TEST_F(OverloadServerTest, SurvivorsAreBitIdenticalAtAnySchedule) {
       const QueryOutcome outcome = futures[i].get();
       if (i % 3 == 1) {
         EXPECT_EQ(outcome.status.code(), StatusCode::kDeadlineExceeded)
-            << schedule << " i=" << i;
+            << "lanes=" << lanes << " i=" << i;
       } else {
         EXPECT_TRUE(SameOutcome(outcome, expected[next_survivor]))
-            << schedule << " i=" << i;
+            << "lanes=" << lanes << " i=" << i;
         ++next_survivor;
       }
     }

@@ -237,11 +237,10 @@ TEST_F(ServerTest, CheckoutsRacingAWriterGetTheirSnapshotsEpoch) {
 }
 
 TEST_F(ServerTest, HotGroupMorselsMatchSerialRunAllBitwise) {
-  // One dominant (epoch, interval) group split into 1-spec morsels over 2
-  // lanes: whatever the claim/steal schedule, the reassembled outcomes must
-  // equal the serial RunAll bytes. Submits are paused into one admission
-  // queue so the whole stream flushes as full batches of one hot group
-  // each.
+  // One dominant (epoch, interval) group over 2 lanes: whichever lane adopts
+  // each batch's group, the outcomes must equal the serial RunAll bytes.
+  // Submits are paused into one admission queue so the whole stream
+  // flushes as full batches of one hot group each.
   std::vector<QuerySpec> specs = MakeSpecs(18);
   for (QuerySpec& spec : specs) spec.T = T_;  // one hot interval
   QuerySession reference(db().Snapshot(), index_.get());
@@ -249,7 +248,6 @@ TEST_F(ServerTest, HotGroupMorselsMatchSerialRunAllBitwise) {
 
   ServerOptions options;
   options.lanes = 2;
-  options.morsel_specs = 1;
   options.max_batch_size = 6;
   options.max_batch_delay_ms = 0.5;
   QueryServer server(db(), index_.get(), options);
@@ -263,22 +261,21 @@ TEST_F(ServerTest, HotGroupMorselsMatchSerialRunAllBitwise) {
   server.Stop();
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, specs.size());
-  // 1-spec morsels: exactly one morsel per request, across all lanes.
+  // A morsel is one spec: exactly one morsel per request, across all lanes.
   EXPECT_EQ(stats.morsels_executed(), specs.size());
   uint64_t lane_requests = 0;
   for (const LaneStats& lane : stats.lanes) lane_requests += lane.requests;
   EXPECT_EQ(lane_requests, specs.size());
 }
 
-TEST_F(ServerTest, IdleLaneStealsFromDominantGroup) {
-  // The tail-latency regression test of the morsel scheduler: one dominant
-  // group of heavy specs next to a tiny one. As one morsel per group the
-  // dominant group pins ONE lane while the other goes idle after its tiny
-  // group (steals == 0, one lane owns every heavy request); split into
-  // 1-spec morsels the idle lane must take half-ranges of the hot group
-  // (steals >= 1 and both lanes execute requests). The heavy specs are
-  // hundreds of milliseconds each, the idle lane wakes in microseconds —
-  // the margin is ~5 orders of magnitude, so this is timing-robust.
+TEST_F(ServerTest, GroupRunsWholeOnItsAdoptingLane) {
+  // One dominant group of heavy specs next to a tiny one, flushed as one
+  // batch to 2 lanes: the lane that adopts the heavy group runs all six of
+  // its specs while the other lane runs only the tiny group — no lane takes
+  // specs off another's group. The heavy interval sorts first, so it is
+  // staged first: whichever lane wakes first adopts it and stays busy for
+  // tens of milliseconds, orders of magnitude longer than the other lane
+  // takes to wake and adopt the tiny group.
   std::vector<QuerySpec> heavy = MakeSpecs(6);
   for (QuerySpec& spec : heavy) {
     spec.kind = QueryKind::kForall;
@@ -288,45 +285,71 @@ TEST_F(ServerTest, IdleLaneStealsFromDominantGroup) {
   }
   QuerySpec tiny = MakeSpecs(1)[0];
   tiny.kind = QueryKind::kForall;
-  tiny.T = TimeInterval{T_.start, T_.end - 2};
+  tiny.T = TimeInterval{T_.start + 2, T_.end};
   tiny.backend = ExecutorKind::kMonteCarlo;
   tiny.mc.num_worlds = 50;
 
-  const size_t batch = heavy.size() + 1;
-  const auto run = [&](size_t morsel_specs) {
-    ServerOptions options;
-    options.lanes = 2;
-    options.morsel_specs = morsel_specs;
-    options.max_batch_size = batch;
-    options.max_batch_delay_ms = 1.0;
-    QueryServer server(db(), index_.get(), options);
-    server.Pause();  // everything flushes as one batch: 2 groups
-    std::vector<std::future<QueryOutcome>> futures;
-    for (const QuerySpec& spec : heavy) futures.push_back(server.Submit(spec));
-    futures.push_back(server.Submit(tiny));
-    server.Resume();
-    for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
-    server.Stop();
-    return server.Stats();
-  };
+  ServerOptions options;
+  options.lanes = 2;
+  QueryServer server(db(), index_.get(), options);
+  server.Pause();  // everything flushes as one batch: 2 groups
+  std::vector<std::future<QueryOutcome>> futures;
+  for (const QuerySpec& spec : heavy) futures.push_back(server.Submit(spec));
+  futures.push_back(server.Submit(tiny));
+  server.Resume();
+  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
+  server.Stop();
 
-  const ServerStats nosteal = run(batch);
-  // One morsel per group: whole groups stick to their adopting lane — the
-  // six heavy requests all executed where the dominant group landed.
-  EXPECT_EQ(nosteal.lane_steals(), 0u);
-  uint64_t max_lane_requests = 0;
-  for (const LaneStats& lane : nosteal.lanes) {
-    max_lane_requests = std::max(max_lane_requests, lane.requests);
+  const ServerStats stats = server.Stats();
+  ASSERT_EQ(stats.lanes.size(), 2u);
+  std::vector<uint64_t> requests, morsels;
+  for (const LaneStats& lane : stats.lanes) {
+    EXPECT_EQ(lane.batches, 1u);
+    requests.push_back(lane.requests);
+    morsels.push_back(lane.morsels);
   }
-  EXPECT_GE(max_lane_requests, heavy.size());
+  std::sort(requests.begin(), requests.end());
+  std::sort(morsels.begin(), morsels.end());
+  EXPECT_EQ(requests, (std::vector<uint64_t>{1, heavy.size()}));
+  EXPECT_EQ(morsels, (std::vector<uint64_t>{1, heavy.size()}));
+}
 
-  const ServerStats steal = run(1);
-  // 1-spec morsels: the lane that finished the tiny group steals from the
-  // dominant one instead of idling.
-  EXPECT_GE(steal.lane_steals(), 1u);
-  for (const LaneStats& lane : steal.lanes) {
-    EXPECT_GE(lane.requests, 1u) << "a lane sat idle beside a hot group";
-  }
+TEST_F(ServerTest, LateSpecExpiresWhileAnEarlierSpecOfItsGroupRuns) {
+  // Expiry is checked just before each spec runs, not once per group: a
+  // spec whose budget passes while a heavy spec ahead of it in the same
+  // group executes resolves kDeadlineExceeded on the lane, and the heavy
+  // spec's bytes are untouched. The batch flushes as soon as both specs are
+  // queued, so the budget (20 ms) outlasts staging by far but not the heavy
+  // spec's execution (over 100 ms).
+  QuerySpec first = MakeSpecs(1)[0];
+  first.kind = QueryKind::kForall;
+  first.T = T_;
+  first.backend = ExecutorKind::kMonteCarlo;
+  first.mc.num_worlds = 200000;
+  QuerySpec late = MakeSpecs(2)[1];
+  late.T = T_;
+  late.deadline_ms = 20.0;
+
+  ServerOptions options;
+  options.max_batch_size = 2;
+  QueryServer server(db(), index_.get(), options);
+  server.Pause();  // one batch, one group: first, then late
+  std::future<QueryOutcome> first_future = server.Submit(first);
+  std::future<QueryOutcome> late_future = server.Submit(late);
+  server.Resume();
+  const QueryOutcome first_out = first_future.get();
+  const QueryOutcome late_out = late_future.get();
+  server.Stop();
+
+  ASSERT_TRUE(first_out.status.ok()) << first_out.status.ToString();
+  QuerySession serial(db().Snapshot(), index_.get());
+  EXPECT_TRUE(SameOutcome(first_out, serial.Run(first)));
+  EXPECT_EQ(late_out.status.code(), StatusCode::kDeadlineExceeded)
+      << late_out.status.ToString();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.expired_in_queue, 0u);
+  EXPECT_EQ(stats.expired_on_lane, 1u);
+  EXPECT_EQ(stats.morsels_executed(), 1u);
 }
 
 TEST_F(ServerTest, ServerMatchesSerialRunAllAtTwoLanesFourClients) {
@@ -679,12 +702,12 @@ TEST_F(ServerTest, StatsRenderAsJson) {
         "\"overload_regime\":", "\"session_build_failures\":0", "\"batches\":",
         "\"cache_misses\":", "\"cache_hits\":", "\"latency_us\":",
         "\"queue_us\":", "\"p50\":", "\"p99\":", "\"lane_queue_depth\":",
-        "\"lane_queue_peak\":", "\"lane_steals\":", "\"morsels_executed\":",
+        "\"lane_queue_peak\":", "\"morsels_executed\":",
         "\"arena_builds\":", "\"arena_spec_reuses\":", "\"arena_bytes\":",
         "\"arena_resident_bytes\":", "\"arena_evictions\":",
         "\"early_stops\":", "\"worlds_saved\":", "\"worlds_sampled\":",
         "\"trace_dropped\":", "\"lane_idle_us\":",
-        "\"lanes\":[{", "\"exec_us\":", "\"morsels\":", "\"steals\":",
+        "\"lanes\":[{", "\"exec_us\":", "\"morsels\":",
         "\"arena_hits\":", "\"idle_us\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << json << "\nmissing " << key;
   }

@@ -1,15 +1,13 @@
 // Shared pieces of the serving-tier suites (server, overload, arena,
 // adaptive-execution and ingest tests): the synthetic world they run on, the
-// bitwise outcome comparison, and the one list of {lanes, morsel_specs}
-// schedules every bit-identity suite runs a QueryServer at.
+// bitwise outcome comparison, and the one list of lane counts every
+// bit-identity suite runs a QueryServer at.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <memory>
-#include <ostream>
-#include <vector>
 
 #include "gen/synthetic.h"
 #include "gen/workload.h"
@@ -41,28 +39,9 @@ inline bool SameOutcome(const QueryOutcome& a, const QueryOutcome& b) {
   return true;
 }
 
-struct ServingSchedule {
-  int lanes;
-  size_t morsel_specs;
-};
-
-inline std::ostream& operator<<(std::ostream& os, const ServingSchedule& s) {
-  return os << "lanes=" << s.lanes << " morsel_specs=" << s.morsel_specs;
-}
-
-/// Lane counts crossed with morsel sizes from 1 spec (the most stealing) to
-/// `max_batch_size`, the server's batch bound: one morsel per group, which
-/// the adopting lane runs whole while thieves find nothing to take.
-inline std::vector<ServingSchedule> ServingSchedules(size_t max_batch_size) {
-  std::vector<ServingSchedule> schedules;
-  for (int lanes : {1, 2}) {
-    for (size_t morsel_specs : {size_t{1}, size_t{4}, max_batch_size}) {
-      schedules.push_back({lanes, morsel_specs});
-    }
-  }
-  schedules.push_back({4, 1});
-  return schedules;
-}
+/// Lane counts: one lane runs every group in staging order, more lanes run
+/// groups of distinct intervals concurrently, each group whole on one lane.
+inline constexpr int kServingLanes[] = {1, 2, 4};
 
 /// \brief A small synthetic world with its UST-tree: 600 states, objects
 /// living 24 of 40 tics with an observation every 6, and T_ the busiest

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
 namespace ust {
@@ -82,84 +81,6 @@ TEST(ThreadPoolTest, ChunkBoundariesIndependentOfThreadCount) {
     expected_begin = e;
   }
   EXPECT_EQ(expected_begin, 1000u);
-}
-
-TEST(MorselDequeTest, PopsFixedMorselsFrontToBack) {
-  MorselDeque deque;
-  deque.Reset(0, 10, 4);
-  size_t b = 0, e = 0;
-  ASSERT_TRUE(deque.PopFront(&b, &e));
-  EXPECT_EQ(b, 0u);
-  EXPECT_EQ(e, 4u);
-  ASSERT_TRUE(deque.PopFront(&b, &e));
-  EXPECT_EQ(b, 4u);
-  EXPECT_EQ(e, 8u);
-  ASSERT_TRUE(deque.PopFront(&b, &e));  // final morsel is short
-  EXPECT_EQ(b, 8u);
-  EXPECT_EQ(e, 10u);
-  EXPECT_FALSE(deque.PopFront(&b, &e));
-  EXPECT_EQ(deque.remaining(), 0u);
-}
-
-TEST(MorselDequeTest, StealTakesMorselAlignedBackHalf) {
-  MorselDeque deque;
-  deque.Reset(0, 16, 2);  // 8 morsels
-  size_t b = 0, e = 0;
-  ASSERT_TRUE(deque.StealHalf(&b, &e));  // thief: back 4 of 8 morsels
-  EXPECT_EQ(b, 8u);
-  EXPECT_EQ(e, 16u);
-  EXPECT_EQ(deque.remaining(), 8u);
-  ASSERT_TRUE(deque.StealHalf(&b, &e));  // next thief: back 2 of 4
-  EXPECT_EQ(b, 4u);
-  EXPECT_EQ(e, 8u);
-  ASSERT_TRUE(deque.PopFront(&b, &e));  // owner keeps the front
-  EXPECT_EQ(b, 0u);
-  EXPECT_EQ(e, 2u);
-  ASSERT_TRUE(deque.StealHalf(&b, &e));  // one morsel left: thief takes it
-  EXPECT_EQ(b, 2u);
-  EXPECT_EQ(e, 4u);
-  EXPECT_FALSE(deque.StealHalf(&b, &e));
-  EXPECT_FALSE(deque.PopFront(&b, &e));
-}
-
-TEST(MorselDequeTest, StealNeverSplitsTheShortFinalMorsel) {
-  MorselDeque deque;
-  deque.Reset(0, 10, 4);  // morsels [0,4) [4,8) [8,10)
-  size_t b = 0, e = 0;
-  ASSERT_TRUE(deque.StealHalf(&b, &e));  // 3 morsels -> thief takes back 2
-  EXPECT_EQ(b, 4u);
-  EXPECT_EQ(e, 10u);
-  ASSERT_TRUE(deque.PopFront(&b, &e));
-  EXPECT_EQ(b, 0u);
-  EXPECT_EQ(e, 4u);
-  EXPECT_FALSE(deque.PopFront(&b, &e));
-}
-
-TEST(MorselDequeTest, ConcurrentPopsAndStealsClaimEveryIndexOnce) {
-  // 4 threads hammer one deque with a mix of pops and steals; every index
-  // of [0, n) must be claimed by exactly one thread — the invariant the
-  // serving tier's bit-identity rests on.
-  constexpr size_t kN = 4096;
-  MorselDeque deque;
-  deque.Reset(0, kN, 3);
-  std::vector<std::atomic<int>> claimed(kN);
-  for (auto& c : claimed) c.store(0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      size_t b = 0, e = 0;
-      for (;;) {
-        const bool got = (t % 2 == 0) ? deque.PopFront(&b, &e)
-                                      : deque.StealHalf(&b, &e);
-        if (!got) break;
-        for (size_t i = b; i < e; ++i) claimed[i].fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(claimed[i].load(), 1) << "index " << i;
-  }
 }
 
 }  // namespace

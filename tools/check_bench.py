@@ -79,19 +79,11 @@ CHECKS = {
         "qps_server": ("down", ABSOLUTE_BAND),
         "qps_server_1lane": ("down", ABSOLUTE_BAND),
         "latency_p99_ms": ("up", ABSOLUTE_BAND),
-        # One morsel per group vs --morsel spec morsels (stealing) on the
-        # skewed stream: a within-run p99 ratio, so it gets the
-        # machine-portable band. On a 1-core runner it hovers near 1.0 (no
-        # idle lane to steal with); the band then only rejects a genuine
-        # regression, while a multi-core runner's >=1.3x win can only push
-        # it further up.
-        "steal_speedup": ("down", RATIO_BAND),
-        "p99_skew_steal": ("up", ABSOLUTE_BAND),
         # The arena on/off comparison on the hot-group skewed stream (PR 6).
         "qps_arena_on": ("down", ABSOLUTE_BAND),
         "qps_arena_off": ("down", ABSOLUTE_BAND),
         "arena_speedup": ("down", RATIO_BAND),
-        # Adaptive precision served through the lane/morsel tier (PR 7).
+        # Adaptive precision served through the lane tier.
         "qps_adaptive_on": ("down", ABSOLUTE_BAND),
         "qps_adaptive_off": ("down", ABSOLUTE_BAND),
         "adaptive_speedup": ("down", RATIO_BAND),
@@ -139,7 +131,7 @@ CONFIG_KEYS = [
     "benchmark", "num_states", "num_objects", "num_worlds", "num_queries",
     "num_participants", "num_intervals", "interval_length", "threads",
     "lanes", "clients", "max_batch_size", "executor", "arena", "skew",
-    "morsel_specs", "adaptive", "adaptive_worlds",
+    "adaptive", "adaptive_worlds",
     "markov_objects", "markov_queries", "exact_objects", "exact_queries",
     "writes", "write_interval_us", "compaction_interval_ms",
     "pool", "queue_capacity", "deadline_ms", "seconds_per_point",
