@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     precision.delta = 0.05;
     auto decision = EstimatePnnAdaptive(
         db, ids, ids, q, T, PnnSemantics::kForall, tau, mc, precision,
-        /*pool=*/nullptr, /*scratch=*/nullptr, /*rows=*/nullptr);
+        /*pool=*/nullptr, /*scratch=*/nullptr);
     UST_CHECK(decision.ok());
     seq_table.AddRow({tau,
                       static_cast<double>(decision.value().worlds_used),

@@ -69,7 +69,7 @@ int main() {
   precision.delta = 0.05;
   auto decision = EstimatePnnAdaptive(
       db.value(), alive, alive, q, T, PnnSemantics::kExists, tau, mc,
-      precision, /*pool=*/nullptr, /*scratch=*/nullptr, /*rows=*/nullptr);
+      precision, /*pool=*/nullptr, /*scratch=*/nullptr);
   UST_CHECK(decision.ok());
   std::printf("sequential decision used %zu worlds (fixed sizing at "
               "eps=0.01: %zu), %zu object(s) undecided at the cap\n",

@@ -24,22 +24,27 @@ Result<std::vector<size_t>> ResolveTargets(
   return indices;
 }
 
-// Updates per-target forall/exists success counts from one world's marks.
-void Accumulate(const uint8_t* is_nn, const std::vector<size_t>& target_index,
-                size_t interval_length, std::vector<size_t>* forall_hits,
-                std::vector<size_t>* exists_hits) {
+// Adds each target's forall/exists hits over the chunk a fill left in
+// `chunk`: participant i is a (k)NN of q at world j and tic rel0 + r exactly
+// when its distance is within that tic's k-th distance. A forall hit needs
+// all `len` tics of T, so only a window covering T can score one.
+void CountHits(const WorldSampler& sampler, const WorldSampler::Scratch& chunk,
+               const std::vector<size_t>& target_index, size_t len,
+               std::vector<size_t>* forall_hits,
+               std::vector<size_t>* exists_hits) {
   for (size_t ti = 0; ti < target_index.size(); ++ti) {
-    const uint8_t* row = is_nn + target_index[ti] * interval_length;
-    bool all = true, any = false;
-    for (size_t r = 0; r < interval_length; ++r) {
-      if (row[r]) {
-        any = true;
-      } else {
-        all = false;
-      }
+    const WorldSampler::Block b = sampler.BlockOf(chunk, target_index[ti]);
+    const double* d = b.dist;
+    const double* kth = chunk.kth.data() + b.rel0;
+    size_t all = 0, any = 0;
+    for (size_t j = 0; j < chunk.worlds; ++j, d += b.wlen, kth += len) {
+      size_t nn = 0;
+      for (uint32_t r = 0; r < b.wlen; ++r) nn += d[r] <= kth[r];
+      all += nn == len;
+      any += nn != 0;
     }
-    (*forall_hits)[ti] += all ? 1 : 0;
-    (*exists_hits)[ti] += any ? 1 : 0;
+    (*forall_hits)[ti] += all;
+    (*exists_hits)[ti] += any;
   }
 }
 
@@ -50,8 +55,8 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const std::vector<ObjectId>& targets, const QueryTrajectory& q,
     const TimeInterval& T, PnnSemantics semantics, double tau,
     const MonteCarloOptions& mc, const PrecisionTarget& precision,
-    ThreadPool* pool, WorldSampler::Scratch* scratch,
-    std::vector<uint8_t>* rows, const WorldArena* arena, bool* used_arena) {
+    ThreadPool* pool, WorldSampler::Scratch* scratch, const WorldArena* arena,
+    bool* used_arena) {
   // Each check states the valid range, so a NaN (false under every
   // comparison) is rejected rather than let through to the stop rule.
   const bool fixed = precision.mode == PrecisionMode::kFixedWorlds;
@@ -76,7 +81,6 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
 
   const size_t cap = mc.num_worlds;
   const size_t len = T.length();
-  const size_t stride = participants.size() * len;
   const size_t num_targets = targets.size();
   const double per_target_delta =
       precision.delta / static_cast<double>(std::max<size_t>(1, num_targets));
@@ -133,12 +137,10 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
   };
 
   const size_t worlds = RunWorldChunks(
-      sampler.value(), cap, arena, used_arena, pool, scratch, rows,
-      [&](size_t, size_t n, const uint8_t* chunk) {
-        for (size_t b = 0; b < n; ++b) {
-          Accumulate(chunk + b * stride, target_index.value(), len,
-                     &forall_hits, &exists_hits);
-        }
+      sampler.value(), cap, arena, used_arena, pool, scratch,
+      [&](size_t, const WorldSampler::Scratch& chunk) {
+        CountHits(sampler.value(), chunk, target_index.value(), len,
+                  &forall_hits, &exists_hits);
       },
       check_stop);
 
@@ -168,7 +170,7 @@ Result<std::vector<PnnEstimate>> EstimatePnn(
   auto result = EstimatePnnAdaptive(db, participants, targets, q, T,
                                     PnnSemantics::kForall, /*tau=*/0.0,
                                     options, PrecisionTarget{}, pool,
-                                    /*scratch=*/nullptr, /*rows=*/nullptr);
+                                    /*scratch=*/nullptr);
   if (!result.ok()) return result.status();
   return std::move(result.value().estimates);
 }

@@ -11,7 +11,10 @@
 // fixed-mode call of it, and standalone callers (benches, examples) call it
 // directly over a DbSnapshot. It runs on the one chunk loop
 // (RunWorldChunks): chunk-deterministic, pool-sharded and arena-aware
-// (DESIGN.md section 8).
+// (DESIGN.md section 8). It counts straight from each filled chunk: a
+// target's hit in a world comes from comparing its distance block with the
+// chunk's k-th distances over its window, so only the targets' blocks are
+// read and no indicator row is ever written.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +53,14 @@ struct AdaptivePnnResult {
 };
 
 /// \brief The estimator: sample worlds in WorldSampler::kWorldChunk chunks,
-/// count per target the worlds where it is NN at every tic (P∀NN) and at
-/// some tic (P∃NN), check the PrecisionTarget's stopping rule at every chunk
-/// boundary *in prefix order*, and stop at the first boundary where every
-/// target is decided (kThreshold) or every estimate is within epsilon
-/// (kEpsilon). `mc.num_worlds` is the hard cap, and a positive one;
-/// kFixedWorlds never stops before it (and ignores delta, epsilon and tau),
-/// giving estimates bit-identical to NnTable's ForallProb/ExistsProb over
-/// the same worlds.
+/// count per target the worlds where it is NN at every tic (P∀NN; only a
+/// target alive throughout T can be) and at some tic (P∃NN), check the
+/// PrecisionTarget's stopping rule at every chunk boundary *in prefix
+/// order*, and stop at the first boundary where every target is decided
+/// (kThreshold) or every estimate is within epsilon (kEpsilon).
+/// `mc.num_worlds` is the hard cap, and a positive one; kFixedWorlds never
+/// stops before it (and ignores delta, epsilon and tau), giving estimates
+/// bit-identical to NnTable's ForallProb/ExistsProb over the same worlds.
 ///
 /// Determinism: worlds are the same id-keyed streams ComputeNnTable draws,
 /// chunk boundaries are fixed, and the stopping rule only reads prefix
@@ -68,7 +71,7 @@ struct AdaptivePnnResult {
 ///
 /// When `arena` matches (T, seed, num_worlds), the participants it holds
 /// columns for are *evaluated* against their column prefixes instead of
-/// sampled — bit-identical marks, so identical stop decisions — and
+/// sampled — bit-identical chunks, so identical stop decisions — and
 /// `*used_arena` says whether every alive participant read a column. The
 /// prefix property makes a column of N worlds serve any early-stopped
 /// prefix <= N.
@@ -78,7 +81,6 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const TimeInterval& T, PnnSemantics semantics, double tau,
     const MonteCarloOptions& mc, const PrecisionTarget& precision,
     ThreadPool* pool, WorldSampler::Scratch* scratch,
-    std::vector<uint8_t>* rows, const WorldArena* arena = nullptr,
-    bool* used_arena = nullptr);
+    const WorldArena* arena = nullptr, bool* used_arena = nullptr);
 
 }  // namespace ust

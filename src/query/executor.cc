@@ -108,7 +108,7 @@ class MonteCarloExecutor : public Executor {
         task.kind == QueryKind::kExists ? PnnSemantics::kExists
                                         : PnnSemantics::kForall,
         task.tau, task.mc, task.precision, ctx.pool, ctx.sampler_scratch,
-        ctx.row_buffer, ctx.arena, ctx.arena_used);
+        ctx.arena, ctx.arena_used);
     if (!estimated.ok()) return estimated.status();
     if (ctx.worlds_used != nullptr) {
       *ctx.worlds_used = estimated.value().worlds_used;

@@ -63,12 +63,16 @@ struct PnnTask {
 
 /// \brief Reusable per-worker resources an executor may draw on. All fields
 /// are optional; executors fall back to private locals. The Monte-Carlo
-/// backend hands the first four to its one chunk loop (RunWorldChunks):
-/// without a pool, every chunk runs on `sampler_scratch` and `row_buffer`.
+/// backend hands `pool`, `sampler_scratch` and `arena` to its one chunk
+/// loop (RunWorldChunks): without a pool, every chunk runs on
+/// `sampler_scratch`.
 struct ExecContext {
   ThreadPool* pool = nullptr;                  ///< world-chunk sharding
   WorldSampler::Scratch* sampler_scratch = nullptr;
-  std::vector<uint8_t>* row_buffer = nullptr;  ///< one chunk's byte rows
+  /// Unread: a filled chunk lives in `sampler_scratch`, and no executor
+  /// writes byte indicator rows. Kept because benchmark/ustbench.cc still
+  /// sets it.
+  std::vector<uint8_t>* row_buffer = nullptr;
   /// Pre-sampled world columns of the task's participants (a ColumnStore
   /// view, query/world_arena.h); the Monte-Carlo backend reads each
   /// participant's column when the arena holds one and walks the rest live

@@ -45,25 +45,6 @@ size_t NnTable::IndexOf(ObjectId o) const {
   return npos;
 }
 
-void NnTable::PackWorlds(size_t first_world, size_t count, const uint8_t* is_nn,
-                         size_t world_stride) {
-  UST_CHECK(first_world + count <= num_worlds_);
-  UST_CHECK((first_world & 63) == 0 || count == 0);
-  const size_t row_len = objects_.size() * interval_.length();
-  // World-outer: the touched words (one per (object, tic), stride
-  // words_per_tic_ apart) stay cache-resident across the 64 consecutive
-  // worlds that share them.
-  for (size_t w = 0; w < count; ++w) {
-    const uint8_t* row = is_nn + w * world_stride;
-    const size_t world = first_world + w;
-    uint64_t* base = bits_.data() + (world >> 6);
-    const uint64_t bit = uint64_t{1} << (world & 63);
-    for (size_t idx = 0; idx < row_len; ++idx) {
-      if (row[idx]) base[idx * words_per_tic_] |= bit;
-    }
-  }
-}
-
 double NnTable::ReduceProb(size_t obj_index, const Tic* tics, size_t num_tics,
                            bool forall) const {
   UST_CHECK(obj_index < objects_.size());
@@ -236,11 +217,11 @@ void VisitWindows(const PosteriorModel& model, Tic ws, Tic we, uint32_t wlen,
 
 size_t WorldSampler::FillWorlds(size_t w0, size_t count,
                                 const WorldArena* arena,
-                                std::vector<Rng>* cursor, uint8_t* is_nn,
-                                size_t world_stride, Scratch* scratch) const {
+                                std::vector<Rng>* cursor,
+                                Scratch* scratch) const {
   const size_t n = resolved_.size();
   const size_t len = interval_.length();
-  const double kInf = std::numeric_limits<double>::infinity();
+  UST_CHECK(count <= kWorldChunk);
   UST_CHECK(arena == nullptr || w0 + count <= arena->num_worlds());
   // Resolve each alive participant's source once per call.
   std::vector<const uint32_t*>& columns = scratch->columns;
@@ -258,99 +239,73 @@ size_t WorldSampler::FillWorlds(size_t w0, size_t count,
       ++walked;
     }
   }
+  scratch->worlds = count;
   std::vector<double>& dist2 = scratch->dist2;
-  std::vector<double>& min_scratch = scratch->min_scratch;
-  for (size_t c0 = 0; c0 < count; c0 += kWorldChunk) {
-    const size_t chunk = std::min(kWorldChunk, count - c0);
-    dist2.resize(total_wlen_ * chunk);
-    min_scratch.resize(chunk * len);
-    if (k_ == 1) std::fill(min_scratch.begin(), min_scratch.end(), kInf);
-    // ---- Phase 1: participant-major sampling straight into distances. ----
-    // One participant's alias tables (or column rows) stay hot across the whole
-    // chunk and the batch sampler keeps several walks in flight; the sampled
-    // windows are converted to squared distances immediately (no trajectory
-    // ever escapes this loop). For k == 1 the chunk's per-tic minima fold
-    // into the same pass while the block is L1-resident.
-    for (size_t i = 0; i < n; ++i) {
-      const Participant& p = resolved_[i];
-      if (!p.alive) continue;
-      const double* dtab = dtab_.data() + p.dbase;
-      const uint32_t* doff = p.dtab_off.data();
-      double* block = dist2.data() + p.doff * chunk;
-      const uint32_t wlen = p.wlen;
-      const uint32_t* column =
-          columns[i] != nullptr ? columns[i] + c0 * wlen : nullptr;
-      Rng* rng = column != nullptr ? nullptr : &(*cursor)[i];
-      if (k_ == 1) {
-        double* mins = min_scratch.data() + p.rel0;
-        VisitWindows(*p.model, p.ws, p.we, wlen, column, rng, chunk,
-                     [=](size_t w, size_t rel, uint32_t local) {
-                       const double d = dtab[doff[rel] + local];
-                       block[w * wlen + rel] = d;
-                       double& m = mins[w * len + rel];
-                       if (d < m) m = d;
-                     });
-      } else {
-        VisitWindows(*p.model, p.ws, p.we, wlen, column, rng, chunk,
-                     [=](size_t w, size_t rel, uint32_t local) {
-                       block[w * wlen + rel] = dtab[doff[rel] + local];
-                     });
-      }
-    }
-    ReduceChunk(c0, chunk, is_nn, world_stride, scratch);
+  std::vector<double>& kth = scratch->kth;
+  dist2.resize(total_wlen_ * count);
+  kth.resize(count * len);
+  if (k_ == 1) {
+    std::fill(kth.begin(), kth.end(), std::numeric_limits<double>::infinity());
   }
+  // ---- Phase 1: participant-major sampling straight into distances. ----
+  // One participant's alias tables (or column rows) stay hot across the whole
+  // chunk and the batch sampler keeps several walks in flight; the sampled
+  // windows are converted to squared distances immediately (no trajectory
+  // ever escapes this loop). For k == 1 the chunk's per-tic minima fold
+  // into the same pass while the block is L1-resident, as a select rather
+  // than a branch: whether a distance lowers the minimum is a coin flip for
+  // the first participants, and a mispredicted branch per visit cost about
+  // a fifth of a column-served fill.
+  for (size_t i = 0; i < n; ++i) {
+    const Participant& p = resolved_[i];
+    if (!p.alive) continue;
+    const double* dtab = dtab_.data() + p.dbase;
+    const uint32_t* doff = p.dtab_off.data();
+    double* block = dist2.data() + p.doff * count;
+    const uint32_t wlen = p.wlen;
+    const uint32_t* column = columns[i];
+    Rng* rng = column != nullptr ? nullptr : &(*cursor)[i];
+    if (k_ == 1) {
+      double* mins = kth.data() + p.rel0;
+      VisitWindows(*p.model, p.ws, p.we, wlen, column, rng, count,
+                   [=](size_t w, size_t rel, uint32_t local) {
+                     const double d = dtab[doff[rel] + local];
+                     block[w * wlen + rel] = d;
+                     double& m = mins[w * len + rel];
+                     m = d < m ? d : m;
+                   });
+    } else {
+      VisitWindows(*p.model, p.ws, p.we, wlen, column, rng, count,
+                   [=](size_t w, size_t rel, uint32_t local) {
+                     block[w * wlen + rel] = dtab[doff[rel] + local];
+                   });
+    }
+  }
+  if (k_ != 1) KthDistances(scratch);
   return walked;
 }
 
-void WorldSampler::ReduceChunk(size_t row0, size_t chunk, uint8_t* is_nn,
-                               size_t world_stride, Scratch* scratch) const {
-  const size_t n = resolved_.size();
+void WorldSampler::KthDistances(Scratch* scratch) const {
   const size_t len = interval_.length();
-  const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double>& dist2 = scratch->dist2;
-  std::vector<double>& min_scratch = scratch->min_scratch;
-  std::vector<double>& kth_scratch = scratch->kth_scratch;
-  // ---- Phase 2: k-th distances (k > 1 only; k == 1 folded in phase 1). ----
-  if (k_ != 1) {
-    for (size_t w = 0; w < chunk; ++w) {
-      double* mb = min_scratch.data() + w * len;
-      for (size_t rel = 0; rel < len; ++rel) {
-        kth_scratch.clear();
-        for (size_t i = 0; i < n; ++i) {
-          const Participant& p = resolved_[i];
-          if (!p.alive || rel < p.rel0 || rel >= p.rel0 + p.wlen) continue;
-          kth_scratch.push_back(
-              dist2[p.doff * chunk + w * p.wlen + (rel - p.rel0)]);
-        }
-        if (kth_scratch.empty()) {
-          mb[rel] = kInf;
-          continue;
-        }
-        const size_t kk =
-            std::min<size_t>(static_cast<size_t>(k_), kth_scratch.size());
-        std::nth_element(kth_scratch.begin(), kth_scratch.begin() + (kk - 1),
-                         kth_scratch.end());
-        mb[rel] = kth_scratch[kk - 1];
-      }
-    }
-  }
-  // Marking: every byte of a world row is written exactly once.
+  const size_t chunk = scratch->worlds;
+  const std::vector<double>& dist2 = scratch->dist2;
+  std::vector<double>& alive = scratch->alive;
   for (size_t w = 0; w < chunk; ++w) {
-    uint8_t* row = is_nn + (row0 + w) * world_stride;
-    const double* mb = min_scratch.data() + w * len;
-    for (size_t i = 0; i < n; ++i) {
-      const Participant& p = resolved_[i];
-      uint8_t* prow = row + i * len;
-      if (!p.alive) {
-        std::fill(prow, prow + len, 0);
+    double* kth = scratch->kth.data() + w * len;
+    for (size_t rel = 0; rel < len; ++rel) {
+      alive.clear();
+      for (const Participant& p : resolved_) {
+        if (rel < p.rel0 || rel >= p.rel0 + p.wlen) continue;
+        alive.push_back(dist2[p.doff * chunk + w * p.wlen + (rel - p.rel0)]);
+      }
+      if (alive.empty()) {
+        kth[rel] = std::numeric_limits<double>::infinity();
         continue;
       }
-      const double* d = dist2.data() + p.doff * chunk + w * p.wlen;
-      std::fill(prow, prow + p.rel0, 0);
-      for (uint32_t r = 0; r < p.wlen; ++r) {
-        prow[p.rel0 + r] = d[r] <= mb[p.rel0 + r] ? 1 : 0;
-      }
-      std::fill(prow + p.rel0 + p.wlen, prow + len, 0);
+      const size_t kk =
+          std::min<size_t>(static_cast<size_t>(k_), alive.size());
+      std::nth_element(alive.begin(), alive.begin() + (kk - 1), alive.end());
+      kth[rel] = alive[kk - 1];
     }
   }
 }
@@ -358,15 +313,12 @@ void WorldSampler::ReduceChunk(size_t row0, size_t chunk, uint8_t* is_nn,
 size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
                       const WorldArena* arena, bool* used_arena,
                       ThreadPool* pool, WorldSampler::Scratch* scratch,
-                      std::vector<uint8_t>* rows, const WorldChunkFn& consume,
-                      const WorldStopFn& stop) {
+                      const WorldChunkFn& consume, const WorldStopFn& stop) {
   constexpr size_t kChunk = WorldSampler::kWorldChunk;
   if (arena != nullptr &&
       !arena->Matches(sampler.interval(), sampler.seed(), num_worlds)) {
     arena = nullptr;
   }
-  const size_t stride =
-      sampler.num_participants() * sampler.interval().length();
   const size_t num_chunks = (num_worlds + kChunk - 1) / kChunk;
   // Every chunk resolves the same per-participant sources; a zero-world
   // fill resolves them up front without drawing. Columns are read at any
@@ -375,21 +327,17 @@ size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
   WorldSampler::Scratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   std::vector<Rng> cursor = sampler.InitialRngs();
-  const size_t walkers =
-      sampler.FillWorlds(0, 0, arena, &cursor, nullptr, stride, scratch);
+  const size_t walkers = sampler.FillWorlds(0, 0, arena, &cursor, scratch);
   if (used_arena != nullptr) *used_arena = arena != nullptr && walkers == 0;
   std::vector<Rng>* live = walkers > 0 ? &cursor : nullptr;
 
   if (pool == nullptr || pool->num_threads() <= 1 || num_chunks <= 1) {
     // Serial: chunk after chunk on the caller's scratch, the cursor simply
     // continuing (no RNG prefix pass).
-    std::vector<uint8_t> local_rows;
-    if (rows == nullptr) rows = &local_rows;
-    rows->resize(std::min(num_worlds, kChunk) * stride);
     for (size_t w0 = 0; w0 < num_worlds; w0 += kChunk) {
       const size_t n = std::min(kChunk, num_worlds - w0);
-      sampler.FillWorlds(w0, n, arena, live, rows->data(), stride, scratch);
-      consume(w0, n, rows->data());
+      sampler.FillWorlds(w0, n, arena, live, scratch);
+      consume(w0, *scratch);
       if (stop && stop(w0 + n)) return w0 + n;
     }
     return num_worlds;
@@ -398,15 +346,15 @@ size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
   // Pool: waves of chunks filled concurrently. Chunk boundaries are fixed
   // multiples of kChunk (itself a multiple of 64, so packed-bitmap words
   // never straddle chunks) and every chunk's cursor comes from one serial
-  // O(W) prefix pass, so the rows are those of the serial loop at any thread
-  // count, without each chunk replaying its streams from world 0. Without a
-  // stop rule a worker consumes the chunks it filled (slot = worker); with
-  // one, the wave's chunks keep their own buffers (slot = chunk) until the
-  // caller has consumed and checked them in order. The first speculative
-  // wave is a single chunk, so a query that stops there speculates nothing.
+  // O(W) prefix pass, so the chunks are those of the serial loop at any
+  // thread count, without each chunk replaying its streams from world 0.
+  // Without a stop rule a worker consumes the chunks it filled (slot =
+  // worker); with one, the wave's chunks keep their own scratches (slot =
+  // chunk) until the caller has consumed and checked them in order. The
+  // first speculative wave is a single chunk, so a query that stops there
+  // speculates nothing.
   const size_t slots = static_cast<size_t>(pool->num_threads());
   std::vector<WorldSampler::Scratch> scratches(slots);
-  std::vector<std::vector<uint8_t>> bufs(slots);
   std::vector<std::vector<Rng>> starts;
   size_t wave = stop ? 1 : num_chunks;
   for (size_t c = 0; c < num_chunks; c += wave, wave = slots) {
@@ -421,25 +369,54 @@ size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
       }
     }
     pool->ParallelFor(wave_chunks, [&](size_t j, int worker) {
-      const size_t slot = stop ? j : static_cast<size_t>(worker);
+      WorldSampler::Scratch& chunk =
+          scratches[stop ? j : static_cast<size_t>(worker)];
       const size_t w0 = (c + j) * kChunk;
-      const size_t n = std::min(kChunk, num_worlds - w0);
-      std::vector<uint8_t>& buf = bufs[slot];
-      buf.resize(n * stride);
-      sampler.FillWorlds(w0, n, arena, live != nullptr ? &starts[j] : nullptr,
-                         buf.data(), stride, &scratches[slot]);
-      if (!stop) consume(w0, n, buf.data());
+      sampler.FillWorlds(w0, std::min(kChunk, num_worlds - w0), arena,
+                         live != nullptr ? &starts[j] : nullptr, &chunk);
+      if (!stop) consume(w0, chunk);
     });
     if (!stop) continue;
     for (size_t j = 0; j < wave_chunks; ++j) {
       const size_t w0 = (c + j) * kChunk;
-      const size_t n = std::min(kChunk, num_worlds - w0);
-      consume(w0, n, bufs[j].data());
-      if (stop(w0 + n)) return w0 + n;
+      consume(w0, scratches[j]);
+      if (stop(w0 + scratches[j].worlds)) return w0 + scratches[j].worlds;
     }
   }
   return num_worlds;
 }
+
+namespace {
+
+/// Sets the table bits of the chunk's worlds [w0, w0 + chunk.worlds): the
+/// fill's d <= kth comparison, 64 worlds to a word. w0 is a multiple of 64,
+/// so the chunk owns every word it writes.
+void MarkChunk(const WorldSampler& sampler, const WorldSampler::Scratch& chunk,
+               size_t w0, NnTable* table) {
+  const TimeInterval& T = sampler.interval();
+  const size_t len = T.length();
+  std::vector<uint64_t> words(len);
+  for (size_t i = 0; i < sampler.num_participants(); ++i) {
+    const WorldSampler::Block b = sampler.BlockOf(chunk, i);
+    for (size_t j0 = 0; j0 < chunk.worlds; j0 += 64) {
+      std::fill(words.begin(), words.end(), 0);
+      const size_t m = std::min<size_t>(64, chunk.worlds - j0);
+      for (size_t bit = 0; bit < m; ++bit) {
+        const double* d = b.dist + (j0 + bit) * b.wlen;
+        const double* kth = chunk.kth.data() + (j0 + bit) * len + b.rel0;
+        for (uint32_t r = 0; r < b.wlen; ++r) {
+          words[r] |= static_cast<uint64_t>(d[r] <= kth[r]) << bit;
+        }
+      }
+      for (uint32_t r = 0; r < b.wlen; ++r) {
+        table->OrWord(i, T.start + static_cast<Tic>(b.rel0 + r),
+                      (w0 + j0) >> 6, words[r]);
+      }
+    }
+  }
+}
+
+}  // namespace
 
 Result<NnTable> ComputeNnTable(const DbSnapshot& db,
                                const std::vector<ObjectId>& participants,
@@ -454,19 +431,18 @@ Result<NnTable> ComputeNnTableScratch(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const QueryTrajectory& q, const TimeInterval& T,
     const MonteCarloOptions& options, ThreadPool* pool,
-    WorldSampler::Scratch* scratch, std::vector<uint8_t>* rows,
+    WorldSampler::Scratch* scratch, std::vector<uint8_t>* /*rows*/,
     const WorldArena* arena, bool* used_arena) {
   auto sampler =
       WorldSampler::Create(db, participants, q, T, options.k, options.seed);
   if (!sampler.ok()) return sampler.status();
   NnTable table(participants, T, options.num_worlds);
-  const size_t stride = participants.size() * T.length();
-  // Chunks pack into disjoint 64-aligned words, so workers may pack
+  // Chunks mark disjoint 64-aligned words, so workers may mark
   // concurrently.
   RunWorldChunks(sampler.value(), options.num_worlds, arena, used_arena, pool,
-                 scratch, rows,
-                 [&table, stride](size_t w0, size_t n, const uint8_t* chunk) {
-                   table.PackWorlds(w0, n, chunk, stride);
+                 scratch,
+                 [&](size_t w0, const WorldSampler::Scratch& chunk) {
+                   MarkChunk(sampler.value(), chunk, w0, &table);
                  });
   return table;
 }

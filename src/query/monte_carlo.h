@@ -1,10 +1,13 @@
 // Monte-Carlo estimation of PNN probabilities (Section 5): sample W possible
 // worlds from the objects' a-posteriori models, run the certain-trajectory
 // NN kernel in each world, and average. Every sampled query runs through one
-// chunk loop (RunWorldChunks) over one fill (WorldSampler::FillWorlds):
-// P∀NN/P∃NN count hits per target chunk by chunk (query/adaptive.h), and
-// PCNN packs the per-world per-tic indicators into an NnTable so that every
-// timestamp-set validation of Algorithm 1 reuses the same W worlds.
+// chunk loop (RunWorldChunks) over one fill (WorldSampler::FillWorlds). A
+// filled chunk is each participant's squared distances to q plus each tic's
+// k-th smallest distance; a participant is a (k)NN of q at a tic of a world
+// exactly when its distance is within that k-th distance. Two reductions
+// read a chunk: P∀NN/P∃NN count each target's hits (query/adaptive.h), and
+// PCNN sets the bits of an NnTable so that every timestamp-set validation of
+// Algorithm 1 reuses the same W worlds.
 #pragma once
 
 #include <cstdint>
@@ -111,13 +114,17 @@ class NnTable {
     return (w[world >> 6] >> (world & 63)) & 1u;
   }
 
-  /// Scatter `count` sampled worlds — byte indicator rows as produced by
-  /// WorldSampler, world w at `is_nn + w * world_stride`, participant-major —
-  /// into the packed bitmap as worlds [first_world, first_world + count).
-  /// Writers of disjoint 64-aligned world ranges touch disjoint words, so
-  /// shards may pack concurrently when first_world is a multiple of 64.
-  void PackWorlds(size_t first_world, size_t count, const uint8_t* is_nn,
-                  size_t world_stride);
+  /// ORs `bits` into worlds [64 * word, 64 * word + 64) of object
+  /// `obj_index` at tic `t`; bit b is world 64 * word + b. No bit may name a
+  /// world past num_worlds(). Writers of distinct words may run
+  /// concurrently.
+  void OrWord(size_t obj_index, Tic t, size_t word, uint64_t bits) {
+    UST_DCHECK(word < words_per_tic_ &&
+               (word + 1 < words_per_tic_ || num_worlds_ % 64 == 0 ||
+                bits >> (num_worlds_ % 64) == 0));
+    bits_[(obj_index * interval_.length() + RelTic(t)) * words_per_tic_ +
+          word] |= bits;
+  }
 
   /// Fraction of worlds where the object is NN at *every* tic of `tics`.
   /// `tics` must be a subset of the table interval.
@@ -159,8 +166,9 @@ class NnTable {
 };
 
 /// \brief Batched possible-world sampler: draws worlds (a trajectory per
-/// participant, restricted to T) and marks which participants are (k)NNs of
-/// q at each tic. FillWorlds is its one primitive; RunWorldChunks drives it.
+/// participant, restricted to T) and leaves, per chunk, what decides which
+/// participants are (k)NNs of q at each tic. FillWorlds is its one
+/// primitive; RunWorldChunks drives it.
 ///
 /// Worlds are drawn participant-major in chunks: each posterior's alias
 /// tables stay cache-hot across the whole chunk instead of being re-fetched
@@ -173,19 +181,34 @@ class NnTable {
 /// of each participant's stream, so InitialRngs + AdvanceWorlds rebuild the
 /// stream cursor of any world index. That is what lets a thread pool fill
 /// one query's chunks on several workers and still produce bit-identical
-/// rows (DESIGN.md §4.3).
+/// chunks (DESIGN.md §4.3).
 class WorldSampler {
  public:
-  /// Per-worker scratch: distance blocks, per-tic minima and the resolved
-  /// per-participant sources. It carries no stream state, so one scratch
-  /// serves any sampler and any query; reuse it across calls to stay
-  /// allocation-free.
+  /// Per-worker scratch, and where FillWorlds leaves its chunk: the
+  /// participants' distance blocks (read through BlockOf) and, for world j
+  /// of the chunk and tic rel of T, the k-th smallest distance among the
+  /// participants alive then at `kth[j * |T| + rel]` (the largest when
+  /// fewer than k are alive, +inf when none is). It carries no stream
+  /// state, so one scratch serves any sampler and any query; reuse it
+  /// across calls to stay allocation-free.
   struct Scratch {
-    std::vector<double> dist2;        // [participant block][world][rel - rel0]
-    std::vector<double> min_scratch;  // per-(world, rel) k-th distance
-    std::vector<double> kth_scratch;  // k>1: per-tic alive distances
+    std::vector<double> dist2;  // [participant block][world][rel - rel0]
+    std::vector<double> kth;    // [world][rel]
+    std::vector<double> alive;  // k > 1: one tic's alive distances
     /// Per-participant column rows, or nullptr for a live alias walk.
     std::vector<const uint32_t*> columns;
+    size_t worlds = 0;  // worlds in the chunk
+  };
+
+  /// One participant's distances in a filled chunk. Its window covers tics
+  /// [rel0, rel0 + wlen) of T (counted from T.start; wlen is 0 when it is
+  /// not alive in T), and world j's squared distance at tic rel0 + r is
+  /// `dist[j * wlen + r]`. The participant is a (k)NN of q there exactly
+  /// when that distance is <= the chunk's `kth[j * |T| + rel0 + r]`.
+  struct Block {
+    const double* dist;
+    uint32_t rel0;
+    uint32_t wlen;
   };
 
   /// Validates inputs (including every sampling window), resolves the
@@ -206,21 +229,26 @@ class WorldSampler {
   /// bit-identical to one serial pass.
   static void AdvanceWorlds(std::vector<Rng>* rngs, size_t worlds);
 
-  /// The one fill: writes worlds [w0, w0 + count) as byte indicator rows,
-  /// world w0 + j at `is_nn + j * world_stride` (participant-major row of
-  /// num_participants() * interval().length() bytes; layout as
-  /// MarkNearestNeighbors). Each alive participant picks its own source: it
-  /// reads its support indices from `arena`'s column when the arena
-  /// realizes it over the same window, and otherwise walks its alias tables
-  /// from `(*cursor)[i]`, which must stand at world w0 and is advanced by
-  /// `count` worlds. A column holds the very indices the walk would have
-  /// drawn, so both sources give the same bytes. `arena` may be null (every
-  /// participant walks); `cursor` may be null when the arena realizes every
-  /// alive participant. Returns the number of alive participants that
-  /// walked. Safe concurrently with distinct scratches and cursors.
+  /// The one fill: draws worlds [w0, w0 + count), count <= kWorldChunk, and
+  /// leaves them in `scratch` as one chunk — every alive participant's
+  /// distance block and each (world, tic)'s k-th distance (Scratch, Block).
+  /// Each alive participant picks its own source: it reads its support
+  /// indices from `arena`'s column when the arena realizes it over the same
+  /// window, and otherwise walks its alias tables from `(*cursor)[i]`, which
+  /// must stand at world w0 and is advanced by `count` worlds. A column
+  /// holds the very indices the walk would have drawn, so both sources give
+  /// the same chunk. `arena` may be null (every participant walks); `cursor`
+  /// may be null when the arena realizes every alive participant. Returns
+  /// the number of alive participants that walked. Safe concurrently with
+  /// distinct scratches and cursors.
   size_t FillWorlds(size_t w0, size_t count, const WorldArena* arena,
-                    std::vector<Rng>* cursor, uint8_t* is_nn,
-                    size_t world_stride, Scratch* scratch) const;
+                    std::vector<Rng>* cursor, Scratch* scratch) const;
+
+  /// Participant i's block in the chunk FillWorlds left in `scratch`.
+  Block BlockOf(const Scratch& scratch, size_t i) const {
+    const Participant& p = resolved_[i];
+    return {scratch.dist2.data() + p.doff * scratch.worlds, p.rel0, p.wlen};
+  }
 
   size_t num_participants() const { return participants_.size(); }
   const std::vector<ObjectId>& participants() const { return participants_; }
@@ -237,7 +265,7 @@ class WorldSampler {
     Tic ws, we;        // sampling window = alive span ∩ T
     bool alive;        // alive at some tic of T
     uint32_t rel0 = 0; // ws - T.start
-    uint32_t wlen = 0; // window length in tics
+    uint32_t wlen = 0; // window length in tics (0 when not alive)
     size_t doff = 0;   // block offset into dist2, in per-world doubles
     Rng rng0{0};       // stream state at world 0 (never advanced)
     // Precomputed per-slice distances to q: dtab_[dbase + dtab_off[r] + j]
@@ -246,11 +274,9 @@ class WorldSampler {
     std::vector<uint32_t> dtab_off;  // size wlen + 1
   };
 
-  /// Phase 2 + marking of one chunk: turns the distance blocks and (k == 1)
-  /// folded minima already in `scratch` into indicator rows for worlds
-  /// [row0, row0 + chunk) of `is_nn`.
-  void ReduceChunk(size_t row0, size_t chunk, uint8_t* is_nn,
-                   size_t world_stride, Scratch* scratch) const;
+  /// Phase 2 of a fill (k > 1): each (world, tic)'s k-th smallest distance
+  /// among the alive participants, from the distance blocks in `scratch`.
+  void KthDistances(Scratch* scratch) const;
 
   std::vector<ObjectId> participants_;
   std::vector<Participant> resolved_;
@@ -261,40 +287,41 @@ class WorldSampler {
   std::vector<double> dtab_;        // support-state-to-q distance tables
 };
 
-/// Consumer of one filled chunk: worlds [w0, w0 + n), world w0 + j's row at
-/// `rows + j * num_participants * |T|`.
+/// Consumer of one filled chunk: worlds [w0, w0 + chunk.worlds), w0 a
+/// multiple of kWorldChunk; read through WorldSampler::BlockOf and
+/// `chunk.kth`.
 using WorldChunkFn =
-    std::function<void(size_t w0, size_t n, const uint8_t* rows)>;
+    std::function<void(size_t w0, const WorldSampler::Scratch& chunk)>;
 /// Stop rule read at a chunk boundary after `worlds` worlds (a prefix);
 /// returning true ends the run there.
 using WorldStopFn = std::function<bool(size_t worlds)>;
 
 /// \brief The one Monte-Carlo chunk loop: fills worlds [0, num_worlds) in
-/// WorldSampler::kWorldChunk chunks and hands each to `consume`. Returns
-/// the worlds consumed: num_worlds, or the first chunk boundary where
-/// `stop` fired.
+/// WorldSampler::kWorldChunk chunks, hands each fill to `consume` and reads
+/// `stop` at every chunk boundary. Returns the worlds consumed: num_worlds,
+/// or the first chunk boundary where `stop` fired.
 ///
 /// When `arena` matches (interval, seed, num_worlds), every alive
 /// participant it realizes reads its column and the others walk live — the
-/// same bytes either way — and `*used_arena` (if given) says whether every
+/// same chunk either way — and `*used_arena` (if given) says whether every
 /// alive participant read a column. An arena of N worlds serves any prefix
 /// <= N (DESIGN.md §7.2).
 ///
-/// Without a pool the chunks run in order on `scratch` and `rows` (either
-/// may be null), the stream cursor continuing from chunk to chunk. With a
-/// pool of several workers the chunks run in waves, their cursors taken
-/// from one serial RNG prefix pass:
+/// Without a pool the chunks run in order on `scratch` (may be null), the
+/// stream cursor continuing from chunk to chunk. With a pool of several
+/// workers the chunks run in waves, each filled into a per-slot scratch,
+/// their cursors taken from one serial RNG prefix pass:
 /// - without a stop rule one wave covers every chunk, and `consume` runs on
-///   the workers, concurrently for distinct chunks;
+///   the workers (slot = worker), concurrently for distinct chunks;
 /// - with one, the first wave is one chunk and later waves one chunk per
-///   worker; the caller consumes and checks them in chunk order, and chunks
-///   past the stop boundary are discarded unconsumed.
+///   worker (slot = chunk); the caller consumes and checks them in chunk
+///   order, and chunks past the stop boundary are discarded unconsumed.
 /// Either way the consumed worlds, and so any result built from them, are
 /// identical at every thread count.
 size_t RunWorldChunks(const WorldSampler& sampler, size_t num_worlds,
                       const WorldArena* arena, bool* used_arena,
                       ThreadPool* pool, WorldSampler::Scratch* scratch,
-                      std::vector<uint8_t>* rows, const WorldChunkFn& consume,
+                      const WorldChunkFn& consume,
                       const WorldStopFn& stop = nullptr);
 
 /// \brief Sample `options.num_worlds` possible worlds over `participants` and
@@ -313,22 +340,24 @@ Result<NnTable> ComputeNnTable(const DbSnapshot& db,
                                ThreadPool* pool = nullptr);
 
 /// \brief ComputeNnTable with caller-owned scratch: without a pool (or with
-/// num_worlds within one chunk) `scratch` and `rows` (the byte staging
-/// buffer) are reused across calls, so a session running many queries
-/// allocates the sampling scratch once per worker lane instead of once per
-/// query; a pool's workers use their own. Either pointer may be nullptr
-/// (private locals are used). The result is identical to ComputeNnTable.
+/// num_worlds within one chunk) `scratch` is reused across calls, so a
+/// session running many queries allocates the sampling scratch once per
+/// worker lane instead of once per query; a pool's workers use their own.
+/// `scratch` may be nullptr (a private local is used). `rows` is unread (no
+/// byte indicator row is written); it is kept because
+/// benchmark/ustbench.cc still passes it. The result is identical to
+/// ComputeNnTable.
 ///
 /// When `arena` is non-null and matches this query's (interval, seed,
 /// num_worlds), the participants it realizes are *evaluated* against their
-/// columns instead of sampled — same bytes, no alias walk — and the rest are
-/// sampled live; `*used_arena` (if given) says whether every alive
+/// columns instead of sampled — same chunks, no alias walk — and the rest
+/// are sampled live; `*used_arena` (if given) says whether every alive
 /// participant read a column. The result is identical either way.
 Result<NnTable> ComputeNnTableScratch(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const QueryTrajectory& q, const TimeInterval& T,
     const MonteCarloOptions& options, ThreadPool* pool,
-    WorldSampler::Scratch* scratch, std::vector<uint8_t>* rows,
+    WorldSampler::Scratch* scratch, std::vector<uint8_t>* /*rows*/,
     const WorldArena* arena = nullptr, bool* used_arena = nullptr);
 
 /// \brief Per-object probability estimates for the P∃NNQ / P∀NNQ queries.

@@ -258,7 +258,6 @@ void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
   ExecContext ctx;
   ctx.pool = world_pool;
   ctx.sampler_scratch = &scratch->sampler;
-  ctx.row_buffer = &scratch->rows;
   ctx.worlds_used = &out->worlds_used;
   ctx.early_stopped = &out->early_stopped;
   // Monte-Carlo specs read their participants' world columns; the view
@@ -326,7 +325,7 @@ void QuerySession::RunContinuous(const QuerySpec& spec,
   bool used_arena = false;
   auto table = ComputeNnTableScratch(db_, pruned.influencers, spec.q, spec.T,
                                      spec.mc, world_pool, &scratch->sampler,
-                                     &scratch->rows, view ? &*view : nullptr,
+                                     /*rows=*/nullptr, view ? &*view : nullptr,
                                      &used_arena);
   if (!table.ok()) {
     out->status = table.status();

@@ -153,13 +153,13 @@ struct SessionOptions {
 class QuerySession {
  public:
   /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
-  /// world-sampler buffers + the byte staging rows. A serving-tier lane owns
-  /// one and reuses it across every morsel, group and session it executes —
-  /// scratch is session-portable by construction (it holds no stream state,
-  /// and no world column: a spec's column view lives on its own stack).
+  /// the world sampler's buffers, where each filled chunk's distance blocks
+  /// and k-th distances land. A serving-tier lane owns one and reuses it
+  /// across every morsel, group and session it executes — scratch is
+  /// session-portable by construction (it holds no stream state, and no
+  /// world column: a spec's column view lives on its own stack).
   struct ExecScratch {
     WorldSampler::Scratch sampler;
-    std::vector<uint8_t> rows;
   };
 
   explicit QuerySession(DbSnapshot db, const UstTree* index = nullptr,

@@ -20,15 +20,14 @@ SessionCache::SessionCache(SessionOptions session_options)
 
 std::shared_ptr<const QuerySession> SessionCache::BuildSession(
     const DbSnapshot& snapshot, const UstTree* index) {
-  // Build outside the cache lock (lookups stay fast). Only the warm-up below
-  // needs the warm lock: session construction touches nothing shared, so it
-  // proceeds concurrently across lanes.
+  // Runs under the build lock, outside the cache lock (lookups stay fast).
   UST_TRACE_SCOPE("session_build", snapshot.version(), "epoch");
   if (fault::ShouldFail("session_build")) {
     // Injected build failure: the caller gets no session and must
     // resolve its whole group with an error instead of leaking promises.
     return nullptr;
   }
+  fault::MaybeStall("session_stall");
   // A compacted base published through the snapshot supersedes the caller's
   // (older) tree; the session pins the snapshot, which keeps the raw pointer
   // alive for its whole life. Whatever base is chosen, the session itself
@@ -42,22 +41,17 @@ std::shared_ptr<const QuerySession> SessionCache::BuildSession(
       std::make_shared<QuerySession>(snapshot, index, session_options_);
   {
     UST_TRACE_SCOPE("session_warm", snapshot.version(), "epoch");
-    // Adaptation mutates shared per-object caches, and exactly one thread
-    // may cold-warm an object (model/db_snapshot.h). The first session over
-    // an epoch pays the adaptation; later misses re-walk warm objects in
-    // microseconds without queueing behind anything expensive.
-    std::lock_guard<std::mutex> warm_lock(warm_mu_);
     // Warm what a first request would otherwise pay for: posterior
     // adaptation + alias samplers (a failure is per-query surfaced by
     // RunMorsel, so it is deliberately not fatal here).
     if (!session->Prepare().ok()) {
       // Prepare's serial path stops at the first failing object, which
       // would leave every later object cold — and lane-concurrent execution
-      // would then lazily cold-adapt them *outside* this lock. Finish the
-      // sweep object by object instead: afterwards each object is either
-      // fully warm (posterior + samplers) or deterministically failing, and
-      // failed adaptations write nothing shared, so execution never
-      // cold-writes shared state no matter how many lanes touch it.
+      // would then lazily cold-adapt them *outside* the build lock. Finish
+      // the sweep object by object instead: afterwards each object is
+      // either fully warm (posterior + samplers) or deterministically
+      // failing, and failed adaptations write nothing shared, so execution
+      // never cold-writes shared state no matter how many lanes touch it.
       PropagateWorkspace ws(snapshot.space().size());
       for (size_t i = 0; i < snapshot.size(); ++i) {
         auto posterior = snapshot.object(static_cast<ObjectId>(i)).Posterior(&ws);
@@ -68,17 +62,24 @@ std::shared_ptr<const QuerySession> SessionCache::BuildSession(
   return session;
 }
 
+std::shared_ptr<const QuerySession> SessionCache::Cached(uint64_t version) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (current_ == nullptr || current_->db().version() != version) {
+    return nullptr;
+  }
+  c_hits_.Increment();
+  return current_;
+}
+
 std::shared_ptr<const QuerySession> SessionCache::Checkout(
     const DbSnapshot& snapshot, const UstTree* index) {
   const uint64_t version = snapshot.version();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (current_ != nullptr && current_->db().version() == version) {
-      c_hits_.Increment();
-      return current_;
-    }
-    c_misses_.Increment();
-  }
+  if (auto session = Cached(version)) return session;
+  // A caller that missed while another built this epoch finds that build's
+  // session cached once it holds the build lock.
+  std::lock_guard<std::mutex> build_lock(build_mu_);
+  if (auto session = Cached(version)) return session;
+  c_misses_.Increment();
   std::shared_ptr<const QuerySession> session = BuildSession(snapshot, index);
   if (session == nullptr) {
     c_build_failures_.Increment();

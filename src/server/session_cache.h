@@ -24,23 +24,24 @@
 // Checkout protocol (the execution-lane contract, DESIGN.md section 5.5):
 // Checkout hands out a shared *const* session, so a holder can only execute
 // through the read-only QuerySession::RunMorsel path, with its own scratch.
-// A checkout at the cached epoch is a hit. A miss builds outside the cache
-// lock; the built session replaces the cached one only if its epoch is
-// newer, so a late build for an older epoch (a batch pinned before a write
-// that a later batch already saw) goes to its caller uncached and never
-// displaces the newest session. Two lanes that miss one epoch at once both
-// build; outcomes are per-spec pure, so the duplicate is correct. A session
-// lives as long as its last holder. All entry points are thread-safe.
+// A checkout at the cached epoch is a hit. A miss takes the *build lock*,
+// looks again, and builds outside the cache lock; the built session
+// replaces the cached one only if its epoch is newer, so a late build for
+// an older epoch (a batch pinned before a write that a later batch already
+// saw) goes to its caller uncached and never displaces the newest session.
+// Builds run one at a time, so a lane that misses an epoch while another
+// lane builds it finds that session cached once it holds the lock and
+// counts a hit: `misses` counts builds. After a failed build each waiter
+// builds for itself. A session lives as long as its last holder. All entry
+// points are thread-safe.
 //
-// Only a build's Prepare() phase holds a dedicated *warm lock*: posterior
-// and sampler caches are built lazily on the shared UncertainObjects
-// (unsynchronized by design, see model/db_snapshot.h), so two lanes must
-// never cold-warm overlapping object sets concurrently. Serializing
-// Prepare() — completed object by object when it fails partway, so nothing
-// is left cold — preserves that single-warmer contract with lanes in play:
-// a second build over an epoch finds every object already warm and prepares
-// in microseconds, while session construction and *execution* (pure reads
-// of warmed state) stay fully concurrent.
+// The build lock is also the single-warmer contract of model/db_snapshot.h
+// with lanes in play: posterior and sampler caches are built lazily on the
+// shared UncertainObjects (unsynchronized by design), so two lanes must
+// never cold-warm overlapping object sets concurrently. Prepare() runs
+// under it — completed object by object when it fails partway, so nothing
+// is left cold — while *execution* (pure reads of warmed state) stays fully
+// concurrent.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,7 @@ namespace ust {
 /// \brief Counters of SessionCache behavior (monotonic).
 struct SessionCacheStats {
   uint64_t hits = 0;
-  uint64_t misses = 0;  ///< checkouts that built a session
+  uint64_t misses = 0;  ///< checkouts that built a session (or failed to)
   // World-column activity across every session this cache built (its
   // ColumnStore; see query/world_arena.h).
   uint64_t arena_builds = 0;       ///< (interval, seed) groups turned hot
@@ -79,8 +80,9 @@ class SessionCache {
   explicit SessionCache(SessionOptions session_options);
 
   /// The session over `snapshot`'s epoch, prepared (posteriors + samplers
-  /// warmed): the cached one when its epoch matches, else a fresh build,
-  /// cached only if no newer epoch's session is. The freshest base tree
+  /// warmed): the cached one when its epoch matches (also after waiting
+  /// for another caller's build of it), else a fresh build, cached only if
+  /// no newer epoch's session is. The freshest base tree
   /// wins: a compacted base published through the snapshot supersedes
   /// `index`, and the session patches any remaining epoch gap with a delta
   /// (or drops the index, counted in stale_index_drops). nullptr means the
@@ -96,8 +98,11 @@ class SessionCache {
   void RegisterMetrics(MetricRegistry* registry) const;
 
  private:
+  /// The cached session if its epoch is `version` (counted as a hit).
+  std::shared_ptr<const QuerySession> Cached(uint64_t version);
+
   /// Build + warm a fresh session over `snapshot` (the miss path); runs
-  /// outside mu_, Prepare under warm_mu_.
+  /// under build_mu_, outside mu_.
   std::shared_ptr<const QuerySession> BuildSession(const DbSnapshot& snapshot,
                                                    const UstTree* index);
 
@@ -108,9 +113,9 @@ class SessionCache {
   SessionOptions session_options_;
 
   mutable std::mutex mu_;
-  /// Serializes session warm-up (the single-warmer contract of
-  /// model/db_snapshot.h); never held together with mu_.
-  std::mutex warm_mu_;
+  /// Serializes session builds, and with them warm-up (the single-warmer
+  /// contract of model/db_snapshot.h); taken before mu_, never inside it.
+  std::mutex build_mu_;
   /// The newest epoch's session seen so far; guarded by mu_.
   std::shared_ptr<const QuerySession> current_;
   // Instruments, not plain fields (DESIGN.md section 9): stats() snapshots

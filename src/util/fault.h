@@ -33,6 +33,12 @@
 //                      simulates clock skew, forcing requests to expire in
 //                      the queue / on a lane on demand.
 //
+// One more point times a test instead of injecting a fault, so the chaos
+// runs leave it unarmed:
+//   "session_stall"  — SessionCache::BuildSession sleeps `stall_ms` while
+//                      it holds the build lock, so other checkouts of its
+//                      epoch surely overlap the build.
+//
 // Thread-safety: Arm/Disarm/counters take an internal mutex; probes of
 // *armed* registries take it too (chaos-test-only cost). With nothing armed
 // the probe never touches the mutex. A `point` must be a string literal

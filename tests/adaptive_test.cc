@@ -62,7 +62,7 @@ Result<AdaptivePnnResult> Adaptive(const Figure1World& world,
   PrecisionTarget precision{mode, epsilon, delta};
   return EstimatePnnAdaptive(*world.db, {world.o1, world.o2}, targets,
                              world.q, world.T, semantics, tau, mc, precision,
-                             nullptr, nullptr, nullptr);
+                             nullptr, nullptr);
 }
 
 TEST(AdaptiveEpsilonTest, StopsWithinAChunkOfHoeffdingTarget) {

@@ -174,8 +174,7 @@ TEST_P(InvariantSweep, AdaptiveEpsilonAgreesWithFixedSampling) {
     precision.epsilon = 0.03;
     precision.delta = 0.05;
     auto adaptive = EstimatePnnAdaptive(db, ids, ids, wut.q, wut.T, semantics,
-                                        0.0, cap, precision, nullptr, nullptr,
-                                        nullptr);
+                                        0.0, cap, precision, nullptr, nullptr);
     ASSERT_TRUE(adaptive.ok());
     for (size_t i = 0; i < ids.size(); ++i) {
       if (semantics == PnnSemantics::kForall) {

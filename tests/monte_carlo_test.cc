@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -233,12 +234,21 @@ TEST(NnTableTest, ReductionsMatchTheirDefinitionAtBothKernelLevels) {
         }
       }
     }
+    // One OrWord per (object, tic, word), 64 worlds at a time, as a
+    // filled chunk marks its table.
     NnTable table(objects, T, num_worlds);
-    // Two packs, the second starting at a word boundary.
-    const size_t split = num_worlds / 2 / 64 * 64;
-    table.PackWorlds(0, split, rows.data(), row_len);
-    table.PackWorlds(split, num_worlds - split, rows.data() + split * row_len,
-                     row_len);
+    for (size_t i = 0; i < objects.size(); ++i) {
+      for (size_t rel = 0; rel < len; ++rel) {
+        for (size_t word = 0; word < table.words_per_tic(); ++word) {
+          uint64_t bits = 0;
+          for (size_t w = word * 64; w < std::min(num_worlds, word * 64 + 64);
+               ++w) {
+            bits |= uint64_t{rows[w * row_len + i * len + rel]} << (w & 63);
+          }
+          table.OrWord(i, T.start + static_cast<Tic>(rel), word, bits);
+        }
+      }
+    }
     for (size_t i = 0; i < objects.size(); ++i) {
       for (size_t w = 0; w < num_worlds; ++w) {
         for (size_t rel = 0; rel < len; ++rel) {
@@ -288,38 +298,159 @@ TEST(NnTableTest, ReductionsMatchTheirDefinitionAtBothKernelLevels) {
   ASSERT_TRUE(ForceSimdLevel(DetectSimdLevel()));
 }
 
-TEST(MonteCarloTest, FixedEstimatesEqualTableReductionsBitForBit) {
-  // The one P∀NN/P∃NN estimator counts hits per target; the packed table
-  // pops them from its bitmap. Over the same worlds the counts, and so the
-  // doubles, must agree exactly — live or against an arena, serial or on a
-  // pool's waves — at a partial word (300), a partial chunk (1000) and
-  // several chunks (1500).
+/// From-scratch reference for the sampled worlds: draws each participant's
+/// window once per world, in world order, through SampleWindowInto on its
+/// id-keyed stream, and decides (k)NN membership per (world, tic) from the
+/// k-th smallest squared distance among the participants alive then, ties
+/// included. It shares no code with the chunked fill but the walk itself.
+class ReferenceWorlds {
+ public:
+  ReferenceWorlds(const DbSnapshot& db, const std::vector<ObjectId>& ids,
+                  const QueryTrajectory& q, const TimeInterval& T,
+                  uint64_t seed, size_t num_worlds, int max_k)
+      : T_(T), num_worlds_(num_worlds),
+        dist_(ids.size() * num_worlds * T.length(), kDead),
+        kth_(static_cast<size_t>(max_k) * num_worlds * T.length()) {
+    Trajectory traj;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto model = db.object(ids[i]).Posterior();
+      UST_CHECK(model.ok());
+      const Tic ws = std::max(T.start, model.value()->first_tic());
+      const Tic we = std::min(T.end, model.value()->last_tic());
+      if (ws > we) continue;
+      Rng rng(WorldStreamSeed(seed, ids[i]));
+      for (size_t w = 0; w < num_worlds; ++w) {
+        model.value()->SampleWindowInto(ws, we, rng, &traj);
+        for (Tic t = ws; t <= we; ++t) {
+          dist_[Index(i, w, t)] =
+              SquaredDistance(db.space().coord(traj.At(t)), q.At(t));
+        }
+      }
+    }
+    // The k-th smallest alive distance per (world, tic); the largest when
+    // fewer than k are alive.
+    std::vector<double> alive;
+    for (size_t w = 0; w < num_worlds; ++w) {
+      for (Tic t = T.start; t <= T.end; ++t) {
+        alive.clear();
+        for (size_t i = 0; i < ids.size(); ++i) {
+          if (dist_[Index(i, w, t)] != kDead) {
+            alive.push_back(dist_[Index(i, w, t)]);
+          }
+        }
+        std::sort(alive.begin(), alive.end());
+        for (int k = 1; k <= max_k && !alive.empty(); ++k) {
+          kth_[KthIndex(k, w, t)] =
+              alive[std::min(alive.size(), static_cast<size_t>(k)) - 1];
+        }
+      }
+    }
+  }
+
+  /// Whether participant i is a k-NN of q at tic t of world w.
+  bool IsNn(size_t i, size_t w, Tic t, int k) const {
+    const double d = dist_[Index(i, w, t)];
+    return d != kDead && d <= kth_[KthIndex(k, w, t)];
+  }
+
+  /// Worlds among the first `worlds` where participant i is a k-NN at every
+  /// tic of T (forall) or at some tic (exists).
+  size_t Hits(size_t i, size_t worlds, int k, bool forall) const {
+    size_t hits = 0;
+    for (size_t w = 0; w < worlds; ++w) {
+      bool every = true, some = false;
+      for (Tic t = T_.start; t <= T_.end; ++t) {
+        const bool nn = IsNn(i, w, t, k);
+        every = every && nn;
+        some = some || nn;
+      }
+      hits += forall ? every : some;
+    }
+    return hits;
+  }
+
+ private:
+  static constexpr double kDead = -1.0;  // not alive at that tic
+  size_t Index(size_t i, size_t w, Tic t) const {
+    return (i * num_worlds_ + w) * T_.length() +
+           static_cast<size_t>(t - T_.start);
+  }
+  size_t KthIndex(int k, size_t w, Tic t) const {
+    return Index(static_cast<size_t>(k - 1), w, t);
+  }
+
+  TimeInterval T_;
+  size_t num_worlds_;
+  std::vector<double> dist_;  // [participant][world][tic]
+  std::vector<double> kth_;   // [k - 1][world][tic]
+};
+
+TEST(MonteCarloTest, EstimatesAndTableMatchAFromScratchReference) {
+  // The estimator counts hits from the chunk's distance blocks and the table
+  // sets its bits from the same comparison; pin both to ReferenceWorlds:
+  // every hit count and every IsNn bit, live or against world columns,
+  // serial or on a pool's waves, at a partial word (300), a partial chunk
+  // (1000) and several chunks (1500). Targets are a strict subset of the
+  // participants in another order, among them objects alive for only part
+  // of T (never a forall hit). Since the table's reductions are pinned to
+  // IsNn above, the fixed-count estimates also equal ForallProb/ExistsProb.
+  // Objects live 12 tics, starting anywhere in [0, 18]: over T = [10, 17]
+  // some start late, some end early, and a few live throughout.
   SyntheticConfig config;
   config.num_states = 600;
   config.num_objects = 30;
-  config.lifetime = 24;
+  config.lifetime = 12;
   config.obs_interval = 6;
-  config.horizon = 40;
+  config.horizon = 30;
   config.seed = 31;
   auto world = GenerateSyntheticWorld(config);
   ASSERT_TRUE(world.ok());
   const DbSnapshot db(*world.value().db);
-  const TimeInterval T = BusiestInterval(*world.value().db, 6);
+  const TimeInterval T{10, 17};
   const std::vector<ObjectId> participants = db.AliveSometime(T.start, T.end);
   ASSERT_GE(participants.size(), 10u);
+  // Every third participant, last first, plus every participant alive for
+  // only part of T.
+  std::vector<ObjectId> targets;
+  size_t late = 0, early = 0;
+  for (size_t i = participants.size(); i-- > 0;) {
+    const UncertainObject& o = db.object(participants[i]);
+    late += o.first_tic() > T.start ? 1 : 0;
+    early += o.last_tic() < T.end ? 1 : 0;
+    if (i % 3 == 0 || !o.AliveThroughout(T.start, T.end)) {
+      targets.push_back(participants[i]);
+    }
+  }
+  ASSERT_GE(late, 1u);
+  ASSERT_GE(early, 1u);
+  ASSERT_LT(targets.size(), participants.size());
+  std::vector<size_t> target_index;
+  for (ObjectId o : targets) {
+    target_index.push_back(static_cast<size_t>(
+        std::find(participants.begin(), participants.end(), o) -
+        participants.begin()));
+  }
   Rng rng(8);
   const QueryTrajectory q = RandomQueryState(*world.value().space, rng);
+  constexpr uint64_t kSeed = 97;
+  const ReferenceWorlds reference(db, participants, q, T, kSeed, 1500,
+                                  /*max_k=*/3);
   ThreadPool pool2(2);
   ThreadPool pool4(4);
+  size_t forall_total = 0;  // some target must score forall hits
   for (size_t worlds : {size_t{300}, size_t{1000}, size_t{1500}}) {
-    for (int k : {1, 2}) {
-      const MonteCarloOptions mc = Opts(worlds, 97, k);
-      auto table = ComputeNnTable(db, participants, q, T, mc);
-      ASSERT_TRUE(table.ok());
-      auto arena = WorldArena::Build(db, participants, T, mc.seed, worlds);
-      ASSERT_TRUE(arena.ok());
-      const std::vector<const WorldArena*> sources = {nullptr, &arena.value()};
-      for (const WorldArena* source : sources) {
+    auto arena = WorldArena::Build(db, participants, T, kSeed, worlds);
+    ASSERT_TRUE(arena.ok());
+    for (int k : {1, 2, 3}) {
+      const MonteCarloOptions mc = Opts(worlds, kSeed, k);
+      std::vector<size_t> forall_hits, exists_hits;
+      for (size_t i : target_index) {
+        forall_hits.push_back(reference.Hits(i, worlds, k, true));
+        exists_hits.push_back(reference.Hits(i, worlds, k, false));
+        forall_total += forall_hits.back();
+      }
+      for (const WorldArena* source :
+           std::vector<const WorldArena*>{nullptr, &arena.value()}) {
         for (ThreadPool* pool : std::vector<ThreadPool*>{nullptr, &pool2,
                                                          &pool4}) {
           const std::string where =
@@ -327,27 +458,49 @@ TEST(MonteCarloTest, FixedEstimatesEqualTableReductionsBitForBit) {
               " arena=" + std::to_string(source != nullptr) + " threads=" +
               std::to_string(pool != nullptr ? pool->num_threads() : 1);
           bool used_arena = false;
-          auto est = EstimatePnnAdaptive(
-              db, participants, participants, q, T, PnnSemantics::kForall,
-              /*tau=*/0.0, mc, PrecisionTarget{}, pool, nullptr, nullptr,
-              source, &used_arena);
-          ASSERT_TRUE(est.ok()) << where;
+          auto table = ComputeNnTableScratch(db, participants, q, T, mc, pool,
+                                             nullptr, nullptr, source,
+                                             &used_arena);
+          ASSERT_TRUE(table.ok()) << where;
           EXPECT_EQ(used_arena, source != nullptr) << where;
-          EXPECT_EQ(est.value().worlds_used, worlds) << where;
-          EXPECT_FALSE(est.value().early_stopped) << where;
-          ASSERT_EQ(est.value().estimates.size(), participants.size());
           for (size_t i = 0; i < participants.size(); ++i) {
-            const PnnEstimate& e = est.value().estimates[i];
-            EXPECT_EQ(e.object, participants[i]) << where;
-            EXPECT_EQ(e.forall_prob, table.value().ForallProb(i))
-                << where << " object " << i;
-            EXPECT_EQ(e.exists_prob, table.value().ExistsProb(i))
-                << where << " object " << i;
+            for (size_t w = 0; w < worlds; ++w) {
+              for (Tic t = T.start; t <= T.end; ++t) {
+                ASSERT_EQ(table.value().IsNn(i, w, t),
+                          reference.IsNn(i, w, t, k))
+                    << where << " participant " << i << " world " << w
+                    << " tic " << t;
+              }
+            }
+          }
+          for (PnnSemantics semantics :
+               {PnnSemantics::kForall, PnnSemantics::kExists}) {
+            auto est = EstimatePnnAdaptive(
+                db, participants, targets, q, T, semantics, /*tau=*/0.0, mc,
+                PrecisionTarget{}, pool, nullptr, source, &used_arena);
+            ASSERT_TRUE(est.ok()) << where;
+            EXPECT_EQ(used_arena, source != nullptr) << where;
+            EXPECT_EQ(est.value().worlds_used, worlds) << where;
+            EXPECT_FALSE(est.value().early_stopped) << where;
+            ASSERT_EQ(est.value().estimates.size(), targets.size());
+            const double w = static_cast<double>(worlds);
+            for (size_t ti = 0; ti < targets.size(); ++ti) {
+              const PnnEstimate& e = est.value().estimates[ti];
+              EXPECT_EQ(e.object, targets[ti]) << where;
+              EXPECT_EQ(e.forall_prob, forall_hits[ti] / w)
+                  << where << " target " << ti;
+              EXPECT_EQ(e.exists_prob, exists_hits[ti] / w)
+                  << where << " target " << ti;
+              const size_t i = target_index[ti];
+              EXPECT_EQ(e.forall_prob, table.value().ForallProb(i)) << where;
+              EXPECT_EQ(e.exists_prob, table.value().ExistsProb(i)) << where;
+            }
           }
         }
       }
     }
   }
+  EXPECT_GT(forall_total, 0u);
 }
 
 TEST(MonteCarloTest, MovingQueryTrajectory) {

@@ -8,6 +8,7 @@
 //    sampling produce the same worlds, and estimates match enumeration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -215,32 +216,62 @@ TEST(PropagateEquivalenceTest, EstimatePnnSameSeedIsDeterministic) {
   }
 }
 
+/// Appends, world by world, the chunk a fill left in `chunk`: each
+/// participant's indicator row over T (1 where its distance is within the
+/// tic's k-th distance), then its window's distances and the world's k-th
+/// distances.
+void AppendChunk(const WorldSampler& sampler,
+                 const WorldSampler::Scratch& chunk,
+                 std::vector<uint8_t>* indicators,
+                 std::vector<double>* distances) {
+  const size_t len = sampler.interval().length();
+  for (size_t j = 0; j < chunk.worlds; ++j) {
+    const double* kth = chunk.kth.data() + j * len;
+    for (size_t i = 0; i < sampler.num_participants(); ++i) {
+      const WorldSampler::Block b = sampler.BlockOf(chunk, i);
+      const double* d = b.dist + j * b.wlen;
+      for (size_t rel = 0; rel < len; ++rel) {
+        const bool in = rel >= b.rel0 && rel < b.rel0 + b.wlen;
+        indicators->push_back(in && d[rel - b.rel0] <= kth[rel] ? 1 : 0);
+      }
+      distances->insert(distances->end(), d, d + b.wlen);
+    }
+    distances->insert(distances->end(), kth, kth + len);
+  }
+}
+
 TEST(PropagateEquivalenceTest, BatchedWorldsMatchWorldAtATime) {
-  // One batched fill and one-world-at-a-time fills from one cursor must
+  // Chunk-sized fills and one-world-at-a-time fills from one cursor must
   // produce the *same* worlds (per-participant RNG streams are
-  // chunk-independent).
+  // chunk-independent): equal indicator rows from equal distances.
   Figure1World w = MakeFigure1World();
   std::vector<ObjectId> all = {w.o1, w.o2};
   const size_t num_worlds = 700;  // exercises a partial trailing chunk
-  const size_t stride = all.size() * w.T.length();
 
   auto sampler = WorldSampler::Create(*w.db, all, w.q, w.T, 1, 4242);
   ASSERT_TRUE(sampler.ok());
   WorldSampler::Scratch scratch;
   std::vector<Rng> batched_cursor = sampler.value().InitialRngs();
-  std::vector<uint8_t> batched_bits(num_worlds * stride);
-  sampler.value().FillWorlds(0, num_worlds, /*arena=*/nullptr,
-                             &batched_cursor, batched_bits.data(), stride,
-                             &scratch);
+  std::vector<uint8_t> batched_bits;
+  std::vector<double> batched_dist;
+  for (size_t w0 = 0; w0 < num_worlds; w0 += WorldSampler::kWorldChunk) {
+    sampler.value().FillWorlds(
+        w0, std::min(WorldSampler::kWorldChunk, num_worlds - w0),
+        /*arena=*/nullptr, &batched_cursor, &scratch);
+    AppendChunk(sampler.value(), scratch, &batched_bits, &batched_dist);
+  }
 
   std::vector<Rng> stepped_cursor = sampler.value().InitialRngs();
-  std::vector<uint8_t> stepped_bits(num_worlds * stride);
+  std::vector<uint8_t> stepped_bits;
+  std::vector<double> stepped_dist;
   for (size_t world = 0; world < num_worlds; ++world) {
     sampler.value().FillWorlds(world, 1, /*arena=*/nullptr, &stepped_cursor,
-                               stepped_bits.data() + world * stride, stride,
                                &scratch);
+    AppendChunk(sampler.value(), scratch, &stepped_bits, &stepped_dist);
   }
+  EXPECT_EQ(batched_bits.size(), num_worlds * all.size() * w.T.length());
   EXPECT_EQ(batched_bits, stepped_bits);
+  EXPECT_EQ(batched_dist, stepped_dist);
 }
 
 TEST(PropagateEquivalenceTest, EstimatePnnMatchesEnumeration) {
