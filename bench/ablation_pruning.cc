@@ -39,8 +39,6 @@ int main(int argc, char** argv) {
     UST_CHECK(tree.ok());
     const double build_s = build_timer.Seconds();
 
-    QueryEngine indexed(db, &tree.value());
-    QueryEngine full(db);
     Rng rng(8);
     TimeInterval T = BusiestInterval(db, interval);
     MonteCarloOptions options;
@@ -49,16 +47,18 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < queries; ++i) {
       QueryTrajectory q = RandomQueryState(db.space(), rng);
       options.seed = 500 + i;
+      const QuerySpec spec =
+          MonteCarloSpec(QueryKind::kForall, q, T, 0.0, options);
       Timer t1;
-      auto a = indexed.Forall(q, T, 0.0, options);
+      const QueryOutcome a = QuerySession(db, &tree.value()).Run(spec);
       indexed_s += t1.Seconds();
-      UST_CHECK(a.ok());
+      UST_CHECK(a.status.ok());
       Timer t2;
-      auto b = full.Forall(q, T, 0.0, options);
+      const QueryOutcome b = QuerySession(db).Run(spec);
       full_s += t2.Seconds();
-      UST_CHECK(b.ok());
-      parts_indexed += static_cast<double>(a.value().num_influencers);
-      parts_full += static_cast<double>(b.value().num_influencers);
+      UST_CHECK(b.status.ok());
+      parts_indexed += static_cast<double>(a.pnn.num_influencers);
+      parts_full += static_cast<double>(b.pnn.num_influencers);
     }
     table.AddRow({static_cast<double>(n), build_s, indexed_s, full_s,
                   parts_indexed / queries, parts_full / queries});

@@ -13,12 +13,28 @@
 #include "gen/synthetic.h"
 #include "gen/workload.h"
 #include "index/ust_tree.h"
-#include "query/engine.h"
+#include "query/session.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/timer.h"
 
 namespace ust::bench {
+
+/// A spec of `kind` over (q, T) at threshold `tau`, pinned to the
+/// Monte-Carlo backend: the figures measure the sampling pipeline, whatever
+/// the planner would pick.
+inline QuerySpec MonteCarloSpec(QueryKind kind, const QueryTrajectory& q,
+                                const TimeInterval& T, double tau,
+                                const MonteCarloOptions& mc) {
+  QuerySpec spec;
+  spec.kind = kind;
+  spec.q = q;
+  spec.T = T;
+  spec.tau = tau;
+  spec.mc = mc;
+  spec.backend = ExecutorKind::kMonteCarlo;
+  return spec;
+}
 
 /// \brief Result of one P∀NNQ / P∃NNQ experiment cell (the TS / FA / EX
 /// phases of Section 7.1 plus the pruning statistics of Figure 6-9).
@@ -32,14 +48,14 @@ struct PnnCell {
 
 /// Run `num_queries` random-state queries against `db` and measure the
 /// TS / FA / EX phases. The UST-tree is built outside the timings (it is the
-/// paper's precomputed index).
+/// paper's precomputed index); each query runs in a fresh single-threaded
+/// session, inside its timer.
 inline PnnCell RunPnnExperiment(const TrajectoryDatabase& db,
                                 size_t num_queries, size_t interval_length,
                                 size_t num_worlds, uint64_t seed) {
   PnnCell cell;
   auto tree = UstTree::Build(db);
   UST_CHECK(tree.ok());
-  QueryEngine engine(db, &tree.value());
 
   db.InvalidatePosteriors();
   Timer ts_timer;
@@ -54,16 +70,17 @@ inline PnnCell RunPnnExperiment(const TrajectoryDatabase& db,
     QueryTrajectory q = RandomQueryState(db.space(), rng);
     options.seed = seed * 1000 + i;
     Timer fa_timer;
-    auto forall = engine.Forall(q, T, 0.0, options);
+    const QueryOutcome forall = QuerySession(db, &tree.value())
+        .Run(MonteCarloSpec(QueryKind::kForall, q, T, 0.0, options));
     cell.forall_seconds += fa_timer.Seconds();
-    UST_CHECK(forall.ok());
+    UST_CHECK(forall.status.ok());
     Timer ex_timer;
-    auto exists = engine.Exists(q, T, 0.0, options);
+    const QueryOutcome exists = QuerySession(db, &tree.value())
+        .Run(MonteCarloSpec(QueryKind::kExists, q, T, 0.0, options));
     cell.exists_seconds += ex_timer.Seconds();
-    UST_CHECK(exists.ok());
-    cell.avg_candidates += static_cast<double>(forall.value().num_candidates);
-    cell.avg_influencers +=
-        static_cast<double>(forall.value().num_influencers);
+    UST_CHECK(exists.status.ok());
+    cell.avg_candidates += static_cast<double>(forall.pnn.num_candidates);
+    cell.avg_influencers += static_cast<double>(forall.pnn.num_influencers);
   }
   cell.avg_candidates /= static_cast<double>(num_queries);
   cell.avg_influencers /= static_cast<double>(num_queries);

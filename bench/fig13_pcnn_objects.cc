@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
     const TrajectoryDatabase& db = *world.value().db;
     auto tree = UstTree::Build(db);
     UST_CHECK(tree.ok());
-    QueryEngine engine(db, &tree.value());
 
     db.InvalidatePosteriors();
     Timer ts_timer;
@@ -57,10 +56,11 @@ int main(int argc, char** argv) {
       QueryTrajectory q = RandomQueryState(db.space(), rng);
       options.seed = 300 + i;
       Timer nna_timer;
-      auto result = engine.Continuous(q, T, tau, options);
+      const QueryOutcome result = QuerySession(db, &tree.value())
+          .Run(MonteCarloSpec(QueryKind::kContinuous, q, T, tau, options));
       nna_seconds += nna_timer.Seconds();
-      UST_CHECK(result.ok());
-      sets += static_cast<double>(result.value().pcnn.entries.size());
+      UST_CHECK(result.status.ok());
+      sets += static_cast<double>(result.pcnn.pcnn.entries.size());
     }
     table.AddRow({static_cast<double>(n), ts_seconds, nna_seconds,
                   sets / static_cast<double>(queries)});

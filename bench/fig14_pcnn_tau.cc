@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   const TrajectoryDatabase& db = *world.value().db;
   auto tree = UstTree::Build(db);
   UST_CHECK(tree.ok());
-  QueryEngine engine(db, &tree.value());
 
   db.InvalidatePosteriors();
   Timer ts_timer;
@@ -53,11 +52,12 @@ int main(int argc, char** argv) {
       QueryTrajectory q = RandomQueryState(db.space(), rng);
       options.seed = 400 + i;
       Timer sa_timer;
-      auto result = engine.Continuous(q, T, tau, options);
+      const QueryOutcome result = QuerySession(db, &tree.value())
+          .Run(MonteCarloSpec(QueryKind::kContinuous, q, T, tau, options));
       sa_seconds += sa_timer.Seconds();
-      UST_CHECK(result.ok());
-      sets += static_cast<double>(result.value().pcnn.entries.size());
-      validations += static_cast<double>(result.value().pcnn.validations);
+      UST_CHECK(result.status.ok());
+      sets += static_cast<double>(result.pcnn.pcnn.entries.size());
+      validations += static_cast<double>(result.pcnn.pcnn.validations);
     }
     table.AddRow({tau, ts_seconds, sa_seconds,
                   sets / static_cast<double>(queries),

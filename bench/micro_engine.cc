@@ -2,12 +2,12 @@
 // 50-query P∀NNQ batch evaluated three ways —
 //
 //   single_shot : the pre-session pattern — every query constructs the full
-//                 stack from scratch (posteriors invalidated, fresh
-//                 QueryEngine), paying adaptation, sampler warm-up and
-//                 scratch allocation per query;
-//   warm_engine : one QueryEngine over a warm database — posterior caches
-//                 amortize, but the session and sampling scratch are
-//                 still rebuilt per call;
+//                 stack from scratch (posteriors invalidated, a fresh
+//                 session), paying adaptation, sampler warm-up and scratch
+//                 allocation per query;
+//   warm_engine : a fresh session per query over a warm database —
+//                 posterior caches amortize, but the session and sampling
+//                 scratch are still rebuilt per call;
 //   session     : QuerySession::Prepare + RunAll — shared immutable state,
 //                 per-worker scratch, planner on.
 //
@@ -62,7 +62,6 @@
 #include "gen/synthetic.h"
 #include "gen/workload.h"
 #include "index/ust_tree.h"
-#include "query/engine.h"
 #include "query/session.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -131,41 +130,37 @@ int main(int argc, char** argv) {
     spec.tau = 0.0;
     spec.mc.num_worlds = num_worlds;
     spec.mc.seed = 1000 + i;
-    // Pin the backend: the harness asserts bitwise equality against the
-    // Monte-Carlo-only QueryEngine modes, so a planner routing a small
-    // --objects run to enumeration must not change the session's numbers.
+    // Pin the backend: the harness asserts bitwise equality across the
+    // three modes, so a planner routing a small --objects run to
+    // enumeration must not change the numbers of any of them.
     spec.backend = ExecutorKind::kMonteCarlo;
     specs.push_back(spec);
   }
 
-  // ---- Mode 1: repeated single-shot QueryEngine construction. ----
+  // ---- Mode 1: repeated single-shot sessions over a cold database. ----
   // Every query builds the stack cold: posteriors (and their samplers) are
-  // dropped, a fresh engine is constructed, all scratch reallocates.
+  // dropped, a fresh session is constructed, all scratch reallocates.
   double single_shot_seconds = 0.0;
-  std::vector<PnnQueryResult> single_shot_results(num_queries);
+  std::vector<QueryOutcome> single_shot_results(num_queries);
   if (run_mc) {
     Timer t;
     for (size_t i = 0; i < num_queries; ++i) {
       db.InvalidatePosteriors();
-      QueryEngine engine(db, &tree.value());
-      auto r = engine.Forall(specs[i].q, specs[i].T, specs[i].tau, specs[i].mc);
-      UST_CHECK(r.ok());
-      single_shot_results[i] = r.MoveValue();
+      single_shot_results[i] = QuerySession(db, &tree.value()).Run(specs[i]);
+      UST_CHECK(single_shot_results[i].status.ok());
     }
     single_shot_seconds = t.Seconds();
   }
 
-  // ---- Mode 2: one QueryEngine over a warm database. ----
+  // ---- Mode 2: a fresh session per query over a warm database. ----
   double warm_engine_seconds = 0.0;
-  std::vector<PnnQueryResult> warm_results(num_queries);
+  std::vector<QueryOutcome> warm_results(num_queries);
   if (run_mc) {
     UST_CHECK(db.EnsureAllPosteriors().ok());
-    QueryEngine engine(db, &tree.value());
     Timer t;
     for (size_t i = 0; i < num_queries; ++i) {
-      auto r = engine.Forall(specs[i].q, specs[i].T, specs[i].tau, specs[i].mc);
-      UST_CHECK(r.ok());
-      warm_results[i] = r.MoveValue();
+      warm_results[i] = QuerySession(db, &tree.value()).Run(specs[i]);
+      UST_CHECK(warm_results[i].status.ok());
     }
     warm_engine_seconds = t.Seconds();
   }
@@ -195,7 +190,7 @@ int main(int argc, char** argv) {
     db.InvalidatePosteriors();  // the session rebuilds its own shared state
     SessionOptions options;
     options.threads = threads;
-    // Every pass samples live, as the QueryEngine modes do: the repeated
+    // Every pass samples live, as the per-query sessions do: the repeated
     // passes would otherwise turn each spec's group hot from the second on.
     // The arena phase below measures world columns.
     options.arena_min_uses = 0;
@@ -208,12 +203,12 @@ int main(int argc, char** argv) {
   }
 
   // The three modes must agree bit for bit (same seeds, same backend):
-  // the session batch is the serial engine, just cheaper.
+  // the session batch is the per-query sessions, just cheaper.
   for (size_t i = 0; run_mc && i < num_queries; ++i) {
     UST_CHECK(session_results[i].status.ok());
     const auto& a = session_results[i].pnn.results;
-    const auto& b = single_shot_results[i].results;
-    const auto& c = warm_results[i].results;
+    const auto& b = single_shot_results[i].pnn.results;
+    const auto& c = warm_results[i].pnn.results;
     UST_CHECK(a.size() == b.size() && a.size() == c.size());
     for (size_t j = 0; j < a.size(); ++j) {
       UST_CHECK(a[j].object == b[j].object && a[j].prob == b[j].prob);

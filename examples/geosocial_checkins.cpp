@@ -10,7 +10,7 @@
 #include "gen/synthetic.h"
 #include "gen/workload.h"
 #include "index/ust_tree.h"
-#include "query/engine.h"
+#include "query/session.h"
 
 using namespace ust;
 
@@ -40,26 +40,33 @@ int main() {
 
   auto index = UstTree::Build(db);
   UST_CHECK(index.ok());
-  QueryEngine engine(db, &index.value());
+  QuerySession session(db, &index.value());
 
   for (int k : {1, 3}) {
-    MonteCarloOptions options;
-    options.num_worlds = 2000;
-    options.k = k;
-    auto sometime = engine.Exists(venue, concert, /*tau=*/0.3, options);
-    UST_CHECK(sometime.ok());
+    QuerySpec spec;
+    spec.q = venue;
+    spec.T = concert;
+    spec.mc.num_worlds = 2000;
+    spec.mc.k = k;
+    spec.backend = ExecutorKind::kMonteCarlo;
+    spec.kind = QueryKind::kExists;
+    spec.tau = 0.3;
+    const QueryOutcome sometime = session.Run(spec);
+    UST_CHECK(sometime.status.ok());
     std::printf("\nfriends plausibly among the %d closest at some moment "
                 "(P >= 0.3): %zu\n",
-                k, sometime.value().results.size());
-    for (const auto& r : sometime.value().results) {
+                k, sometime.pnn.results.size());
+    for (const auto& r : sometime.pnn.results) {
       std::printf("  friend %3u  p = %.3f\n", r.object, r.prob);
     }
-    auto whole = engine.Forall(venue, concert, /*tau=*/0.2, options);
-    UST_CHECK(whole.ok());
+    spec.kind = QueryKind::kForall;
+    spec.tau = 0.2;
+    const QueryOutcome whole = session.Run(spec);
+    UST_CHECK(whole.status.ok());
     std::printf("friends plausibly among the %d closest for the whole "
                 "concert (P >= 0.2): %zu\n",
-                k, whole.value().results.size());
-    for (const auto& r : whole.value().results) {
+                k, whole.pnn.results.size());
+    for (const auto& r : whole.pnn.results) {
       std::printf("  friend %3u  p = %.3f\n", r.object, r.prob);
     }
   }

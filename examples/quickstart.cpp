@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "query/engine.h"
 #include "query/exact.h"
 #include "query/pcnn.h"
+#include "query/session.h"
 
 using namespace ust;
 
@@ -59,26 +59,35 @@ int main() {
   std::printf("exact:        P-forall-NN(o1) = %.4f   P-exists-NN(o2) = %.4f\n",
               exact.value()[0].forall_prob, exact.value()[1].exists_prob);
 
-  // --- 5. The same through the sampling-based query engine. ----------------
-  QueryEngine engine(db);
-  MonteCarloOptions options;
-  options.num_worlds = 20000;
-  auto forall = engine.Forall(q, T, /*tau=*/0.1, options);
-  auto exists = engine.Exists(q, T, /*tau=*/0.1, options);
-  UST_CHECK(forall.ok() && exists.ok());
-  for (const auto& r : forall.value().results) {
+  // --- 5. The same through a query session, sampling possible worlds. -----
+  // A world this small would be planned onto enumeration; pin the spec to
+  // the Monte-Carlo backend to see the sampled estimates.
+  QuerySession session(db);
+  QuerySpec spec;
+  spec.q = q;
+  spec.T = T;
+  spec.tau = 0.1;
+  spec.mc.num_worlds = 20000;
+  spec.backend = ExecutorKind::kMonteCarlo;
+  spec.kind = QueryKind::kForall;
+  const QueryOutcome forall = session.Run(spec);
+  spec.kind = QueryKind::kExists;
+  const QueryOutcome exists = session.Run(spec);
+  UST_CHECK(forall.status.ok() && exists.status.ok());
+  for (const auto& r : forall.pnn.results) {
     std::printf("P-forall-NNQ: object o%u qualifies with prob %.4f\n",
                 r.object + 1, r.prob);
   }
-  for (const auto& r : exists.value().results) {
+  for (const auto& r : exists.pnn.results) {
     std::printf("P-exists-NNQ: object o%u qualifies with prob %.4f\n",
                 r.object + 1, r.prob);
   }
 
   // --- 6. Continuous query: which sub-intervals does each object own? ------
-  auto pcnn = engine.Continuous(q, T, /*tau=*/0.1, options);
-  UST_CHECK(pcnn.ok());
-  auto maximal = FilterMaximal(pcnn.value().pcnn.entries);
+  spec.kind = QueryKind::kContinuous;
+  const QueryOutcome pcnn = session.Run(spec);
+  UST_CHECK(pcnn.status.ok());
+  auto maximal = FilterMaximal(pcnn.pcnn.pcnn.entries);
   for (const auto& e : maximal) {
     std::printf("PCNNQ:        object o%u, tics {", e.object + 1);
     for (size_t i = 0; i < e.tics.size(); ++i) {

@@ -14,8 +14,8 @@
 #include "gen/roadnet.h"
 #include "gen/workload.h"
 #include "index/ust_tree.h"
-#include "query/engine.h"
 #include "query/pcnn.h"
+#include "query/session.h"
 
 using namespace ust;
 
@@ -45,34 +45,43 @@ int main() {
               bank.At(robbery.start).x, bank.At(robbery.start).y,
               robbery.start, robbery.end);
 
-  // Index the taxi diamonds and run the engine.
+  // Index the taxi diamonds and query them through one session.
   auto index = UstTree::Build(db);
   UST_CHECK(index.ok());
-  QueryEngine engine(db, &index.value());
-  MonteCarloOptions options;
-  options.num_worlds = 2000;
+  QuerySession session(db, &index.value());
+  QuerySpec spec;
+  spec.q = bank;
+  spec.T = robbery;
+  spec.mc.num_worlds = 2000;
+  spec.backend = ExecutorKind::kMonteCarlo;
 
-  auto partial = engine.Exists(bank, robbery, /*tau=*/0.2, options);
-  UST_CHECK(partial.ok());
+  spec.kind = QueryKind::kExists;
+  spec.tau = 0.2;
+  const QueryOutcome partial = session.Run(spec);
+  UST_CHECK(partial.status.ok());
   std::printf("\npruning kept %zu candidates / %zu influencers out of %zu taxis\n",
-              partial.value().num_candidates, partial.value().num_influencers,
+              partial.pnn.num_candidates, partial.pnn.num_influencers,
               db.size());
   std::printf("potential witnesses (P-exists-NN >= 0.2):\n");
-  for (const auto& r : partial.value().results) {
+  for (const auto& r : partial.pnn.results) {
     std::printf("  taxi %3u  p = %.3f\n", r.object, r.prob);
   }
 
-  auto full = engine.Forall(bank, robbery, /*tau=*/0.1, options);
-  UST_CHECK(full.ok());
+  spec.kind = QueryKind::kForall;
+  spec.tau = 0.1;
+  const QueryOutcome full = session.Run(spec);
+  UST_CHECK(full.status.ok());
   std::printf("full-scene witnesses (P-forall-NN >= 0.1):\n");
-  if (full.value().results.empty()) std::printf("  (none)\n");
-  for (const auto& r : full.value().results) {
+  if (full.pnn.results.empty()) std::printf("  (none)\n");
+  for (const auto& r : full.pnn.results) {
     std::printf("  taxi %3u  p = %.3f\n", r.object, r.prob);
   }
 
-  auto continuous = engine.Continuous(bank, robbery, /*tau=*/0.3, options);
-  UST_CHECK(continuous.ok());
-  auto maximal = FilterMaximal(continuous.value().pcnn.entries);
+  spec.kind = QueryKind::kContinuous;
+  spec.tau = 0.3;
+  const QueryOutcome continuous = session.Run(spec);
+  UST_CHECK(continuous.status.ok());
+  auto maximal = FilterMaximal(continuous.pcnn.pcnn.entries);
   std::printf("witness schedule (maximal tic sets with P-forall-NN >= 0.3):\n");
   for (const auto& e : maximal) {
     std::printf("  taxi %3u covers {", e.object);

@@ -156,17 +156,16 @@ const Executor& GetExecutor(ExecutorKind kind) {
 ExecutorKind PlanExecutor(QueryKind query, size_t num_candidates,
                           size_t num_participants, size_t interval_length,
                           size_t /*num_worlds*/, int /*k*/,
-                          const PlannerOptions& options) {
-  if (options.force != ExecutorKind::kAuto) return options.force;
+                          const PlannerOptions& /*options*/) {
   // PCNN validates timestamp *sets* against one shared world sample
   // (Algorithm 1); only the sampling backend provides that table.
   if (query == QueryKind::kContinuous) return ExecutorKind::kMonteCarlo;
   // Enumeration cost is exponential in the participant count and interval
   // length but independent of the requested precision; it wins only when the
   // filter output is tiny.
-  if (num_candidates <= options.exact_max_candidates &&
-      num_participants <= options.exact_max_participants &&
-      interval_length <= options.exact_max_interval) {
+  if (num_candidates <= kExactMaxCandidates &&
+      num_participants <= kExactMaxParticipants &&
+      interval_length <= kExactMaxInterval) {
     return ExecutorKind::kExact;
   }
   return ExecutorKind::kMonteCarlo;

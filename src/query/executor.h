@@ -7,9 +7,9 @@
 //
 // The split mirrors classical filter-then-refine engines: pruning (the
 // filter) yields candidate/participant sets; the planner looks at their
-// sizes, the interval length and the requested precision and routes the
-// refinement to the cheapest backend that can honor the query semantics.
-// An explicit override (per query or session-wide) bypasses the planner.
+// sizes and the interval length and routes the refinement to the cheapest
+// backend that can honor the query semantics. A spec's explicit backend
+// (QuerySpec::backend) bypasses the planner.
 #pragma once
 
 #include <vector>
@@ -110,25 +110,25 @@ class Executor {
 /// The process-wide singleton for `kind` (must not be kAuto).
 const Executor& GetExecutor(ExecutorKind kind);
 
-/// \brief Planner thresholds. The defaults route only genuinely tiny
-/// refinements to enumeration; everything else samples.
-struct PlannerOptions {
-  /// Session-wide override: when not kAuto every query without its own
-  /// backend override runs on this executor.
-  ExecutorKind force = ExecutorKind::kAuto;
-  size_t exact_max_candidates = 3;   ///< |C(q)| at most this for enumeration
-  size_t exact_max_participants = 3; ///< |participants| bound for enumeration
-  size_t exact_max_interval = 6;     ///< |T| bound for enumeration
-};
+/// The planner's enumeration thresholds: only a refinement within all three
+/// is routed to enumeration; everything else samples.
+inline constexpr size_t kExactMaxCandidates = 3;    ///< |C(q)|
+inline constexpr size_t kExactMaxParticipants = 3;  ///< |participants|
+inline constexpr size_t kExactMaxInterval = 6;      ///< |T|
+
+/// \brief No settings: the thresholds are the constants above, and a
+/// spec's QuerySpec::backend is the one override. Kept because
+/// benchmark/ustbench.cc still passes one to PlanExecutor.
+struct PlannerOptions {};
 
 /// \brief Pick the backend for one refinement. Pure function of the pruning
-/// output sizes and options — the session applies runtime fallback (exact
-/// hitting its enumeration cap falls back to Monte-Carlo) on top. The
-/// requested worlds and k do not enter the plan: enumeration's cost does
-/// not depend on the precision, and it handles any k.
+/// output sizes — the session applies runtime fallback (exact hitting its
+/// enumeration cap falls back to Monte-Carlo) on top. The requested worlds
+/// and k do not enter the plan: enumeration's cost does not depend on the
+/// precision, and it handles any k.
 ExecutorKind PlanExecutor(QueryKind query, size_t num_candidates,
                           size_t num_participants, size_t interval_length,
                           size_t /*num_worlds*/, int /*k*/,
-                          const PlannerOptions& options);
+                          const PlannerOptions& /*options*/);
 
 }  // namespace ust

@@ -92,17 +92,6 @@ Result<PcnnResult> PcnnOnTable(const NnTable& table,
   return result;
 }
 
-Result<PcnnResult> PcnnQuery(const TrajectoryDatabase& db,
-                             const std::vector<ObjectId>& participants,
-                             const std::vector<ObjectId>& candidates,
-                             const QueryTrajectory& q, const TimeInterval& T,
-                             double tau, const MonteCarloOptions& options,
-                             ThreadPool* pool) {
-  auto table_result = ComputeNnTable(db, participants, q, T, options, pool);
-  if (!table_result.ok()) return table_result.status();
-  return PcnnOnTable(table_result.value(), candidates, tau);
-}
-
 std::vector<PcnnEntry> FilterMaximal(const std::vector<PcnnEntry>& entries) {
   std::vector<PcnnEntry> maximal;
   for (size_t i = 0; i < entries.size(); ++i) {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "model/trajectory_database.h"
 #include "query/monte_carlo.h"
 #include "query/query.h"
 #include "util/status.h"
@@ -34,21 +33,11 @@ struct PcnnResult {
 PcnnResult PcnnForObject(const NnTable& table, size_t obj_index, double tau);
 
 /// \brief Algorithm 1 over every candidate against a prebuilt world table
-/// (candidates must be among the table's objects). PcnnQuery and the
-/// session's continuous executor share this aggregation.
+/// (candidates must be among the table's objects): the aggregation of the
+/// session's continuous executor.
 Result<PcnnResult> PcnnOnTable(const NnTable& table,
                                const std::vector<ObjectId>& candidates,
                                double tau);
-
-/// \brief Full PCNNQ(q, D, T, tau) over the given result candidates,
-/// sampling worlds over `participants` (candidates ⊆ participants). With a
-/// `pool`, world sampling is sharded across its workers (result unchanged).
-Result<PcnnResult> PcnnQuery(const TrajectoryDatabase& db,
-                             const std::vector<ObjectId>& participants,
-                             const std::vector<ObjectId>& candidates,
-                             const QueryTrajectory& q, const TimeInterval& T,
-                             double tau, const MonteCarloOptions& options,
-                             ThreadPool* pool = nullptr);
 
 /// \brief Definition-3 post-processing: keep only entries whose timestamp set
 /// is not a subset of another qualifying set of the same object.

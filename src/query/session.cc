@@ -102,9 +102,6 @@ QuerySession::QuerySession(DbSnapshot db, const UstTree* index,
       index_ = nullptr;
       dropped_stale_index_ = true;
       trace::Instant("stale_index_drop", db_.version(), "epoch", "dropped");
-      if (options_.stale_index_drops != nullptr) {
-        options_.stale_index_drops->Increment();
-      }
     }
   }
 }
@@ -142,7 +139,9 @@ PruneResult QuerySession::Prune(const QueryTrajectory& q, const TimeInterval& T,
 }
 
 QueryOutcome QuerySession::Run(const QuerySpec& spec) {
-  return std::move(RunAll({spec}).front());
+  // A lone query stays lazy (posteriors of its participants resolve on first
+  // use) and shards its world chunks over the session pool.
+  return Execute(spec, &pool_, &scratch_[0]);
 }
 
 std::vector<QueryOutcome> QuerySession::RunAll(
@@ -159,17 +158,17 @@ std::vector<QueryOutcome> QuerySession::RunAll(
   bool share_across_queries = pool_.num_threads() > 1 && specs.size() > 1;
   if (share_across_queries && !Prepare().ok()) share_across_queries = false;
   if (share_across_queries) {
-    // Shard one-spec morsels across queries: each worker owns its scratch
-    // lane, each query writes its own outcome slot — schedule-independent by
-    // construction.
+    // Shard specs across queries: each worker owns its scratch, each query
+    // writes its own outcome slot — schedule-independent by construction.
     pool_.ParallelFor(specs.size(), [&](size_t i, int worker) {
-      RunMorsel(specs, i, i + 1, outcomes.data(), /*pool=*/nullptr,
-                &scratch_[static_cast<size_t>(worker)]);
+      outcomes[i] = Execute(specs[i], /*pool=*/nullptr,
+                            &scratch_[static_cast<size_t>(worker)]);
     });
   } else {
-    // Serial batch (or a lone query, which stays lazy: posteriors of its
-    // participants resolve on first use): shard world chunks instead.
-    RunMorsel(specs, 0, specs.size(), outcomes.data(), &pool_, &scratch_[0]);
+    // Serial batch (or a lone query): shard world chunks instead.
+    for (size_t i = 0; i < specs.size(); ++i) {
+      outcomes[i] = Execute(specs[i], &pool_, &scratch_[0]);
+    }
   }
   return outcomes;
 }
@@ -180,20 +179,12 @@ std::optional<WorldArena> QuerySession::ColumnView(
                       spec.mc.num_worlds, options_.arena_min_uses);
 }
 
-void QuerySession::RunMorsel(const std::vector<QuerySpec>& specs,
-                             size_t begin, size_t end, QueryOutcome* outcomes,
-                             ThreadPool* pool, ExecScratch* scratch) const {
-  // Every input of RunOne is immutable session state or caller-owned (each
-  // prune builds its own slab), so concurrent morsels of one shared session
-  // never touch common bytes.
-  for (size_t i = begin; i < end && i < specs.size(); ++i) {
-    outcomes[i] = RunOne(specs[i], pool, scratch);
-  }
-}
-
-QueryOutcome QuerySession::RunOne(const QuerySpec& spec,
-                                  ThreadPool* world_pool,
-                                  ExecScratch* scratch) const {
+QueryOutcome QuerySession::Execute(const QuerySpec& spec,
+                                   ThreadPool* world_pool,
+                                   WorldSampler::Scratch* scratch) const {
+  // Every input is immutable session state or caller-owned (each prune
+  // builds its own slab), so concurrent calls on one shared session never
+  // touch common bytes.
   QueryOutcome out;
   out.kind = spec.kind;
   out.status = ValidateSpec(spec, space_box_);
@@ -207,7 +198,8 @@ QueryOutcome QuerySession::RunOne(const QuerySpec& spec,
 }
 
 void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
-                          ExecScratch* scratch, QueryOutcome* out) const {
+                          WorldSampler::Scratch* scratch,
+                          QueryOutcome* out) const {
   const bool forall = spec.kind == QueryKind::kForall;
   Timer prune_timer;
   PruneResult pruned = Prune(spec.q, spec.T, spec.mc.k, forall);
@@ -233,18 +225,17 @@ void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
   task.kind = spec.kind;
   task.tau = spec.tau;
 
-  // An explicit override — per query or session-wide — is a user decision:
-  // honoring it with a different backend would be silent data substitution,
-  // so unsupported/overflowing forced backends error instead of degrading.
-  const bool forced = spec.backend != ExecutorKind::kAuto ||
-                      options_.planner.force != ExecutorKind::kAuto;
+  // An explicit override is a user decision: honoring it with a different
+  // backend would be silent data substitution, so unsupported/overflowing
+  // forced backends error instead of degrading.
+  const bool forced = spec.backend != ExecutorKind::kAuto;
   ExecutorKind choice = spec.backend;
   if (choice == ExecutorKind::kAuto) {
     // Every spec plans at its cap, adaptive or not: the plan depends on the
     // spec alone, never on what earlier queries of the session did.
     choice = PlanExecutor(spec.kind, pruned.candidates.size(),
                           participants.size(), spec.T.length(),
-                          spec.mc.num_worlds, spec.mc.k, options_.planner);
+                          spec.mc.num_worlds, spec.mc.k, PlannerOptions{});
   }
   if (!GetExecutor(choice).Supports(spec.kind, task)) {
     if (forced) {
@@ -257,7 +248,7 @@ void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
   }
   ExecContext ctx;
   ctx.pool = world_pool;
-  ctx.sampler_scratch = &scratch->sampler;
+  ctx.sampler_scratch = scratch;
   ctx.worlds_used = &out->worlds_used;
   ctx.early_stopped = &out->early_stopped;
   // Monte-Carlo specs read their participants' world columns; the view
@@ -295,18 +286,16 @@ void QuerySession::RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
 }
 
 void QuerySession::RunContinuous(const QuerySpec& spec,
-                                 ThreadPool* world_pool, ExecScratch* scratch,
+                                 ThreadPool* world_pool,
+                                 WorldSampler::Scratch* scratch,
                                  QueryOutcome* out) const {
   // Algorithm 1 validates timestamp sets against one shared world sample,
   // which only the Monte-Carlo table provides — so a forced non-MC backend
   // is an error here, same contract as RunPnn.
-  const ExecutorKind forced_backend = spec.backend != ExecutorKind::kAuto
-                                          ? spec.backend
-                                          : options_.planner.force;
-  if (forced_backend != ExecutorKind::kAuto &&
-      forced_backend != ExecutorKind::kMonteCarlo) {
+  if (spec.backend != ExecutorKind::kAuto &&
+      spec.backend != ExecutorKind::kMonteCarlo) {
     out->status = Status::InvalidArgument(
-        std::string("executor '") + ExecutorKindName(forced_backend) +
+        std::string("executor '") + ExecutorKindName(spec.backend) +
         "' does not support continuous queries");
     return;
   }
@@ -324,7 +313,7 @@ void QuerySession::RunContinuous(const QuerySpec& spec,
   const std::optional<WorldArena> view = ColumnView(spec, pruned.influencers);
   bool used_arena = false;
   auto table = ComputeNnTableScratch(db_, pruned.influencers, spec.q, spec.T,
-                                     spec.mc, world_pool, &scratch->sampler,
+                                     spec.mc, world_pool, scratch,
                                      /*rows=*/nullptr, view ? &*view : nullptr,
                                      &used_arena);
   if (!table.ok()) {

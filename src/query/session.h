@@ -6,13 +6,13 @@
 //                   queries stop paying allocation and warm-up costs;
 //   planner       — picks the refinement backend per query from the pruning
 //                   output (query/executor.h);
-//   RunMorsel     — the one execution primitive: evaluates a spec range
-//                   into caller-owned outcome slots. Run, RunAll and the
-//                   serving tier's lanes are thin wrappers over it.
+//   Execute       — the one execution primitive: evaluates one spec with
+//                   caller-owned resources. Run, RunAll and the serving
+//                   tier's lanes all call it.
 //
 // Determinism contract: a query's result is a pure function of the database
-// contents and its QuerySpec (seed included). Run vs RunAll vs any morsel
-// partition, 1 vs N threads, and batch order never change a single bit of
+// contents and its QuerySpec (seed included). Run vs RunAll vs any lane
+// schedule, 1 vs N threads, and batch order never change a single bit of
 // the output — worker scratch carries no cross-query state, world shards
 // re-derive their RNG positions from world indices, and per-query outputs
 // occupy disjoint slots.
@@ -31,7 +31,6 @@
 #include "query/pcnn.h"
 #include "query/query.h"
 #include "query/world_arena.h"
-#include "util/metrics.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -117,7 +116,6 @@ struct SessionOptions {
   /// Worker count for RunAll batches, per-query world sharding, and
   /// Prepare's parallel posterior adaptation. 1 = fully serial.
   int threads = 1;
-  PlannerOptions planner;
   /// World-column policy (query/world_arena.h): an (interval, seed) group
   /// caches its participants' columns from its arena_min_uses-th
   /// Monte-Carlo spec on. 0 never uses or builds columns; 1 caches from the
@@ -130,9 +128,6 @@ struct SessionOptions {
   /// its own, shared by every session it builds, so columns (and their
   /// counters) outlive sessions and epochs.
   ColumnStore* column_store = nullptr;
-  /// Optional tally of stale indexes this session had to drop (no delta
-  /// possible or delta build failed); may be nullptr.
-  Counter* stale_index_drops = nullptr;
 };
 
 /// \brief Long-lived query façade over one database epoch + UST-tree.
@@ -148,20 +143,10 @@ struct SessionOptions {
 /// is always correct).
 ///
 /// Prepare, Run and RunAll are not safe for concurrent use (they own the
-/// session's pool and scratch); RunMorsel is const and safe on a shared
+/// session's pool and scratch); Execute is const and safe on a shared
 /// prepared session, as documented on it.
 class QuerySession {
  public:
-  /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
-  /// the world sampler's buffers, where each filled chunk's distance blocks
-  /// and k-th distances land. A serving-tier lane owns one and reuses it
-  /// across every morsel, group and session it executes — scratch is
-  /// session-portable by construction (it holds no stream state, and no
-  /// world column: a spec's column view lives on its own stack).
-  struct ExecScratch {
-    WorldSampler::Scratch sampler;
-  };
-
   explicit QuerySession(DbSnapshot db, const UstTree* index = nullptr,
                         SessionOptions options = {});
 
@@ -173,37 +158,38 @@ class QuerySession {
   /// so call Prepare() up front to warm the whole database explicitly.
   Status Prepare();
 
-  /// Evaluate one query: a one-spec RunAll.
+  /// Evaluate one query: Execute with the session's own pool sharding its
+  /// world chunks.
   QueryOutcome Run(const QuerySpec& spec);
 
-  /// Evaluate a batch through RunMorsel with the session's own pool and
-  /// scratch: one-spec morsels are sharded across the pool (threads > 1 and
-  /// more than one spec), or one [0, n) morsel runs with the pool sharding
-  /// world chunks. outcome[i] corresponds to specs[i] and is bit-identical
-  /// to Run(specs[i]) at any thread count.
+  /// Evaluate a batch through Execute with the session's own pool and
+  /// scratch: specs are sharded across the pool (threads > 1 and more than
+  /// one spec), or run in order with the pool sharding each one's world
+  /// chunks. outcome[i] corresponds to specs[i] and is bit-identical to
+  /// Run(specs[i]) at any thread count.
   std::vector<QueryOutcome> RunAll(const std::vector<QuerySpec>& specs);
 
-  /// The execution primitive (DESIGN.md section 4.3): evaluate specs[i]
-  /// into outcomes[i] for every i in [begin, end), using only caller-owned
-  /// resources — `pool` (may be nullptr: serial) shards each query's world
-  /// chunks, `scratch` holds the sampling buffers. Run, RunAll and every
-  /// serving-tier lane execute through it. A spec with an empty interval,
-  /// k < 1, a query trajectory not covering its interval, num_worlds
-  /// outside [1, kMaxWorlds], a non-finite tau or out-of-range precision
-  /// fields resolves to InvalidArgument before pruning, with or without an
-  /// index.
+  /// The execution primitive (DESIGN.md section 4.3): evaluate one spec
+  /// using only caller-owned resources — `pool` (may be nullptr: serial)
+  /// shards its world chunks, `scratch` holds the world sampler's buffers,
+  /// where each filled chunk's distance blocks and k-th distances land.
+  /// Run, RunAll and every serving-tier lane execute through it. A spec
+  /// with an empty interval, k < 1, a query trajectory not covering its
+  /// interval, num_worlds outside [1, kMaxWorlds], a non-finite tau or
+  /// out-of-range precision fields resolves to InvalidArgument before
+  /// pruning, with or without an index.
   ///
   /// It reads only immutable session state (the snapshot, the index and its
   /// delta) besides the thread-safe column store, and never touches the
-  /// session's own pool or scratch lanes, so several lanes may call it
+  /// session's own pool or scratch, so several lanes may call it
   /// *concurrently* on one shared const session (what the serving tier's
   /// SessionCache hands out) once it is Prepare()d: every posterior warm or
   /// deterministically failing, so no lane ever cold-writes shared caches.
-  /// Outcomes are bit-identical at any pool size, so any morsel partition
-  /// of a batch reassembles the exact serial RunAll bytes.
-  void RunMorsel(const std::vector<QuerySpec>& specs, size_t begin,
-                 size_t end, QueryOutcome* outcomes, ThreadPool* pool,
-                 ExecScratch* scratch) const;
+  /// Scratch carries no stream state and no world column (a spec's column
+  /// view lives on its own stack), so one scratch serves any spec of any
+  /// session. Outcomes are bit-identical at any pool size.
+  QueryOutcome Execute(const QuerySpec& spec, ThreadPool* pool,
+                       WorldSampler::Scratch* scratch) const;
 
   const SessionOptions& options() const { return options_; }
   const DbSnapshot& db() const { return db_; }
@@ -225,16 +211,12 @@ class QuerySession {
   PruneResult Prune(const QueryTrajectory& q, const TimeInterval& T, int k,
                     bool forall) const;
 
-  /// The per-query execution core, called only by RunMorsel: pure reads of
-  /// session state plus writes to the caller's scratch and outcome — const
-  /// so a shared session can prove it touches nothing a concurrent lane
-  /// could race on.
-  QueryOutcome RunOne(const QuerySpec& spec, ThreadPool* world_pool,
-                      ExecScratch* scratch) const;
+  /// Execute's two halves: pure reads of session state plus writes to the
+  /// caller's scratch and outcome.
   void RunPnn(const QuerySpec& spec, ThreadPool* world_pool,
-              ExecScratch* scratch, QueryOutcome* out) const;
+              WorldSampler::Scratch* scratch, QueryOutcome* out) const;
   void RunContinuous(const QuerySpec& spec, ThreadPool* world_pool,
-                     ExecScratch* scratch, QueryOutcome* out) const;
+                     WorldSampler::Scratch* scratch, QueryOutcome* out) const;
 
   /// The column view a Monte-Carlo spec reads for `participants` (nullopt
   /// while its group is cold or columns are off): ColumnStore::View under
@@ -252,7 +234,7 @@ class QuerySession {
   Rect2 space_box_;
   SessionOptions options_;
   ThreadPool pool_;
-  std::vector<ExecScratch> scratch_;  // one per worker
+  std::vector<WorldSampler::Scratch> scratch_;  // one per worker
   bool prepared_ = false;
   Status prepare_status_;
   /// The store of options_.column_store, or of own_store_ when none was

@@ -21,7 +21,6 @@ QueryOutcome RejectedOutcome(Status status, QueryKind kind) {
 SessionOptions MakeSessionOptions(const ServerOptions& options) {
   SessionOptions session_options;
   session_options.threads = options.threads;
-  session_options.planner = options.planner;
   session_options.arena_min_uses = options.arena_min_uses;
   return session_options;
 }
@@ -514,9 +513,9 @@ void QueryServer::LaneLoop(int lane) {
   trace::PrepareThisThread();  // ring allocation off the request path
   // Per-lane execution resources, reused across every spec, group and
   // session this lane ever runs: the sampling scratch and (threads > 1) a
-  // private world pool — shared sessions are read-only under RunMorsel, so
+  // private world pool — shared sessions are read-only under Execute, so
   // world sharding must come from lane-owned workers, never the session's.
-  QuerySession::ExecScratch scratch;
+  WorldSampler::Scratch scratch;
   std::unique_ptr<ThreadPool> world_pool;
   if (options_.threads > 1) {
     world_pool = std::make_unique<ThreadPool>(options_.threads);
@@ -569,7 +568,7 @@ void QueryServer::LaneLoop(int lane) {
 }
 
 void QueryServer::RunGroup(GroupTask* group, int lane, ThreadPool* world_pool,
-                           QuerySession::ExecScratch* scratch) {
+                           WorldSampler::Scratch* scratch) {
   for (size_t i = 0; i < group->specs.size(); ++i) {
     fault::MaybeStall("lane_stall");
     const Request& request = group->requests[i];
@@ -586,8 +585,7 @@ void QueryServer::RunGroup(GroupTask* group, int lane, ThreadPool* world_pool,
       continue;
     }
     const auto exec_start = std::chrono::steady_clock::now();
-    group->session->RunMorsel(group->specs, i, i + 1, group->outcomes.data(),
-                              world_pool, scratch);
+    out = group->session->Execute(group->specs[i], world_pool, scratch);
     const auto exec_end = std::chrono::steady_clock::now();
     trace::Complete("morsel_exec", exec_start, exec_end, request.id,
                     trace::kReqArg, ExecutorKindName(out.executor));

@@ -26,7 +26,7 @@
 // Because a query's result is a pure function of (epoch, spec) — the PR 2
 // determinism contract — batching, the cache, the thread pool and the lane
 // pool never change a bit of any outcome: every spec is executed exactly
-// once into its own slot by QuerySession::RunMorsel (itself bit-identical at
+// once into its own slot by QuerySession::Execute (itself bit-identical at
 // any pool size), so Submit(spec).get() equals a serial
 // QuerySession::Run(spec) over the same epoch at any lane count.
 #pragma once
@@ -90,8 +90,6 @@ struct ServerOptions {
   /// Ring capacity per traced thread (events; oldest overwritten on wrap,
   /// surfaced as the trace_dropped metric).
   size_t trace_events_per_thread = 1 << 16;
-  /// Planner knobs handed to every session.
-  PlannerOptions planner;
   /// Run the background compaction thread: periodically bring the base
   /// UstTree up to the current epoch and publish it through the database
   /// (TrajectoryDatabase::PublishIndex), so session deltas stay shallow
@@ -117,7 +115,7 @@ struct LaneStats {
   /// or failed with its group's session build.
   uint64_t requests = 0;
   /// Specs this lane executed. A morsel is one spec, run through
-  /// QuerySession::RunMorsel.
+  /// QuerySession::Execute.
   uint64_t morsels = 0;
   /// Specs this lane evaluated with every alive participant's worlds read
   /// from a world column instead of sampled live
@@ -289,7 +287,7 @@ class QueryServer {
     std::vector<QuerySpec> specs;        ///< specs[i] from requests[i]
     std::vector<QueryOutcome> outcomes;  ///< slot i belongs to specs[i]
     /// Set by the adopting lane; const, so the lane runs it only through the
-    /// read-only RunMorsel path.
+    /// read-only Execute path.
     std::shared_ptr<const QuerySession> session;
   };
 
@@ -301,7 +299,7 @@ class QueryServer {
   /// whose deadline passed before its turn resolves kDeadlineExceeded
   /// unexecuted — then finalize the group.
   void RunGroup(GroupTask* group, int lane, ThreadPool* world_pool,
-                QuerySession::ExecScratch* scratch);
+                WorldSampler::Scratch* scratch);
   /// Deliver outcomes to the promises, record completion stats, release the
   /// group's hold on its session.
   void FinalizeGroup(GroupTask* group);

@@ -15,7 +15,6 @@ SessionCache::SessionCache(SessionOptions session_options)
   // Every session built by this cache reads and builds columns here, so
   // columns (and stats()) carry across session churn and epochs.
   session_options_.column_store = &column_store_;
-  session_options_.stale_index_drops = &c_stale_index_drops_;
 }
 
 std::shared_ptr<const QuerySession> SessionCache::BuildSession(
@@ -39,11 +38,12 @@ std::shared_ptr<const QuerySession> SessionCache::BuildSession(
   }
   auto session =
       std::make_shared<QuerySession>(snapshot, index, session_options_);
+  if (session->dropped_stale_index()) c_stale_index_drops_.Increment();
   {
     UST_TRACE_SCOPE("session_warm", snapshot.version(), "epoch");
     // Warm what a first request would otherwise pay for: posterior
     // adaptation + alias samplers (a failure is per-query surfaced by
-    // RunMorsel, so it is deliberately not fatal here).
+    // Execute, so it is deliberately not fatal here).
     if (!session->Prepare().ok()) {
       // Prepare's serial path stops at the first failing object, which
       // would leave every later object cold — and lane-concurrent execution

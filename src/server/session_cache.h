@@ -23,7 +23,7 @@
 //
 // Checkout protocol (the execution-lane contract, DESIGN.md section 5.5):
 // Checkout hands out a shared *const* session, so a holder can only execute
-// through the read-only QuerySession::RunMorsel path, with its own scratch.
+// through the read-only QuerySession::Execute path, with its own scratch.
 // A checkout at the cached epoch is a hit. A miss takes the *build lock*,
 // looks again, and builds outside the cache lock; the built session
 // replaces the cached one only if its epoch is newer, so a late build for

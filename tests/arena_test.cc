@@ -203,7 +203,7 @@ TEST_F(ArenaTest, ColumnsOutliveASessionANewerEpochReplaced) {
   // Lanes hold a session (and through it, views of the cache's column
   // store) while writes open newer epochs whose sessions replace it in the
   // cache: the replaced session and its columns must stay valid to its last
-  // holder. Two threads run morsels on it across the writes.
+  // holder. Two threads execute specs on it across the writes.
   const std::vector<QuerySpec> specs = MakeHotSpecs(16);
   const std::vector<QueryOutcome> expected = Reference(specs);
   SessionOptions session_options;
@@ -216,15 +216,15 @@ TEST_F(ArenaTest, ColumnsOutliveASessionANewerEpochReplaced) {
   std::vector<QueryOutcome> outcomes(specs.size());
   const size_t half = specs.size() / 2;
   std::thread worker([&] {
-    QuerySession::ExecScratch scratch;
+    WorldSampler::Scratch scratch;
     for (size_t i = half; i < specs.size(); ++i) {
-      session->RunMorsel(specs, i, i + 1, outcomes.data(), nullptr, &scratch);
+      outcomes[i] = session->Execute(specs[i], nullptr, &scratch);
     }
   });
   {
-    QuerySession::ExecScratch scratch;
+    WorldSampler::Scratch scratch;
     for (size_t i = 0; i < half; ++i) {
-      session->RunMorsel(specs, i, i + 1, outcomes.data(), nullptr, &scratch);
+      outcomes[i] = session->Execute(specs[i], nullptr, &scratch);
       // A write outside T_, then the checkout that builds the new epoch's
       // session and caches it in place of the held one.
       AddObjectAt(T_.end + 8, T_.end + 12);

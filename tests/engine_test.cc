@@ -6,11 +6,14 @@
 #include "gen/synthetic.h"
 #include "gen/workload.h"
 #include "index/ust_tree.h"
-#include "query/engine.h"
+#include "query/session.h"
+#include "test_world.h"
 #include "util/rng.h"
 
 namespace ust {
 namespace {
+
+using testing::MonteCarloSpec;
 
 MonteCarloOptions Opts(size_t worlds, uint64_t seed = 21) {
   MonteCarloOptions o;
@@ -40,6 +43,12 @@ class EngineTest : public ::testing::Test {
     q_ = RandomQueryState(*world_->space, rng);
   }
 
+  /// A Monte-Carlo spec of `kind` over (q_, T_).
+  QuerySpec Spec(QueryKind kind, double tau,
+                 const MonteCarloOptions& mc) const {
+    return MonteCarloSpec(kind, q_, T_, tau, mc);
+  }
+
   std::unique_ptr<SyntheticWorld> world_;
   std::unique_ptr<UstTree> index_;
   TimeInterval T_{0, 0};
@@ -47,37 +56,41 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, IndexedAndUnindexedForallAgree) {
-  QueryEngine with_index(*world_->db, index_.get());
-  QueryEngine without_index(*world_->db);
-  auto a = with_index.Forall(q_, T_, 0.05, Opts(3000));
-  auto b = without_index.Forall(q_, T_, 0.05, Opts(3000));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  QuerySession with_index(*world_->db, index_.get());
+  QuerySession without_index(*world_->db);
+  const QueryOutcome a =
+      with_index.Run(Spec(QueryKind::kForall, 0.05, Opts(3000)));
+  const QueryOutcome b =
+      without_index.Run(Spec(QueryKind::kForall, 0.05, Opts(3000)));
+  ASSERT_TRUE(a.status.ok());
+  ASSERT_TRUE(b.status.ok());
   // Same qualifying objects; probabilities agree within MC noise.
   std::map<ObjectId, double> probs_a, probs_b;
-  for (const auto& r : a.value().results) probs_a[r.object] = r.prob;
-  for (const auto& r : b.value().results) probs_b[r.object] = r.prob;
+  for (const auto& r : a.pnn.results) probs_a[r.object] = r.prob;
+  for (const auto& r : b.pnn.results) probs_b[r.object] = r.prob;
   for (const auto& [o, p] : probs_b) {
     ASSERT_TRUE(probs_a.count(o)) << "object " << o << " lost by pruning";
     EXPECT_NEAR(probs_a[o], p, 0.06);
   }
   for (const auto& [o, p] : probs_a) EXPECT_TRUE(probs_b.count(o));
   // Pruning reduces the work.
-  EXPECT_LE(a.value().num_candidates, b.value().num_candidates);
-  EXPECT_LE(a.value().num_influencers, b.value().num_influencers);
-  EXPECT_GT(a.value().num_candidates, 0u);
+  EXPECT_LE(a.pnn.num_candidates, b.pnn.num_candidates);
+  EXPECT_LE(a.pnn.num_influencers, b.pnn.num_influencers);
+  EXPECT_GT(a.pnn.num_candidates, 0u);
 }
 
 TEST_F(EngineTest, IndexedAndUnindexedExistsAgree) {
-  QueryEngine with_index(*world_->db, index_.get());
-  QueryEngine without_index(*world_->db);
-  auto a = with_index.Exists(q_, T_, 0.05, Opts(3000));
-  auto b = without_index.Exists(q_, T_, 0.05, Opts(3000));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  QuerySession with_index(*world_->db, index_.get());
+  QuerySession without_index(*world_->db);
+  const QueryOutcome a =
+      with_index.Run(Spec(QueryKind::kExists, 0.05, Opts(3000)));
+  const QueryOutcome b =
+      without_index.Run(Spec(QueryKind::kExists, 0.05, Opts(3000)));
+  ASSERT_TRUE(a.status.ok());
+  ASSERT_TRUE(b.status.ok());
   std::map<ObjectId, double> probs_a, probs_b;
-  for (const auto& r : a.value().results) probs_a[r.object] = r.prob;
-  for (const auto& r : b.value().results) probs_b[r.object] = r.prob;
+  for (const auto& r : a.pnn.results) probs_a[r.object] = r.prob;
+  for (const auto& r : b.pnn.results) probs_b[r.object] = r.prob;
   for (const auto& [o, p] : probs_b) {
     ASSERT_TRUE(probs_a.count(o)) << "object " << o << " lost by pruning";
     EXPECT_NEAR(probs_a[o], p, 0.06);
@@ -85,34 +98,39 @@ TEST_F(EngineTest, IndexedAndUnindexedExistsAgree) {
 }
 
 TEST_F(EngineTest, TauFiltersResults) {
-  QueryEngine engine(*world_->db, index_.get());
-  auto low = engine.Forall(q_, T_, 0.0, Opts(1000));
-  auto high = engine.Forall(q_, T_, 0.6, Opts(1000));
-  ASSERT_TRUE(low.ok());
-  ASSERT_TRUE(high.ok());
-  EXPECT_GE(low.value().results.size(), high.value().results.size());
-  for (const auto& r : high.value().results) EXPECT_GE(r.prob, 0.6);
+  QuerySession session(*world_->db, index_.get());
+  const QueryOutcome low =
+      session.Run(Spec(QueryKind::kForall, 0.0, Opts(1000)));
+  const QueryOutcome high =
+      session.Run(Spec(QueryKind::kForall, 0.6, Opts(1000)));
+  ASSERT_TRUE(low.status.ok());
+  ASSERT_TRUE(high.status.ok());
+  EXPECT_GE(low.pnn.results.size(), high.pnn.results.size());
+  for (const auto& r : high.pnn.results) EXPECT_GE(r.prob, 0.6);
 }
 
 TEST_F(EngineTest, ForallResultsAreSubsetOfExists) {
-  QueryEngine engine(*world_->db, index_.get());
-  auto forall = engine.Forall(q_, T_, 0.2, Opts(2000));
-  auto exists = engine.Exists(q_, T_, 0.2, Opts(2000));
-  ASSERT_TRUE(forall.ok());
-  ASSERT_TRUE(exists.ok());
+  QuerySession session(*world_->db, index_.get());
+  const QueryOutcome forall =
+      session.Run(Spec(QueryKind::kForall, 0.2, Opts(2000)));
+  const QueryOutcome exists =
+      session.Run(Spec(QueryKind::kExists, 0.2, Opts(2000)));
+  ASSERT_TRUE(forall.status.ok());
+  ASSERT_TRUE(exists.status.ok());
   std::map<ObjectId, double> exists_probs;
-  for (const auto& r : exists.value().results) exists_probs[r.object] = r.prob;
-  for (const auto& r : forall.value().results) {
+  for (const auto& r : exists.pnn.results) exists_probs[r.object] = r.prob;
+  for (const auto& r : forall.pnn.results) {
     ASSERT_TRUE(exists_probs.count(r.object));
     EXPECT_LE(r.prob, exists_probs[r.object] + 0.05);
   }
 }
 
 TEST_F(EngineTest, ContinuousQueryEntriesRespectTau) {
-  QueryEngine engine(*world_->db, index_.get());
-  auto result = engine.Continuous(q_, T_, 0.4, Opts(1000));
-  ASSERT_TRUE(result.ok());
-  for (const auto& e : result.value().pcnn.entries) {
+  QuerySession session(*world_->db, index_.get());
+  const QueryOutcome result =
+      session.Run(Spec(QueryKind::kContinuous, 0.4, Opts(1000)));
+  ASSERT_TRUE(result.status.ok());
+  for (const auto& e : result.pcnn.pcnn.entries) {
     EXPECT_GE(e.prob, 0.4);
     EXPECT_FALSE(e.tics.empty());
     for (Tic t : e.tics) EXPECT_TRUE(T_.Contains(t));
@@ -122,15 +140,17 @@ TEST_F(EngineTest, ContinuousQueryEntriesRespectTau) {
 TEST_F(EngineTest, ContinuousConsistentWithForall) {
   // If o qualifies for the full interval in PCNN, its P∀NN over T must also
   // pass tau (they are the same probability).
-  QueryEngine engine(*world_->db, index_.get());
-  auto pcnn = engine.Continuous(q_, T_, 0.3, Opts(3000, 9));
-  auto forall = engine.Forall(q_, T_, 0.3, Opts(3000, 9));
-  ASSERT_TRUE(pcnn.ok());
-  ASSERT_TRUE(forall.ok());
+  QuerySession session(*world_->db, index_.get());
+  const QueryOutcome pcnn =
+      session.Run(Spec(QueryKind::kContinuous, 0.3, Opts(3000, 9)));
+  const QueryOutcome forall =
+      session.Run(Spec(QueryKind::kForall, 0.3, Opts(3000, 9)));
+  ASSERT_TRUE(pcnn.status.ok());
+  ASSERT_TRUE(forall.status.ok());
   std::vector<Tic> full = T_.Tics();
   std::map<ObjectId, double> forall_probs;
-  for (const auto& r : forall.value().results) forall_probs[r.object] = r.prob;
-  for (const auto& e : pcnn.value().pcnn.entries) {
+  for (const auto& r : forall.pnn.results) forall_probs[r.object] = r.prob;
+  for (const auto& e : pcnn.pcnn.pcnn.entries) {
     if (e.tics == full) {
       EXPECT_TRUE(forall_probs.count(e.object));
       EXPECT_NEAR(forall_probs[e.object], e.prob, 1e-9);  // same table & seed
@@ -139,20 +159,22 @@ TEST_F(EngineTest, ContinuousConsistentWithForall) {
 }
 
 TEST_F(EngineTest, EmptyCandidateSetShortCircuits) {
-  QueryEngine engine(*world_->db, index_.get());
+  QuerySession session(*world_->db, index_.get());
   // Query far in the future: nobody is alive.
-  auto result = engine.Forall(q_, {5000, 5010}, 0.0, Opts(100));
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().results.empty());
-  EXPECT_EQ(result.value().num_candidates, 0u);
+  const QueryOutcome result = session.Run(
+      MonteCarloSpec(QueryKind::kForall, q_, {5000, 5010}, 0.0, Opts(100)));
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_TRUE(result.pnn.results.empty());
+  EXPECT_EQ(result.pnn.num_candidates, 0u);
 }
 
 TEST_F(EngineTest, TimingCountersPopulated) {
-  QueryEngine engine(*world_->db, index_.get());
-  auto result = engine.Forall(q_, T_, 0.0, Opts(500));
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result.value().prune_millis, 0.0);
-  EXPECT_GT(result.value().sampling_millis, 0.0);
+  QuerySession session(*world_->db, index_.get());
+  const QueryOutcome result =
+      session.Run(Spec(QueryKind::kForall, 0.0, Opts(500)));
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_GE(result.pnn.prune_millis, 0.0);
+  EXPECT_GT(result.pnn.sampling_millis, 0.0);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "index/ust_tree.h"
-#include "query/engine.h"
 #include "query/exact.h"
 #include "query/pcnn.h"
+#include "query/session.h"
 #include "test_world.h"
 #include "util/stats.h"
 
@@ -15,6 +15,7 @@ namespace {
 
 using testing::Figure1World;
 using testing::MakeFigure1World;
+using testing::MonteCarloSpec;
 
 MonteCarloOptions Opts(size_t worlds) {
   MonteCarloOptions o;
@@ -25,6 +26,11 @@ MonteCarloOptions Opts(size_t worlds) {
 
 class Figure1Test : public ::testing::Test {
  protected:
+  /// A Monte-Carlo spec of `kind` over the paper's (q, T).
+  QuerySpec Spec(QueryKind kind, double tau, size_t worlds) const {
+    return MonteCarloSpec(kind, world_.q, world_.T, tau, Opts(worlds));
+  }
+
   Figure1World world_ = MakeFigure1World();
 };
 
@@ -48,23 +54,23 @@ TEST_F(Figure1Test, ExactProbabilitiesMatchPaper) {
 }
 
 TEST_F(Figure1Test, EngineForallQueryWithoutIndex) {
-  QueryEngine engine(*world_.db);
-  auto result = engine.Forall(world_.q, world_.T, 0.1, Opts(20000));
-  ASSERT_TRUE(result.ok());
+  QuerySession session(*world_.db);
+  const QueryOutcome result = session.Run(Spec(QueryKind::kForall, 0.1, 20000));
+  ASSERT_TRUE(result.status.ok());
   // Only o1 passes tau = 0.1 for the whole interval.
-  ASSERT_EQ(result.value().results.size(), 1u);
-  EXPECT_EQ(result.value().results[0].object, world_.o1);
-  EXPECT_NEAR(result.value().results[0].prob, 0.75,
+  ASSERT_EQ(result.pnn.results.size(), 1u);
+  EXPECT_EQ(result.pnn.results[0].object, world_.o1);
+  EXPECT_NEAR(result.pnn.results[0].prob, 0.75,
               HoeffdingEpsilon(20000, 0.01));
 }
 
 TEST_F(Figure1Test, EngineExistsQueryWithoutIndex) {
-  QueryEngine engine(*world_.db);
-  auto result = engine.Exists(world_.q, world_.T, 0.1, Opts(20000));
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().results.size(), 2u);
+  QuerySession session(*world_.db);
+  const QueryOutcome result = session.Run(Spec(QueryKind::kExists, 0.1, 20000));
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_EQ(result.pnn.results.size(), 2u);
   double p_o2 = 0.0;
-  for (const auto& r : result.value().results) {
+  for (const auto& r : result.pnn.results) {
     if (r.object == world_.o2) p_o2 = r.prob;
   }
   EXPECT_NEAR(p_o2, 0.25, HoeffdingEpsilon(20000, 0.01));
@@ -73,24 +79,26 @@ TEST_F(Figure1Test, EngineExistsQueryWithoutIndex) {
 TEST_F(Figure1Test, EngineMatchesWithUstTreeIndex) {
   auto index = UstTree::Build(*world_.db);
   ASSERT_TRUE(index.ok());
-  QueryEngine with_index(*world_.db, &index.value());
-  QueryEngine without_index(*world_.db);
-  auto a = with_index.Forall(world_.q, world_.T, 0.1, Opts(20000));
-  auto b = without_index.Forall(world_.q, world_.T, 0.1, Opts(20000));
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a.value().results.size(), b.value().results.size());
-  for (size_t i = 0; i < a.value().results.size(); ++i) {
-    EXPECT_EQ(a.value().results[i].object, b.value().results[i].object);
-    EXPECT_NEAR(a.value().results[i].prob, b.value().results[i].prob, 0.02);
+  QuerySession with_index(*world_.db, &index.value());
+  QuerySession without_index(*world_.db);
+  const QueryOutcome a = with_index.Run(Spec(QueryKind::kForall, 0.1, 20000));
+  const QueryOutcome b =
+      without_index.Run(Spec(QueryKind::kForall, 0.1, 20000));
+  ASSERT_TRUE(a.status.ok() && b.status.ok());
+  ASSERT_EQ(a.pnn.results.size(), b.pnn.results.size());
+  for (size_t i = 0; i < a.pnn.results.size(); ++i) {
+    EXPECT_EQ(a.pnn.results[i].object, b.pnn.results[i].object);
+    EXPECT_NEAR(a.pnn.results[i].prob, b.pnn.results[i].prob, 0.02);
   }
-  EXPECT_LE(a.value().num_candidates, b.value().num_candidates);
+  EXPECT_LE(a.pnn.num_candidates, b.pnn.num_candidates);
 }
 
 TEST_F(Figure1Test, PcnnMatchesPaperResultSet) {
-  QueryEngine engine(*world_.db);
-  auto result = engine.Continuous(world_.q, world_.T, 0.1, Opts(20000));
-  ASSERT_TRUE(result.ok());
-  auto maximal = FilterMaximal(result.value().pcnn.entries);
+  QuerySession session(*world_.db);
+  const QueryOutcome result =
+      session.Run(Spec(QueryKind::kContinuous, 0.1, 20000));
+  ASSERT_TRUE(result.status.ok());
+  auto maximal = FilterMaximal(result.pcnn.pcnn.entries);
   // "PCNNQ(q, D, {1,2,3}, 0.1) will return the object o1 together with the
   //  interval {1,2,3} and o2 together with the interval {2,3}."
   ASSERT_EQ(maximal.size(), 2u);
@@ -111,10 +119,11 @@ TEST_F(Figure1Test, PcnnMatchesPaperResultSet) {
 }
 
 TEST_F(Figure1Test, HigherTauDropsO2) {
-  QueryEngine engine(*world_.db);
-  auto result = engine.Continuous(world_.q, world_.T, 0.3, Opts(5000));
-  ASSERT_TRUE(result.ok());
-  for (const auto& e : result.value().pcnn.entries) {
+  QuerySession session(*world_.db);
+  const QueryOutcome result =
+      session.Run(Spec(QueryKind::kContinuous, 0.3, 5000));
+  ASSERT_TRUE(result.status.ok());
+  for (const auto& e : result.pcnn.pcnn.entries) {
     EXPECT_EQ(e.object, world_.o1);  // o2's best set has P = 0.125 < 0.3
   }
 }

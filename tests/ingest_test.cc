@@ -132,12 +132,8 @@ TEST_F(IngestTest, DeltaProbeMatchesIndexFreeFallbackBitwise) {
   ASSERT_TRUE(rebuilt.ok());
   db().PublishIndex(std::make_shared<const UstTree>(rebuilt.MoveValue()));
   ASSERT_EQ(db().Snapshot().version(), snapshot.version());
-  SessionOptions options;
-  Counter drops;
-  options.stale_index_drops = &drops;
-  QuerySession dropped(db().Snapshot(), index_.get(), options);
+  QuerySession dropped(db().Snapshot(), index_.get());
   EXPECT_TRUE(dropped.dropped_stale_index());
-  EXPECT_EQ(drops.value(), 1u);
   EXPECT_EQ(dropped.delta_depth(), 0u);
   const std::vector<QueryOutcome> via_drop = dropped.RunAll(specs);
 
@@ -161,12 +157,8 @@ TEST_F(IngestTest, FreshIndexNeedsNoDeltaAndOldIndexIsDroppedPastFloor) {
   // PublishIndex trimmed the change log up to the new base: the records the
   // old pre-write tree would need are gone, so it must be dropped — a
   // half-patched probe would silently miss the trimmed writes.
-  Counter drops;
-  SessionOptions options;
-  options.stale_index_drops = &drops;
-  QuerySession old_base(db().Snapshot(), index_.get(), options);
+  QuerySession old_base(db().Snapshot(), index_.get());
   EXPECT_TRUE(old_base.dropped_stale_index());
-  EXPECT_EQ(drops.value(), 1u);
 
   // The published base itself rides for free at its own epoch.
   const DbSnapshot snapshot = db().Snapshot();
@@ -282,16 +274,12 @@ TEST_F(IngestTest, ConcurrentWriterAndCompactorKeepEveryEpochBitIdentical) {
     const UstTree* base = snapshot.base_index() != nullptr
                               ? snapshot.base_index().get()
                               : index_.get();
-    Counter drops;
-    SessionOptions options;
-    options.stale_index_drops = &drops;
-    QuerySession indexed(snapshot, base, options);
+    QuerySession indexed(snapshot, base);
     QuerySession reference(snapshot, nullptr);
     // The base was read from this very snapshot (or is the seed tree over
     // an untrimmed log), so the delta patch can never be blocked by the
     // floor: no drops, whatever the compactor did in between.
     EXPECT_FALSE(indexed.dropped_stale_index());
-    EXPECT_EQ(drops.value(), 0u);
     const std::vector<QueryOutcome> a = indexed.RunAll(specs);
     const std::vector<QueryOutcome> b = reference.RunAll(specs);
     for (size_t i = 0; i < specs.size(); ++i) {

@@ -10,13 +10,16 @@
 #include "gen/workload.h"
 #include "index/ust_tree.h"
 #include "model/adaptation.h"
-#include "query/engine.h"
 #include "query/exact.h"
+#include "query/session.h"
 #include "query/snapshot.h"
+#include "test_world.h"
 #include "util/stats.h"
 
 namespace ust {
 namespace {
+
+using testing::MonteCarloSpec;
 
 TEST(IntegrationTest, FullPipelineOnSyntheticWorld) {
   SyntheticConfig config;
@@ -32,7 +35,7 @@ TEST(IntegrationTest, FullPipelineOnSyntheticWorld) {
   ASSERT_TRUE(db.EnsureAllPosteriors().ok());
   auto tree = UstTree::Build(db);
   ASSERT_TRUE(tree.ok());
-  QueryEngine engine(db, &tree.value());
+  QuerySession session(db, &tree.value());
   Rng rng(1);
   TimeInterval T = BusiestInterval(db, 8);
   MonteCarloOptions options;
@@ -40,27 +43,31 @@ TEST(IntegrationTest, FullPipelineOnSyntheticWorld) {
   int nonempty = 0;
   for (int iter = 0; iter < 5; ++iter) {
     QueryTrajectory q = RandomQueryState(db.space(), rng);
-    auto forall = engine.Forall(q, T, 0.0, options);
-    auto exists = engine.Exists(q, T, 0.0, options);
-    ASSERT_TRUE(forall.ok());
-    ASSERT_TRUE(exists.ok());
-    nonempty += !exists.value().results.empty();
+    const QueryOutcome forall =
+        session.Run(MonteCarloSpec(QueryKind::kForall, q, T, 0.0, options));
+    const QueryOutcome exists =
+        session.Run(MonteCarloSpec(QueryKind::kExists, q, T, 0.0, options));
+    ASSERT_TRUE(forall.status.ok());
+    ASSERT_TRUE(exists.status.ok());
+    nonempty += !exists.pnn.results.empty();
     // Global sanity: probabilities in [0,1], exists >= forall per object.
-    for (const auto& r : forall.value().results) {
+    for (const auto& r : forall.pnn.results) {
       EXPECT_GE(r.prob, 0.0);
       EXPECT_LE(r.prob, 1.0);
     }
     double forall_sum = 0.0;
-    for (const auto& r : forall.value().results) forall_sum += r.prob;
+    for (const auto& r : forall.pnn.results) forall_sum += r.prob;
     EXPECT_LE(forall_sum, 1.0 + 0.05);  // MC slack
   }
   EXPECT_GT(nonempty, 0);
 }
 
 TEST(IntegrationTest, SamplingMatchesExactOnTinyWorld) {
+  // Three objects over three tics: small enough to enumerate (a fourth tic
+  // or a fourth object exceeds the cap).
   SyntheticConfig config;
   config.num_states = 200;
-  config.num_objects = 4;
+  config.num_objects = 3;
   config.lifetime = 8;
   config.obs_interval = 4;
   config.horizon = 8;
@@ -70,14 +77,11 @@ TEST(IntegrationTest, SamplingMatchesExactOnTinyWorld) {
   const TrajectoryDatabase& db = *world.value().db;
   Rng rng(2);
   QueryTrajectory q = RandomQueryState(db.space(), rng);
-  TimeInterval T{2, 5};
+  TimeInterval T{2, 4};
   std::vector<ObjectId> ids = db.AliveSometime(T.start, T.end);
   ASSERT_FALSE(ids.empty());
   auto exact = ExactPnnByEnumeration(db, ids, q, T, 1, 5000000);
-  if (!exact.ok()) {
-    GTEST_SKIP() << "world too large for enumeration: "
-                 << exact.status().ToString();
-  }
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   MonteCarloOptions options;
   options.num_worlds = 20000;
   auto mc = EstimatePnn(db, ids, ids, q, T, options);
@@ -189,19 +193,21 @@ TEST(IntegrationTest, QueryTrajectoryReferenceWorks) {
   const TrajectoryDatabase& db = *world.value().db;
   auto tree = UstTree::Build(db);
   ASSERT_TRUE(tree.ok());
-  QueryEngine engine(db, &tree.value());
+  QuerySession session(db, &tree.value());
   TimeInterval T = BusiestInterval(db, 5);
   Rng rng(4);
   QueryTrajectory q = RandomQueryTrajectory(
       db.space(), *world.value().matrix, T.start, T.length(), rng);
   MonteCarloOptions options;
   options.num_worlds = 800;
-  auto forall = engine.Forall(q, T, 0.0, options);
-  auto exists = engine.Exists(q, T, 0.0, options);
-  ASSERT_TRUE(forall.ok());
-  ASSERT_TRUE(exists.ok());
+  const QueryOutcome forall =
+      session.Run(MonteCarloSpec(QueryKind::kForall, q, T, 0.0, options));
+  const QueryOutcome exists =
+      session.Run(MonteCarloSpec(QueryKind::kExists, q, T, 0.0, options));
+  ASSERT_TRUE(forall.status.ok());
+  ASSERT_TRUE(exists.status.ok());
   double sum = 0.0;
-  for (const auto& r : forall.value().results) sum += r.prob;
+  for (const auto& r : forall.pnn.results) sum += r.prob;
   EXPECT_LE(sum, 1.05);
 }
 

@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "index/ust_tree.h"
-#include "query/engine.h"
 #include "query/exact.h"
 #include "query/monte_carlo.h"
 #include "query/nn_kernel.h"
 #include "query/pcnn.h"
+#include "query/session.h"
 #include "test_world.h"
 #include "util/stats.h"
 
@@ -16,6 +16,7 @@ namespace {
 
 using testing::Figure1World;
 using testing::MakeFigure1World;
+using testing::MonteCarloSpec;
 
 MonteCarloOptions Opts(size_t worlds, int k) {
   MonteCarloOptions o;
@@ -150,11 +151,12 @@ TEST(KnnEngineTest, EngineForallWithKTwo) {
   // Through the full engine: with |D| = 2 and k = 2 every alive-throughout
   // object qualifies with probability 1 at any tau <= 1.
   Figure1World world = MakeFigure1World();
-  QueryEngine engine(*world.db);
-  auto result = engine.Forall(world.q, world.T, 0.9, Opts(500, 2));
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().results.size(), 2u);
-  for (const auto& r : result.value().results) {
+  QuerySession session(*world.db);
+  const QueryOutcome result = session.Run(MonteCarloSpec(
+      QueryKind::kForall, world.q, world.T, 0.9, Opts(500, 2)));
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_EQ(result.pnn.results.size(), 2u);
+  for (const auto& r : result.pnn.results) {
     EXPECT_DOUBLE_EQ(r.prob, 1.0);
   }
 }
@@ -163,16 +165,18 @@ TEST(KnnEngineTest, IndexedKnnAgreesWithUnindexed) {
   Figure1World world = MakeFigure1World();
   auto tree = UstTree::Build(*world.db);
   ASSERT_TRUE(tree.ok());
-  QueryEngine indexed(*world.db, &tree.value());
-  QueryEngine plain(*world.db);
+  QuerySession indexed(*world.db, &tree.value());
+  QuerySession plain(*world.db);
   for (int k = 1; k <= 2; ++k) {
-    auto a = indexed.Exists(world.q, world.T, 0.1, Opts(5000, k));
-    auto b = plain.Exists(world.q, world.T, 0.1, Opts(5000, k));
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a.value().results.size(), b.value().results.size()) << "k=" << k;
-    for (size_t i = 0; i < a.value().results.size(); ++i) {
-      EXPECT_EQ(a.value().results[i].object, b.value().results[i].object);
-      EXPECT_NEAR(a.value().results[i].prob, b.value().results[i].prob, 0.03);
+    const QuerySpec spec = MonteCarloSpec(QueryKind::kExists, world.q,
+                                          world.T, 0.1, Opts(5000, k));
+    const QueryOutcome a = indexed.Run(spec);
+    const QueryOutcome b = plain.Run(spec);
+    ASSERT_TRUE(a.status.ok() && b.status.ok());
+    ASSERT_EQ(a.pnn.results.size(), b.pnn.results.size()) << "k=" << k;
+    for (size_t i = 0; i < a.pnn.results.size(); ++i) {
+      EXPECT_EQ(a.pnn.results[i].object, b.pnn.results[i].object);
+      EXPECT_NEAR(a.pnn.results[i].prob, b.pnn.results[i].prob, 0.03);
     }
   }
 }
@@ -181,10 +185,11 @@ TEST(KnnEngineTest, ContinuousKnnQuery) {
   // PC(k)NNQ (Section 8): with k = 2 in the two-object world, both objects
   // own the full interval with probability 1.
   Figure1World world = MakeFigure1World();
-  QueryEngine engine(*world.db);
-  auto result = engine.Continuous(world.q, world.T, 0.9, Opts(500, 2));
-  ASSERT_TRUE(result.ok());
-  auto maximal = FilterMaximal(result.value().pcnn.entries);
+  QuerySession session(*world.db);
+  const QueryOutcome result = session.Run(MonteCarloSpec(
+      QueryKind::kContinuous, world.q, world.T, 0.9, Opts(500, 2)));
+  ASSERT_TRUE(result.status.ok());
+  auto maximal = FilterMaximal(result.pcnn.pcnn.entries);
   ASSERT_EQ(maximal.size(), 2u);
   for (const auto& e : maximal) {
     EXPECT_EQ(e.tics, (std::vector<Tic>{1, 2, 3}));

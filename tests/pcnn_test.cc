@@ -4,6 +4,7 @@
 #include <set>
 
 #include "query/pcnn.h"
+#include "query/session.h"
 #include "test_world.h"
 #include "util/stats.h"
 
@@ -12,6 +13,7 @@ namespace {
 
 using testing::Figure1World;
 using testing::MakeFigure1World;
+using testing::MonteCarloSpec;
 
 MonteCarloOptions Opts(size_t worlds, uint64_t seed = 42) {
   MonteCarloOptions o;
@@ -31,11 +33,11 @@ const PcnnEntry* Find(const std::vector<PcnnEntry>& entries, ObjectId o,
 
 TEST(PcnnTest, Figure1WorkedExample) {
   Figure1World world = MakeFigure1World();
-  auto result = PcnnQuery(*world.db, {world.o1, world.o2},
-                          {world.o1, world.o2}, world.q, world.T, 0.1,
-                          Opts(20000));
-  ASSERT_TRUE(result.ok());
-  const auto& entries = result.value().entries;
+  QuerySession session(*world.db);
+  const QueryOutcome result = session.Run(MonteCarloSpec(
+      QueryKind::kContinuous, world.q, world.T, 0.1, Opts(20000)));
+  ASSERT_TRUE(result.status.ok());
+  const auto& entries = result.pcnn.pcnn.entries;
   // o1 qualifies with the full interval {1,2,3} (P = 0.75).
   const PcnnEntry* full = Find(entries, world.o1, {1, 2, 3});
   ASSERT_NE(full, nullptr);
@@ -139,15 +141,18 @@ TEST(PcnnTest, DisconnectedTimestampSetsAllowed) {
   ObjectId a = db.AddObject(obs_a.MoveValue(), ma, 3);
   ObjectId b = db.AddObject(obs_b.MoveValue(), mb, 3);
   QueryTrajectory q = QueryTrajectory::FromPoint({0, 0});
-  auto result = PcnnQuery(db, {a, b}, {a, b}, q, {1, 3}, 0.5, Opts(200));
-  ASSERT_TRUE(result.ok());
-  const PcnnEntry* disconnected = Find(result.value().entries, a, {1, 3});
+  QuerySession session(db);
+  const QueryOutcome result = session.Run(
+      MonteCarloSpec(QueryKind::kContinuous, q, {1, 3}, 0.5, Opts(200)));
+  ASSERT_TRUE(result.status.ok());
+  const auto& entries = result.pcnn.pcnn.entries;
+  const PcnnEntry* disconnected = Find(entries, a, {1, 3});
   ASSERT_NE(disconnected, nullptr);
   EXPECT_DOUBLE_EQ(disconnected->prob, 1.0);
-  EXPECT_EQ(Find(result.value().entries, a, {1, 2, 3}), nullptr);
+  EXPECT_EQ(Find(entries, a, {1, 2, 3}), nullptr);
   // b wins only tic 2.
-  EXPECT_NE(Find(result.value().entries, b, {2}), nullptr);
-  EXPECT_EQ(Find(result.value().entries, b, {2, 3}), nullptr);
+  EXPECT_NE(Find(entries, b, {2}), nullptr);
+  EXPECT_EQ(Find(entries, b, {2, 3}), nullptr);
 }
 
 TEST(PcnnTest, FilterMaximalKeepsIncomparableSets) {
@@ -163,9 +168,10 @@ TEST(PcnnTest, FilterMaximalKeepsIncomparableSets) {
 
 TEST(PcnnTest, CandidateNotAmongParticipantsRejected) {
   Figure1World world = MakeFigure1World();
-  auto result = PcnnQuery(*world.db, {world.o1}, {world.o2}, world.q, world.T,
-                          0.5, Opts(10));
-  EXPECT_FALSE(result.ok());
+  auto table = ComputeNnTable(*world.db, {world.o1}, world.q, world.T,
+                              Opts(10));
+  ASSERT_TRUE(table.ok());
+  EXPECT_FALSE(PcnnOnTable(table.value(), {world.o2}, 0.5).ok());
 }
 
 }  // namespace

@@ -140,13 +140,9 @@ TEST_F(ServerTest, StaleIndexIsDroppedNotTrusted) {
   auto rebuilt = UstTree::Build(db());
   ASSERT_TRUE(rebuilt.ok());
   db().PublishIndex(std::make_shared<const UstTree>(rebuilt.MoveValue()));
-  SessionOptions options;
-  Counter drops;
-  options.stale_index_drops = &drops;
-  QuerySession with_stale_index(db().Snapshot(), index_.get(), options);
+  QuerySession with_stale_index(db().Snapshot(), index_.get());
   QuerySession without_index(db().Snapshot(), nullptr);
   EXPECT_TRUE(with_stale_index.dropped_stale_index());
-  EXPECT_EQ(drops.value(), 1u);
   const auto a = with_stale_index.RunAll(specs);
   const auto b = without_index.RunAll(specs);
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -154,6 +150,20 @@ TEST_F(ServerTest, StaleIndexIsDroppedNotTrusted) {
     // index would understate by the inserted object.
     EXPECT_TRUE(SameOutcome(a[i], b[i])) << "spec " << i;
   }
+}
+
+TEST_F(ServerTest, SessionCacheCountsStaleIndexDrops) {
+  // An index built past the checked-out epoch cannot be patched back to it:
+  // the cache's session drops it, and the cache counts the drop.
+  const DbSnapshot old_epoch = db().Snapshot();
+  AddObjectAt(T_.start, T_.end);
+  auto newer = UstTree::Build(db());
+  ASSERT_TRUE(newer.ok());
+  SessionCache cache(SessionOptions{});
+  const auto session = cache.Checkout(old_epoch, &newer.value());
+  ASSERT_NE(session, nullptr);
+  EXPECT_TRUE(session->dropped_stale_index());
+  EXPECT_EQ(cache.stats().stale_index_drops, 1u);
 }
 
 TEST_F(ServerTest, SessionCacheKeysOnEpochAlone) {

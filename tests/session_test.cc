@@ -1,8 +1,8 @@
 // Tests of the plan-based batched pipeline (query/session.h): RunAll
-// results bit-identical to the serial QueryEngine path at any thread count,
-// planner backend selection with the override knob, scratch reuse without
-// cross-query state leaks, parallel posterior adaptation, and the packed
-// NnTable probability reductions.
+// results bit-identical to per-spec Run calls at any thread count, planner
+// backend selection with the per-spec override and its runtime fallback,
+// scratch reuse without cross-query state leaks, parallel posterior
+// adaptation, and the packed NnTable probability reductions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,6 @@
 #include "gen/synthetic.h"
 #include "gen/workload.h"
 #include "index/ust_tree.h"
-#include "query/engine.h"
 #include "query/session.h"
 #include "test_world.h"
 #include "util/rng.h"
@@ -69,7 +68,7 @@ class SessionTest : public ::testing::Test {
   }
 
   /// A mixed batch over several query points, intervals and semantics, all
-  /// pinned to the Monte-Carlo backend (comparable to QueryEngine).
+  /// pinned to the Monte-Carlo backend.
   std::vector<QuerySpec> MakeBatch(size_t n) const {
     Rng rng(5);
     std::vector<QuerySpec> specs;
@@ -94,27 +93,13 @@ class SessionTest : public ::testing::Test {
   TimeInterval T_{0, 0};
 };
 
-TEST_F(SessionTest, RunAllBitIdenticalToSerialEngineAtAnyThreadCount) {
+TEST_F(SessionTest, RunAllBitIdenticalToPerSpecRunAtAnyThreadCount) {
   const std::vector<QuerySpec> specs = MakeBatch(9);
-  // Reference: the serial single-query engine, one call per spec.
-  QueryEngine engine(*world_->db, index_.get());
-  std::vector<PnnQueryResult> ref_pnn(specs.size());
-  std::vector<PcnnQueryResult> ref_pcnn(specs.size());
+  // Reference: one throwaway single-threaded session per spec.
+  std::vector<QueryOutcome> ref(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    const QuerySpec& s = specs[i];
-    if (s.kind == QueryKind::kForall) {
-      auto r = engine.Forall(s.q, s.T, s.tau, s.mc);
-      ASSERT_TRUE(r.ok());
-      ref_pnn[i] = r.MoveValue();
-    } else if (s.kind == QueryKind::kExists) {
-      auto r = engine.Exists(s.q, s.T, s.tau, s.mc);
-      ASSERT_TRUE(r.ok());
-      ref_pnn[i] = r.MoveValue();
-    } else {
-      auto r = engine.Continuous(s.q, s.T, s.tau, s.mc);
-      ASSERT_TRUE(r.ok());
-      ref_pcnn[i] = r.MoveValue();
-    }
+    ref[i] = QuerySession(*world_->db, index_.get()).Run(specs[i]);
+    ASSERT_TRUE(ref[i].status.ok()) << ref[i].status.ToString();
   }
   for (int threads : {1, 2, 4}) {
     SessionOptions options;
@@ -128,10 +113,10 @@ TEST_F(SessionTest, RunAllBitIdenticalToSerialEngineAtAnyThreadCount) {
           << outcomes[i].status.ToString();
       EXPECT_EQ(outcomes[i].executor, ExecutorKind::kMonteCarlo);
       if (specs[i].kind == QueryKind::kContinuous) {
-        EXPECT_TRUE(SamePcnn(outcomes[i].pcnn, ref_pcnn[i]))
+        EXPECT_TRUE(SamePcnn(outcomes[i].pcnn, ref[i].pcnn))
             << "threads=" << threads << " query " << i;
       } else {
-        EXPECT_TRUE(SamePnn(outcomes[i].pnn, ref_pnn[i]))
+        EXPECT_TRUE(SamePnn(outcomes[i].pnn, ref[i].pnn))
             << "threads=" << threads << " query " << i;
       }
     }
@@ -203,17 +188,15 @@ TEST_F(SessionTest, PerQueryOverrideBeatsThePlanner) {
   EXPECT_EQ(out.executor, ExecutorKind::kMonteCarlo);
 }
 
-TEST_F(SessionTest, SessionWideForceAndMarkovBackend) {
+TEST_F(SessionTest, PerSpecForceAndMarkovBackend) {
   auto fig = MakeFigure1World();
-  // Session-wide force: every kAuto query runs the chain-rule approximation.
-  SessionOptions options;
-  options.planner.force = ExecutorKind::kMarkovApprox;
-  QuerySession session(*fig.db, nullptr, options);
+  QuerySession session(*fig.db, nullptr);
   QuerySpec spec;
   spec.kind = QueryKind::kForall;
   spec.q = fig.q;
   spec.T = fig.T;
   spec.tau = 0.0;
+  spec.backend = ExecutorKind::kMarkovApprox;
   QueryOutcome out = session.Run(spec);
   ASSERT_TRUE(out.status.ok());
   EXPECT_EQ(out.executor, ExecutorKind::kMarkovApprox);
@@ -227,16 +210,8 @@ TEST_F(SessionTest, SessionWideForceAndMarkovBackend) {
   // error, not a silent fallback.
   QuerySpec exists = spec;
   exists.kind = QueryKind::kExists;
-  exists.backend = ExecutorKind::kMarkovApprox;
   QueryOutcome bad = session.Run(exists);
   EXPECT_FALSE(bad.status.ok());
-  // The session-wide force is just as explicit: a kAuto spec under it must
-  // error too, not silently substitute Monte-Carlo numbers.
-  QuerySpec exists_auto = spec;
-  exists_auto.kind = QueryKind::kExists;
-  exists_auto.backend = ExecutorKind::kAuto;
-  QueryOutcome bad_auto = session.Run(exists_auto);
-  EXPECT_FALSE(bad_auto.status.ok());
   // Continuous queries only run on the Monte-Carlo table; forcing another
   // backend is the same contract violation.
   QuerySpec continuous = spec;
@@ -286,19 +261,38 @@ TEST_F(SessionTest, BatchSurvivesUnrelatedContradictoryObject) {
 }
 
 TEST_F(SessionTest, PlannerMisfireFallsBackToMonteCarlo) {
-  // Loosened thresholds send a 25-object refinement to enumeration; the
-  // cross-product cap trips at runtime and the query degrades to sampling.
-  SessionOptions options;
-  options.planner.exact_max_candidates = 1000;
-  options.planner.exact_max_participants = 1000;
-  options.planner.exact_max_interval = 1000;
-  QuerySession session(*world_->db, index_.get(), options);
-  QuerySpec spec = MakeBatch(1)[0];
+  // Three objects over four tics: within every enumeration threshold, so
+  // the planner picks enumeration, but their possible worlds' cross product
+  // exceeds the enumeration cap. The cap trips at runtime and the query
+  // degrades to sampling.
+  SyntheticConfig config;
+  config.num_states = 200;
+  config.num_objects = 3;
+  config.lifetime = 8;
+  config.obs_interval = 4;
+  config.horizon = 8;
+  config.seed = 17;
+  auto tiny = GenerateSyntheticWorld(config);
+  ASSERT_TRUE(tiny.ok());
+  QuerySession session(*tiny.value().db, nullptr);
+  Rng rng(2);
+  QuerySpec spec;
   spec.kind = QueryKind::kForall;
-  spec.backend = ExecutorKind::kAuto;
+  spec.q = RandomQueryState(*tiny.value().space, rng);
+  spec.T = TimeInterval{2, 5};
+  spec.mc.num_worlds = 500;
+  ASSERT_LE(spec.T.length(), kExactMaxInterval);
   QueryOutcome out = session.Run(spec);
-  ASSERT_TRUE(out.status.ok());
+  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+  ASSERT_LE(out.pnn.num_candidates, kExactMaxCandidates);
+  ASSERT_LE(out.pnn.num_influencers, kExactMaxParticipants);
   EXPECT_EQ(out.executor, ExecutorKind::kMonteCarlo);
+  // Forcing enumeration is a user decision: the cap is an error, not a
+  // silent switch to sampling.
+  spec.backend = ExecutorKind::kExact;
+  QueryOutcome forced = session.Run(spec);
+  EXPECT_EQ(forced.status.code(), StatusCode::kResourceLimit)
+      << forced.status.ToString();
 }
 
 TEST_F(SessionTest, ScratchReuseDoesNotLeakStateAcrossQueries) {

@@ -9,6 +9,7 @@
 #include "markov/transition_matrix.h"
 #include "model/trajectory_database.h"
 #include "query/query.h"
+#include "query/session.h"
 #include "util/check.h"
 
 namespace ust::testing {
@@ -19,6 +20,22 @@ inline TransitionMatrixPtr MakeMatrix(
   auto result = TransitionMatrix::FromRows(num_states, std::move(rows));
   UST_CHECK(result.ok());
   return std::make_shared<const TransitionMatrix>(result.MoveValue());
+}
+
+/// A spec of `kind` over (q, T) at threshold `tau`, pinned to the
+/// Monte-Carlo backend, so QuerySession::Run samples whatever the planner
+/// would pick.
+inline QuerySpec MonteCarloSpec(QueryKind kind, const QueryTrajectory& q,
+                                const TimeInterval& T, double tau,
+                                const MonteCarloOptions& mc) {
+  QuerySpec spec;
+  spec.kind = kind;
+  spec.q = q;
+  spec.T = T;
+  spec.tau = tau;
+  spec.mc = mc;
+  spec.backend = ExecutorKind::kMonteCarlo;
+  return spec;
 }
 
 /// \brief The exact scenario of the paper's Figure 1 / Example 1.
